@@ -25,7 +25,7 @@ from .classify import (
     chance_rate,
     train_probe,
 )
-from .dataset import RepresentationSet, SplitSpec, split_indices
+from .dataset import FactorSchema, RepresentationSet, SplitSpec, split_indices
 from .errors import SplitError, ValidationError
 from .util import parallel_map, spawn_seed
 
@@ -159,6 +159,25 @@ def measure_probes(
     return per_factor, joint_both
 
 
+def _split_audit(
+    pair: ExcludedPair, schema: FactorSchema, train: np.ndarray, test: np.ndarray, leaked: int | None
+) -> dict:
+    """Audit of an exclusion split given its train and test label matrices:
+    no training row and every test row match the pair. leaked_rows counts row
+    ids on both sides (None for externally split sets)."""
+    ia, ib = schema.index_of(pair.factor_a), schema.index_of(pair.factor_b)
+    train_match, test_match = (
+        int(np.sum((labels[:, ia] == pair.value_a) & (labels[:, ib] == pair.value_b)))
+        for labels in (train, test)
+    )
+    return {
+        "leaked_rows": leaked,
+        "train_rows_matching_pair": train_match,
+        "test_rows_matching_pair": test_match,
+        "clean": bool(not leaked and train_match == 0 and test_match == len(test)),
+    }
+
+
 def run_cg(
     rep: RepresentationSet,
     pair: ExcludedPair | tuple,
@@ -175,7 +194,6 @@ def run_cg(
     """
     config = config or TrainConfig()
     pair = resolve_pair(rep, pair)
-    ia, ib = rep.schema.index_of(pair.factor_a), rep.schema.index_of(pair.factor_b)
     split = SplitSpec(
         kind="cg_exclusion",
         factor_a=pair.factor_a,
@@ -184,19 +202,8 @@ def run_cg(
         value_b=pair.value_b,
     )
     train_idx, test_idx = split_indices(rep, split)
-    leaked = np.intersect1d(train_idx, test_idx).size
-    train_match = np.sum(
-        (rep.labels[train_idx, ia] == pair.value_a) & (rep.labels[train_idx, ib] == pair.value_b)
-    )
-    test_match = np.sum(
-        (rep.labels[test_idx, ia] == pair.value_a) & (rep.labels[test_idx, ib] == pair.value_b)
-    )
-    audit = {
-        "leaked_rows": int(leaked),
-        "train_rows_matching_pair": int(train_match),
-        "test_rows_matching_pair": int(test_match),
-        "clean": bool(leaked == 0 and train_match == 0 and test_match == test_idx.size),
-    }
+    leaked = int(np.intersect1d(train_idx, test_idx).size)
+    audit = _split_audit(pair, rep.schema, rep.labels[train_idx], rep.labels[test_idx], leaked)
 
     train_rep, test_rep = rep.subset(train_idx), rep.subset(test_idx)
     per_factor, joint_both = measure_probes(
@@ -256,24 +263,11 @@ def run_cg_presplit(
     if train_rep.schema != test_rep.schema:
         raise ValidationError("train and test sets must share one schema")
     pair = resolve_pair(train_rep, pair)
-    ia = train_rep.schema.index_of(pair.factor_a)
-    ib = train_rep.schema.index_of(pair.factor_b)
-    train_match = np.sum(
-        (train_rep.labels[:, ia] == pair.value_a) & (train_rep.labels[:, ib] == pair.value_b)
-    )
-    test_match = np.sum(
-        (test_rep.labels[:, ia] == pair.value_a) & (test_rep.labels[:, ib] == pair.value_b)
-    )
+    audit = _split_audit(pair, train_rep.schema, train_rep.labels, test_rep.labels, leaked=None)
     full_labels = np.vstack([train_rep.labels, test_rep.labels])
     per_factor, joint_both = measure_probes(
         train_rep, test_rep, pair, probe_kind, config, full_labels, seed_salt=1
     )
-    audit = {
-        "leaked_rows": None,
-        "train_rows_matching_pair": int(train_match),
-        "test_rows_matching_pair": int(test_match),
-        "clean": bool(train_match == 0 and test_match == test_rep.n_rows),
-    }
     return CgRunResult(
         pair=pair,
         probe_kind=probe_kind,
@@ -359,19 +353,19 @@ def sample_pairs(
     ib = rep.schema.index_of(factor_b)
     if ia == ib:
         raise ValidationError("sample_pairs needs two distinct factors")
-    combos = np.unique(rep.labels[:, [ia, ib]], axis=0)
-    if count < 1 or count > combos.shape[0]:
+    dims = (rep.schema.cardinalities[ia], rep.schema.cardinalities[ib])
+    # Present combinations in lexicographic (value_a, value_b) order.
+    combos = np.unique(np.ravel_multi_index((rep.labels[:, ia], rep.labels[:, ib]), dims))
+    if count < 1 or count > combos.size:
         raise ValidationError(
-            f"count must lie in [1, {combos.shape[0]}] (distinct present combinations)"
+            f"count must lie in [1, {combos.size}] (distinct present combinations)"
         )
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(combos.shape[0], size=count, replace=False)
-    chosen = np.sort(chosen)
+    chosen = rng.choice(combos.size, size=count, replace=False)
+    values_a, values_b = np.unravel_index(combos[np.sort(chosen)], dims)
     return [
-        ExcludedPair(
-            rep.schema.names[ia], int(combos[c, 0]), rep.schema.names[ib], int(combos[c, 1])
-        )
-        for c in chosen
+        ExcludedPair(rep.schema.names[ia], int(va), rep.schema.names[ib], int(vb))
+        for va, vb in zip(values_a, values_b)
     ]
 
 

@@ -1,14 +1,17 @@
 """Plug-in information estimates over discrete variables, in bits (log base 2).
 
-All quantities are computed from empirical counts: entropy from a label
-vector, mutual information as H(x) + H(y) - H(x, y), and joint mutual
-information by fusing several discrete vectors into one product-alphabet
-variable first. The importance matrix stacks MI(factor_j, binned neuron_i)
-for every factor/neuron pair.
+One count-table kernel: `ContingencyTable` counts two code vectors with a
+single `np.bincount`, and MI = H(row sums) + H(column sums) - H(cells).
+`mutual_information` maps any integers to dense codes first, and
+`joint_mutual_information` fuses several vectors into one product-alphabet
+code with `np.ravel_multi_index`. The importance matrix bins every neuron
+once (`bin_matrix`) and builds one table per factor/neuron pair. Entropies
+sort the counts, so results depend only on the count multiset.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +28,8 @@ class ContingencyTable:
     """Joint counts of two discrete vectors.
 
     counts[r, c] is the number of rows with row_values == r and
-    col_values == c, where r and c index the provided alphabets.
+    col_values == c, where r and c index the provided alphabets of
+    non-negative codes. A table holds at most JOINT_CELL_CAP cells.
     """
 
     counts: np.ndarray
@@ -39,14 +43,23 @@ class ContingencyTable:
         cols = _as_discrete(cols, "cols")
         if rows.shape != cols.shape:
             raise ValidationError(f"length mismatch: {rows.size} vs {cols.size}")
+        if rows.min() < 0 or cols.min() < 0:
+            raise ValidationError("contingency table values must be non-negative codes")
         r = int(rows.max()) + 1 if n_rows is None else int(n_rows)
         c = int(cols.max()) + 1 if n_cols is None else int(n_cols)
         if rows.max() >= r or cols.max() >= c:
             raise ValidationError("alphabet size smaller than observed values")
-        counts = np.zeros((r, c), dtype=np.int64)
-        np.add.at(counts, (rows, cols), 1)
+        if r * c > JOINT_CELL_CAP:
+            raise AlphabetOverflowError(f"count table exceeds cap: {r * c} > {JOINT_CELL_CAP} cells")
+        counts = np.bincount(rows * c + cols, minlength=r * c).reshape(r, c)
         counts.setflags(write=False)
         return cls(counts=counts, total=int(rows.size))
+
+    def mutual_information(self) -> float:
+        """I(rows; cols) in bits: H(rows) + H(cols) - H(rows, cols)."""
+        h_rows = entropy_from_counts(self.counts.sum(axis=1))
+        h_cols = entropy_from_counts(self.counts.sum(axis=0))
+        return h_rows + h_cols - entropy_from_counts(self.counts)
 
 
 def entropy(values: Sequence[int] | np.ndarray) -> float:
@@ -87,19 +100,16 @@ def entropy_from_probs(probs: Sequence[float] | np.ndarray) -> float:
 def mutual_information(x: Sequence[int] | np.ndarray, y: Sequence[int] | np.ndarray) -> float:
     """Plug-in mutual information I(x; y) in bits: H(x) + H(y) - H(x, y).
 
-    Exactly symmetric in its arguments. The result is >= -eps (tiny negative
-    values can only arise from float rounding) and <= min(H(x), H(y)) + eps.
+    Any integers are accepted (mapped to dense codes); the product of the
+    two alphabet sizes may not exceed JOINT_CELL_CAP. Exactly symmetric in
+    its arguments. The result is >= -eps (tiny negative values can only
+    arise from float rounding) and <= min(H(x), H(y)) + eps.
     """
     x = _as_discrete(x, "x")
     y = _as_discrete(y, "y")
     if x.shape != y.shape:
         raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
-    hx = entropy(x)
-    hy = entropy(y)
-    joint = _fuse_columns([x, y])
-    _, joint_counts = np.unique(joint, return_counts=True)
-    hxy = entropy_from_counts(joint_counts)
-    return hx + hy - hxy
+    return ContingencyTable.from_vectors(_dense_codes(x), _dense_codes(y)).mutual_information()
 
 
 def joint_mutual_information(
@@ -118,15 +128,12 @@ def joint_mutual_information(
     for i, col in enumerate(cols):
         if col.shape != y.shape:
             raise ValidationError(f"length mismatch between xs[{i}] and y")
-    cells = 1
-    for col in cols:
-        cells *= int(np.unique(col).size)
-        if cells > cell_cap:
-            raise AlphabetOverflowError(
-                f"product alphabet exceeds cap: {cells} > {cell_cap} cells"
-            )
-    fused = _fuse_columns(cols)
-    return mutual_information(fused, y)
+    codes = [_dense_codes(col) for col in cols]
+    sizes = [int(code.max()) + 1 for code in codes]
+    cells = math.prod(sizes)
+    if cells > cell_cap:
+        raise AlphabetOverflowError(f"product alphabet exceeds cap: {cells} > {cell_cap} cells")
+    return mutual_information(np.ravel_multi_index(codes, sizes), y)
 
 
 @dataclass(frozen=True)
@@ -169,29 +176,32 @@ class ImportanceMatrix:
         }
 
 
+def bin_matrix(
+    latents: np.ndarray, n_bins: int = DEFAULT_BINS, strategy: str = QUANTILE
+) -> np.ndarray:
+    """Bin every neuron once: the N x m int64 matrix of bin indices, column-major
+    so that each neuron's bins are contiguous."""
+    bins = np.empty(latents.shape, dtype=np.int64, order="F")
+    for i in range(latents.shape[1]):
+        bins[:, i] = discretize_neuron(latents[:, i], n_bins=n_bins, strategy=strategy).bins
+    return bins
+
+
 def importance_matrix(
     rep: RepresentationSet, n_bins: int = DEFAULT_BINS, strategy: str = QUANTILE
 ) -> ImportanceMatrix:
     """MI in bits between every factor and every neuron after binning.
 
-    Each neuron is discretized once (n_bins, strategy) and its bin index is
-    compared against every factor's labels.
+    Each neuron is discretized once (n_bins, strategy); each factor/neuron
+    pair is one count table of the neuron's bins against the factor's labels.
     """
-    binned = [
-        discretize_neuron(rep.latents[:, i], n_bins=n_bins, strategy=strategy).bins
-        for i in range(rep.n_neurons)
-    ]
+    bins = bin_matrix(rep.latents, n_bins=n_bins, strategy=strategy)
     values = np.zeros((rep.n_factors, rep.n_neurons), dtype=np.float64)
     for j in range(rep.n_factors):
-        labels = rep.labels[:, j]
         for i in range(rep.n_neurons):
-            values[j, i] = mutual_information(binned[i], labels)
-    return ImportanceMatrix(
-        values=values,
-        factor_names=rep.schema.names,
-        n_bins=n_bins,
-        strategy=strategy,
-    )
+            table = ContingencyTable.from_vectors(bins[:, i], rep.labels[:, j])
+            values[j, i] = table.mutual_information()
+    return ImportanceMatrix(values, rep.schema.names, n_bins, strategy)
 
 
 def _as_discrete(values, name: str) -> np.ndarray:
@@ -206,8 +216,6 @@ def _as_discrete(values, name: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _fuse_columns(cols: list[np.ndarray]) -> np.ndarray:
-    """Encode several discrete columns as one, preserving the joint alphabet."""
-    stacked = np.stack(cols, axis=1)
-    _, fused = np.unique(stacked, axis=0, return_inverse=True)
-    return fused.ravel().astype(np.int64)
+def _dense_codes(values: np.ndarray) -> np.ndarray:
+    """Relabel a discrete vector as codes 0..k-1 in sorted value order."""
+    return np.unique(values, return_inverse=True)[1].reshape(-1)

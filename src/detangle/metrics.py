@@ -36,7 +36,7 @@ from .dataset import (
     split_indices,
 )
 from .errors import DegenerateInputError, ValidationError
-from .infotheory import ContingencyTable, ImportanceMatrix, entropy, importance_matrix
+from .infotheory import ContingencyTable, ImportanceMatrix, bin_matrix, entropy, importance_matrix
 from .util import parallel_map, spawn_seed
 
 MEAN = "mean"
@@ -57,11 +57,13 @@ def bin_match_accuracy(values: np.ndarray, labels: np.ndarray, n_classes: int) -
     classes; the result is the fraction of rows where the relabelled bin
     equals the class.
     """
-    labels = np.asarray(labels, dtype=np.int64)
     disc = discretize_neuron(np.asarray(values, dtype=np.float64), n_bins=n_classes)
-    table = ContingencyTable.from_vectors(
-        disc.bins, labels, n_rows=n_classes, n_cols=n_classes
-    )
+    return _matched_fraction(disc.bins, np.asarray(labels, dtype=np.int64), n_classes)
+
+
+def _matched_fraction(bins: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
+    """Share of rows on the trace of the best bin->class bijection."""
+    table = ContingencyTable.from_vectors(bins, labels, n_rows=n_classes, n_cols=n_classes)
     _, matched = max_weight_assignment(table.counts.astype(np.float64), lexicographic=False)
     return float(matched) / float(table.total)
 
@@ -268,11 +270,13 @@ def sap(rep: RepresentationSet) -> SapResult:
     """
     if rep.n_neurons < 2:
         raise ValidationError("SAP needs at least two neurons")
+    cards = rep.schema.cardinalities
     acc = np.zeros((rep.n_factors, rep.n_neurons))
-    for j in range(rep.n_factors):
-        k = rep.schema.cardinalities[j]
-        for i in range(rep.n_neurons):
-            acc[j, i] = bin_match_accuracy(rep.latents[:, i], rep.labels[:, j], k)
+    for k in sorted(set(cards)):
+        bins = bin_matrix(rep.latents, n_bins=k)  # shared by every k-class factor
+        for j in (j for j in range(rep.n_factors) if cards[j] == k):
+            acc[j] = [_matched_fraction(bins[:, i], rep.labels[:, j], k) for i in range(rep.n_neurons)]
+        del bins  # keep one N x m bin matrix alive at a time
     per_factor: dict[str, float] = {}
     details: dict[str, dict] = {}
     for j, name in enumerate(rep.schema.names):

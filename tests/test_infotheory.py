@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detangle.dataset import EQUAL_WIDTH, FactorSchema, RepresentationSet
+from detangle.dataset import EQUAL_WIDTH, QUANTILE, FactorSchema, RepresentationSet, discretize_neuron
 from detangle.errors import AlphabetOverflowError, ValidationError
 from detangle.infotheory import (
+    JOINT_CELL_CAP,
     ContingencyTable,
     entropy,
     entropy_from_counts,
@@ -155,6 +158,29 @@ class TestContingencyTable:
         with pytest.raises(ValidationError):
             ContingencyTable.from_vectors(np.array([0, 5]), np.array([0, 1]), n_rows=2)
 
+    def test_negative_values_rejected(self):
+        # A negative code must not wrap around into the last row or column.
+        with pytest.raises(ValidationError, match="non-negative"):
+            ContingencyTable.from_vectors(np.array([-1, 0, 0]), np.array([0, 1, 1]))
+        with pytest.raises(ValidationError, match="non-negative"):
+            ContingencyTable.from_vectors(np.array([0, 1]), np.array([0, -2]), n_cols=3)
+
+    def test_cell_cap(self):
+        with pytest.raises(AlphabetOverflowError):
+            ContingencyTable.from_vectors(np.array([0]), np.array([0]),
+                                          n_rows=JOINT_CELL_CAP + 1, n_cols=1)
+
+    def test_mutual_information_reads_the_table(self):
+        table = ContingencyTable.from_vectors(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]))
+        assert table.mutual_information() == 0.0
+        table = ContingencyTable.from_vectors(np.array([0, 0, 1, 1]), np.array([1, 1, 0, 0]))
+        assert table.mutual_information() == 1.0
+
+    def test_entropy_and_mi_accept_negative_values(self):
+        x = np.array([-1, 0, 0, -1])
+        assert entropy(x) == 1.0
+        assert mutual_information(x, np.array([-5, 3, 3, -5])) == 1.0
+
 
 class TestImportanceMatrix:
     def rep(self):
@@ -194,3 +220,94 @@ class TestImportanceMatrix:
         a = importance_matrix(self.rep()).values
         b = importance_matrix(self.rep()).values
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# oracle and property tests
+# ---------------------------------------------------------------------------
+
+
+def reference_mi(x, y):
+    """Pre-kernel algorithm: np.unique counts of x, of y, and of the (x, y) rows."""
+    _, cx = np.unique(x, return_counts=True)
+    _, cy = np.unique(y, return_counts=True)
+    _, cxy = np.unique(np.stack([x, y], axis=1), axis=0, return_counts=True)
+    return entropy_from_counts(cx) + entropy_from_counts(cy) - entropy_from_counts(cxy)
+
+
+def reference_importance(rep, n_bins, strategy):
+    """Per-pair importance: bin the neuron, then reference_mi against each factor."""
+    values = np.zeros((rep.n_factors, rep.n_neurons))
+    for i in range(rep.n_neurons):
+        bins = discretize_neuron(rep.latents[:, i], n_bins=n_bins, strategy=strategy).bins
+        for j in range(rep.n_factors):
+            values[j, i] = reference_mi(bins, rep.labels[:, j])
+    return values
+
+
+@st.composite
+def representation_sets(draw):
+    """Small sets whose neurons range from a few levels (level-mapped bins,
+    ties on boundaries) to continuous values mixed with the labels."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, n + 3))
+    rows = draw(st.integers(1, 150))
+    cards = draw(st.lists(st.integers(2, 6), min_size=n, max_size=n))
+    levels = draw(st.sampled_from([1, 2, 4, 10_000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.column_stack([rng.integers(0, k, rows) for k in cards])
+    noise = rng.integers(0, levels, (rows, m)).astype(np.float64)
+    latents = noise + labels @ rng.integers(0, 3, (n, m))
+    names = tuple(f"f{j}" for j in range(n))
+    return RepresentationSet(latents, labels, FactorSchema(names, tuple(cards)))
+
+
+discrete_pairs = st.integers(1, 80).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+        st.lists(st.integers(-1000, 1000), min_size=n, max_size=n),
+    )
+)
+
+
+class TestKernelOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(rep=representation_sets(), n_bins=st.integers(1, 12),
+           strategy=st.sampled_from([QUANTILE, EQUAL_WIDTH]))
+    def test_importance_matrix_equals_unique_reference(self, rep, n_bins, strategy):
+        imp = importance_matrix(rep, n_bins=n_bins, strategy=strategy)
+        assert np.array_equal(imp.values, reference_importance(rep, n_bins, strategy))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rep=representation_sets(), n_bins=st.integers(1, 12))
+    def test_importance_rows_bounded_by_factor_entropy(self, rep, n_bins):
+        imp = importance_matrix(rep, n_bins=n_bins)
+        for j in range(rep.n_factors):
+            assert np.all(imp.values[j] <= entropy(rep.labels[:, j]) + 1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=discrete_pairs)
+    def test_mi_symmetric_bounded_and_equal_to_reference(self, pair):
+        x, y = (np.array(v) for v in pair)
+        mi = mutual_information(x, y)
+        assert mi == mutual_information(y, x)
+        assert -1e-12 <= mi <= min(entropy(x), entropy(y)) + 1e-12
+        assert mi == reference_mi(x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), k=st.integers(1, 3), data=st.data())
+    def test_joint_mi_invariant_under_relabelling(self, n, k, data):
+        column = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(np.array)
+        xs = [data.draw(column) for _ in range(k)]
+        y = data.draw(column)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def relabel(v):
+            # A random bijection of the value set onto spread-out integers.
+            levels, codes = np.unique(v, return_inverse=True)
+            image = rng.permutation(levels.size) * 7 - 50
+            return image[codes.reshape(-1)]
+
+        expected = joint_mutual_information(xs, y)
+        assert joint_mutual_information([relabel(x) for x in xs], relabel(y)) == expected
+        assert joint_mutual_information(xs[::-1], y) == expected

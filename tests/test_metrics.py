@@ -224,6 +224,24 @@ class TestSap:
         with pytest.raises(ValidationError, match="two neurons"):
             sap(rep)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_accuracy_matrix_equals_per_pair_bin_match(self, seed):
+        # SAP bins each neuron once per cardinality; the scores must equal
+        # binning every (factor, neuron) pair on its own.
+        rng = np.random.default_rng(seed)
+        cards = (2, 5, 3, 5)
+        rows = int(rng.integers(20, 400))
+        labels = np.column_stack([rng.integers(0, k, rows) for k in cards])
+        latents = labels @ rng.normal(size=(4, 6)) + rng.normal(size=(rows, 6))
+        if seed % 2:
+            latents = np.round(latents)  # few levels: ties and level-mapped bins
+        rep = RepresentationSet(latents, labels, FactorSchema(("a", "b", "c", "d"), cards))
+        expected = np.array([
+            [bin_match_accuracy(latents[:, i], labels[:, j], k) for i in range(6)]
+            for j, k in enumerate(cards)
+        ])
+        assert np.array_equal(sap(rep).accuracy_matrix, expected)
+
 
 class TestDci:
     def test_one_hot_matrix_is_fully_disentangled(self):
