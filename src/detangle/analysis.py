@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .metrics import aggregate
 
 _BETA_EPS = 3e-14
 _BETA_FPMIN = 1e-300
@@ -160,34 +161,18 @@ BASELINE_AGGREGATES = (MEAN_ALL, MEAN_SUBSET, PRODUCT_SUBSET)
 SUBSET_METRICS = ("snc", "nk")
 
 
-def _per_factor_block(payload: dict, metric: str) -> dict:
-    block = payload.get(metric)
-    if block is None:
-        raise ValidationError(f"metric payload has no {metric!r} block")
-    return block["per_factor"]
-
-
 def _aggregate_from_payload(
     payload: dict, metric: str, subset: Sequence[str] | None, mode: str
 ) -> float:
     """Combine one metric's per-factor scores into a single model score."""
-    per_factor = _per_factor_block(payload, metric)
-    if subset is None:
-        names = list(per_factor)
-    else:
-        missing = [name for name in subset if name not in per_factor]
-        if missing:
-            raise ValidationError(f"metric payload lacks factors {missing} for {metric!r}")
-        names = list(subset)
-    values = [float(per_factor[name]) for name in names]
-    if mode == "mean":
-        return float(np.mean(values))
-    if mode == "product":
-        out = 1.0
-        for v in values:
-            out *= v
-        return out
-    raise ValidationError(f"unknown aggregation mode {mode!r}")
+    block = payload.get(metric)
+    if block is None:
+        raise ValidationError(f"metric payload has no {metric!r} block")
+    per_factor = block["per_factor"]
+    missing = [name for name in subset or () if name not in per_factor]
+    if missing:
+        raise ValidationError(f"metric payload lacks factors {missing} for {metric!r}")
+    return aggregate(per_factor, mode, subset)
 
 
 def _cg_score(payload: dict) -> float:
@@ -244,18 +229,11 @@ def correlate_metrics_with_cg(
     }
     for metric in metrics:
         if metric in SUBSET_METRICS:
-            x = [
-                _aggregate_from_payload(p, metric, subset, aggregate_mode)
-                for p in metric_payloads
-            ]
-        elif baseline_aggregate == MEAN_ALL:
-            x = [_aggregate_from_payload(p, metric, None, "mean") for p in metric_payloads]
-        elif baseline_aggregate == MEAN_SUBSET:
-            x = [_aggregate_from_payload(p, metric, subset, "mean") for p in metric_payloads]
+            names, mode = subset, aggregate_mode
         else:
-            x = [
-                _aggregate_from_payload(p, metric, subset, "product") for p in metric_payloads
-            ]
+            names = None if baseline_aggregate == MEAN_ALL else subset
+            mode = "product" if baseline_aggregate == PRODUCT_SUBSET else "mean"
+        x = [_aggregate_from_payload(p, metric, names, mode) for p in metric_payloads]
         result = pearson(x, y)
         out["per_metric"][metric] = {
             "values": x,
