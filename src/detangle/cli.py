@@ -8,7 +8,7 @@ Subcommands:
   correlate  Pearson r between metric scores and generalization scores
   report     re-render a previously written JSON payload as a text table
 
-Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
+Exit codes: 0 success, 1 validation/usage error, 2 I/O error, 3 training diverged.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .dataset import (
     load_representation_set,
     write_representation_set,
 )
-from .errors import DataIOError, ValidationError
+from .errors import DataIOError, TrainingDivergedError, ValidationError
 from .infotheory import ImportanceMatrix, importance_matrix
 from .util import atomic_write_json, atomic_write_text
 
@@ -411,15 +411,15 @@ def cli(argv=None) -> int:
         return 1
     try:
         return _HANDLERS[args.command](args)
-    except DataIOError as exc:
+    except (DataIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 def main() -> None:

@@ -2,7 +2,7 @@
 
 Validation failures raise subclasses of :class:`ValidationError`; anything
 that went wrong while reading or writing files raises :class:`DataIOError`.
-The CLI maps the former to exit code 1 and the latter to exit code 2.
+The CLI exits 1 on the former, 2 on the latter, 3 on :class:`TrainingDivergedError`.
 """
 
 from __future__ import annotations

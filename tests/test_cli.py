@@ -2,18 +2,33 @@
 
 Every test drives cli() in process with an argv list and asserts on the
 exit code, the files written, and the rendered stdout. A couple of tests
-shell out to confirm the installed entry points work.
+shell out to confirm the entry points work from the source tree.
 """
 
+import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import detangle
 from detangle.cli import build_parser, cli
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's detangle package."""
+    src = str(Path(detangle.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def read_json(path):
@@ -165,6 +180,14 @@ class TestMetrics:
 
     def test_empty_subset_exits_1(self, workspace):
         assert cli(["metrics", "--data", str(workspace / "a"), "--subset", ","]) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_diverged_training_exits_3(self, workspace, capsys):
+        assert cli(["metrics", "--data", str(workspace / "b"), "--epochs", "3",
+                    "--learning-rate", "1e300"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at epoch ")
+        assert err.count("\n") == 1
 
 
 class TestAlign:
@@ -444,8 +467,19 @@ class TestParserBasics:
         assert proc.returncode == 0
         assert "synth" in proc.stdout
 
-    def test_console_script_installed(self):
-        exe = shutil.which("detangle")
-        assert exe is not None
-        proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
-        assert proc.returncode == 0
+    def test_package_entry_point(self):
+        proc = run_python("-W", "error", "-m", "detangle", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "synth" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_console_script_target_runs_help(self):
+        # The [project.scripts] entry resolves, and the command it installs
+        # exits 0 on --help.
+        scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+        module, _, attr = scripts["detangle"].partition(":")
+        assert callable(getattr(importlib.import_module(module), attr))
+        proc = run_python("-c", f"import sys; sys.argv[0] = 'detangle'; "
+                                f"from {module} import {attr}; {attr}()", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: detangle")
