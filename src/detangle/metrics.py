@@ -275,7 +275,9 @@ def sap(rep: RepresentationSet) -> SapResult:
     for k in sorted(set(cards)):
         bins = bin_matrix(rep.latents, n_bins=k)  # shared by every k-class factor
         for j in (j for j in range(rep.n_factors) if cards[j] == k):
-            acc[j] = [_matched_fraction(bins[:, i], rep.labels[:, j], k) for i in range(rep.n_neurons)]
+            acc[j] = [
+                _matched_fraction(bins[:, i], rep.labels[:, j], k) for i in range(rep.n_neurons)
+            ]
         del bins  # keep one N x m bin matrix alive at a time
     per_factor: dict[str, float] = {}
     details: dict[str, dict] = {}

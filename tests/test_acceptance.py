@@ -8,7 +8,6 @@ with a runtime budget time themselves with a monotonic clock.
 import itertools
 import math
 import time
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +329,8 @@ def test_criterion_9_full_scale_image_tables_out_of_scope():
                    for name in public)
     assert set(GENERATOR_KINDS) == {"table1_a", "table1_b", "xor", "redundant_xor",
                                     "ideal", "rotated", "joint_code", "noise"}
+    import tomllib  # standard library from Python 3.11
+
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     runtime_deps = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
     assert runtime_deps and all(req.startswith("numpy") for req in runtime_deps)

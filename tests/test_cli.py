@@ -11,7 +11,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +475,8 @@ class TestParserBasics:
     def test_console_script_target_runs_help(self):
         # The [project.scripts] entry resolves, and the command it installs
         # exits 0 on --help.
+        import tomllib  # standard library from Python 3.11
+
         scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
         module, _, attr = scripts["detangle"].partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
