@@ -198,10 +198,16 @@ def importance_matrix(
     bins = bin_matrix(rep.latents, n_bins=n_bins, strategy=strategy)
     values = np.zeros((rep.n_factors, rep.n_neurons), dtype=np.float64)
     for j in range(rep.n_factors):
+        labels = rep.labels[:, j]
         for i in range(rep.n_neurons):
-            table = ContingencyTable.from_vectors(bins[:, i], rep.labels[:, j])
+            table = ContingencyTable.from_vectors(bins[:, i], labels)
             values[j, i] = table.mutual_information()
-    return ImportanceMatrix(values, rep.schema.names, n_bins, strategy)
+    return ImportanceMatrix(
+        values=values,
+        factor_names=rep.schema.names,
+        n_bins=n_bins,
+        strategy=strategy,
+    )
 
 
 def _as_discrete(values, name: str) -> np.ndarray:
@@ -218,4 +224,4 @@ def _as_discrete(values, name: str) -> np.ndarray:
 
 def _dense_codes(values: np.ndarray) -> np.ndarray:
     """Relabel a discrete vector as codes 0..k-1 in sorted value order."""
-    return np.unique(values, return_inverse=True)[1].reshape(-1)
+    return np.unique(values, return_inverse=True)[1]
