@@ -27,7 +27,7 @@ from .classify import (
 )
 from .dataset import FactorSchema, RepresentationSet, SplitSpec, split_indices
 from .errors import SplitError, ValidationError
-from .util import parallel_map, spawn_seed
+from .util import spawn_seed
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,9 @@ def measure_probes(
         raise ValidationError(f"unknown probe kind {probe_kind!r}")
     schema = train_rep.schema
 
-    def run_factor(j: int) -> tuple[str, dict, np.ndarray]:
-        name = schema.names[j]
+    per_factor: dict[str, dict] = {}
+    preds_by_name: dict[str, np.ndarray] = {}
+    for j, name in enumerate(schema.names):
         probe = train_probe(
             train_rep.latents,
             train_rep.labels[:, j],
@@ -132,15 +133,8 @@ def measure_probes(
         preds = probe.predict(test_rep.latents)
         raw = float(np.mean(preds == test_rep.labels[:, j]))
         r = chance_rate(full_labels[:, j])
-        return (
-            name,
-            {"raw": raw, "adjusted": adjusted_accuracy(raw, r), "chance_rate": r},
-            preds,
-        )
-
-    rows = parallel_map(run_factor, list(range(schema.n_factors)))
-    per_factor = {name: scores for name, scores, _ in rows}
-    preds_by_name = {name: preds for name, _, preds in rows}
+        per_factor[name] = {"raw": raw, "adjusted": adjusted_accuracy(raw, r), "chance_rate": r}
+        preds_by_name[name] = preds
 
     ia, ib = schema.index_of(pair.factor_a), schema.index_of(pair.factor_b)
     both_correct = (preds_by_name[pair.factor_a] == test_rep.labels[:, ia]) & (

@@ -37,7 +37,7 @@ from .dataset import (
 )
 from .errors import DegenerateInputError, ValidationError
 from .infotheory import ContingencyTable, ImportanceMatrix, bin_matrix, entropy, importance_matrix
-from .util import parallel_map, spawn_seed
+from .util import spawn_seed
 
 MEAN = "mean"
 PRODUCT = "product"
@@ -165,8 +165,9 @@ def nk(
     train_idx, test_idx = split_indices(rep, split)
     x_train, x_test = rep.latents[train_idx], rep.latents[test_idx]
 
-    def run_factor(j: int) -> tuple[str, float, dict]:
-        name = rep.schema.names[j]
+    per_factor: dict[str, float] = {}
+    details: dict[str, dict] = {}
+    for j, name in enumerate(rep.schema.names):
         k = rep.schema.cardinalities[j]
         y_train, y_test = rep.labels[train_idx, j], rep.labels[test_idx, j]
         neuron = alignment.assignment[j]
@@ -184,8 +185,8 @@ def nk(
         acc_all = accuracy(probe_all, x_test, y_test)
         acc_without = accuracy(probe_without, x_test[:, keep], y_test)
         r = chance_rate(rep.labels[:, j])
-        score = max(0.0, acc_all - acc_without)
-        detail = {
+        per_factor[name] = max(0.0, acc_all - acc_without)
+        details[name] = {
             "neuron": int(neuron),
             "accuracy_all": acc_all,
             "accuracy_without": acc_without,
@@ -193,11 +194,7 @@ def nk(
             "adjusted_without": adjusted_accuracy(acc_without, r),
             "chance_rate": r,
         }
-        return name, score, detail
 
-    rows = parallel_map(run_factor, list(range(rep.n_factors)))
-    per_factor = {name: score for name, score, _ in rows}
-    details = {name: detail for name, _, detail in rows}
     return NkResult(
         per_factor=per_factor,
         mean=float(np.mean(list(per_factor.values()))),
@@ -510,21 +507,19 @@ def compute_metric_report(
     train_idx, test_idx = split_indices(rep, split)
     x_train, x_test = rep.latents[train_idx], rep.latents[test_idx]
 
-    def run_linear(j: int) -> tuple[str, dict]:
-        name = rep.schema.names[j]
-        k = rep.schema.cardinalities[j]
+    linear_rows: dict[str, dict] = {}
+    for j, name in enumerate(rep.schema.names):
         probe = train_probe(
             x_train,
             rep.labels[train_idx, j],
             LINEAR,
             config.with_seed(spawn_seed(config.seed, j, 2)),
-            n_classes=k,
+            n_classes=rep.schema.cardinalities[j],
         )
         acc = accuracy(probe, x_test, rep.labels[test_idx, j])
         r = chance_rate(rep.labels[:, j])
-        return name, {"raw": acc, "adjusted": adjusted_accuracy(acc, r)}
+        linear_rows[name] = {"raw": acc, "adjusted": adjusted_accuracy(acc, r)}
 
-    linear_rows = dict(parallel_map(run_linear, list(range(rep.n_factors))))
     mlp_rows = {
         name: {
             "raw": detail["accuracy_all"],

@@ -1,46 +1,13 @@
-"""Small shared helpers: atomic file writes and the worker-thread cap."""
+"""Small shared helpers: atomic file writes and seed derivation."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
 
 import numpy as np
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-THREADS_ENV_VAR = "DETANGLE_THREADS"
-
-
-def worker_count() -> int:
-    """Number of worker threads, capped by the DETANGLE_THREADS env var.
-
-    Defaults to 1 (sequential). Values below 1 are clamped to 1.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """Map fn over items, using a thread pool when worker_count() > 1.
-
-    Results come back in input order. Callers must make fn deterministic
-    per item (seed every RNG from the item itself) so the thread count
-    never changes the output.
-    """
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -69,9 +36,9 @@ def spawn_seed(base_seed: int, *branch: int) -> int:
     """Derive a child seed deterministically from a base seed and branch indices.
 
     Independent computations (one probe per factor, per knockout variant, etc.)
-    each get their own stream so concurrency and execution order cannot change
-    any result. The branch length is folded into the entropy because numpy
-    treats entropy lists that differ only in trailing zeros as identical.
+    each get their own stream so execution order cannot change any result.
+    The branch length is folded into the entropy because numpy treats
+    entropy lists that differ only in trailing zeros as identical.
     """
     ss = np.random.SeedSequence(
         [int(base_seed) & 0xFFFFFFFF, len(branch), *[int(b) & 0xFFFFFFFF for b in branch]]

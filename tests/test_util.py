@@ -1,20 +1,16 @@
-"""Helpers: seed derivation, bounded thread mapping, atomic writes."""
+"""Helpers: seed derivation, atomic writes, and the contract that the BLAS
+thread count never changes a result."""
 
 import json
-import threading
-import time
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
-import pytest
 
-from detangle.util import (
-    THREADS_ENV_VAR,
-    atomic_write_json,
-    atomic_write_text,
-    parallel_map,
-    spawn_seed,
-    worker_count,
-)
+import detangle
+from detangle.util import atomic_write_json, atomic_write_text, spawn_seed
 
 
 def test_spawn_seed_deterministic_and_branch_sensitive():
@@ -22,38 +18,6 @@ def test_spawn_seed_deterministic_and_branch_sensitive():
     seeds = {spawn_seed(7), spawn_seed(7, 0), spawn_seed(7, 1), spawn_seed(8), spawn_seed(7, 0, 1)}
     assert len(seeds) == 5
     assert all(isinstance(s, int) and s >= 0 for s in seeds)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv(THREADS_ENV_VAR, "4")
-    assert worker_count() == 4
-    monkeypatch.setenv(THREADS_ENV_VAR, "0")
-    assert worker_count() == 1
-    monkeypatch.setenv(THREADS_ENV_VAR, "garbage")
-    assert worker_count() == 1
-
-
-@pytest.mark.parametrize("threads", ["1", "4"])
-def test_parallel_map_order_and_thread_independence(monkeypatch, threads):
-    monkeypatch.setenv(THREADS_ENV_VAR, threads)
-    items = list(range(37))
-    out = parallel_map(lambda i: i * i, items)
-    assert out == [i * i for i in items]
-
-
-def test_parallel_map_actually_uses_threads(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    seen = set()
-
-    def fn(i):
-        seen.add(threading.current_thread().name)
-        time.sleep(0.002)
-        return i
-
-    parallel_map(fn, list(range(64)))
-    assert len(seen) >= 2
 
 
 def test_atomic_write_text_replaces_and_leaves_no_temp(tmp_path):
@@ -77,3 +41,26 @@ def test_spawn_seed_feeds_default_rng():
     a = np.random.default_rng(spawn_seed(3, 1)).random(4)
     b = np.random.default_rng(spawn_seed(3, 1)).random(4)
     assert np.array_equal(a, b)
+
+
+def run_detangle(env_overrides, *args):
+    """Run `python -m detangle` in a fresh interpreter on this checkout."""
+    src = str(Path(detangle.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, **env_overrides}
+    proc = subprocess.run([sys.executable, "-m", "detangle", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_blas_thread_count_never_changes_metrics_payload(tmp_path):
+    data = tmp_path / "data"
+    run_detangle({}, "synth", "--kind", "ideal", "--factors", "a:4,b:3,c:5,d:6",
+                 "--copies", "20", "--sigma", "0.5", "--seed", "5", "--out", str(data))
+    payloads = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"metrics_{threads}.json"
+        run_detangle({"OPENBLAS_NUM_THREADS": threads}, "metrics", "--data", str(data),
+                     "--seed", "3", "--epochs", "2", "--out", str(out))
+        payloads.append(out.read_bytes())
+    assert payloads[0] == payloads[1]
