@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write text to path via a temp file + rename so readers never see a torn file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # Mode 0o666 lets the umask decide permissions, as a plain open() would;
+    # tempfile.mkstemp would leave every output at 0o600.
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

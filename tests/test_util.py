@@ -43,6 +43,18 @@ def test_spawn_seed_feeds_default_rng():
     assert np.array_equal(a, b)
 
 
+def test_atomic_write_text_mode_follows_umask(tmp_path):
+    previous = os.umask(0o022)
+    try:
+        atomic_write_text(tmp_path / "shared.txt", "x")
+        os.umask(0o077)
+        atomic_write_text(tmp_path / "private.txt", "x")
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "shared.txt").stat().st_mode & 0o777 == 0o644
+    assert (tmp_path / "private.txt").stat().st_mode & 0o777 == 0o600
+
+
 def run_detangle(env_overrides, *args):
     """Run `python -m detangle` in a fresh interpreter on this checkout."""
     src = str(Path(detangle.__file__).resolve().parents[1])
