@@ -71,6 +71,8 @@ def _read_json(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataIOError(f"{path} is not valid UTF-8: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

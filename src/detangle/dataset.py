@@ -244,6 +244,8 @@ def load_schema(schema_path: str | Path) -> FactorSchema:
         text = schema_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataIOError(f"cannot read schema file {schema_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"schema file {schema_path} is not valid UTF-8: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -290,6 +292,8 @@ def load_representation_set(data_path: str | Path, schema_path: str | Path) -> R
         text = data_path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataIOError(f"cannot read data file {data_path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedCsvError(f"data file {data_path} is not valid UTF-8: {exc}") from exc
 
     reader = csv.reader(io.StringIO(text))
     try:

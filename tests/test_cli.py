@@ -177,6 +177,14 @@ class TestMetrics:
         (tmp_path / "data.csv").write_text("z0,z1,g0,g1\n0.1,oops,0,1\n")
         assert cli(["metrics", "--data", str(tmp_path)]) == 1
 
+    def test_non_utf8_csv_exits_1(self, tmp_path, workspace, capsys):
+        shutil.copy(workspace / "a" / "schema.json", tmp_path / "schema.json")
+        (tmp_path / "data.csv").write_bytes(b"z0,z1,g0,g1\n0.1,0.2\xff,0,1\n")
+        assert cli(["metrics", "--data", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "data.csv is not valid UTF-8" in err
+
     def test_empty_subset_exits_1(self, workspace):
         assert cli(["metrics", "--data", str(workspace / "a"), "--subset", ","]) == 1
 
@@ -212,6 +220,15 @@ class TestAlign:
         bits = np.asarray(payload["importance"]["bits"])
         expect = bits[0, 0] + bits[1, 1]
         assert payload["alignment"]["objective_bits"] == pytest.approx(expect, abs=1e-12)
+
+    def test_non_utf8_schema_exits_1(self, workspace, tmp_path, capsys):
+        shutil.copy(workspace / "b" / "data.csv", tmp_path / "data.csv")
+        schema = (workspace / "b" / "schema.json").read_bytes()
+        (tmp_path / "schema.json").write_bytes(schema.replace(b"colour", b"col\xffour"))
+        assert cli(["align", "--data", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "schema.json is not valid UTF-8" in err
 
     def test_diagram_exports(self, workspace, tmp_path, capsys):
         svg = tmp_path / "h.svg"
@@ -431,6 +448,14 @@ class TestReport:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli(["report", "--in", str(tmp_path / "gone.json")]) == 2
+
+    def test_non_utf8_payload_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"note": "caf\xe9"}')
+        assert cli(["report", "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "latin1.json is not valid UTF-8" in err
 
 
 class TestParserBasics:
