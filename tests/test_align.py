@@ -6,6 +6,10 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from detangle.align import (
     Alignment,
@@ -35,18 +39,32 @@ def brute_force(values):
 
 
 class TestMaxWeightAssignment:
-    def test_matches_exhaustive_on_dyadic_grid(self):
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_exhaustive_on_dyadic_grid(self, data):
         # Entries are multiples of 1/16, so every objective sum and every
-        # solver potential is exact and ties are genuine float equalities.
-        rng = np.random.default_rng(42)
-        for trial in range(200):
-            n = int(rng.integers(1, 7))
-            m = int(rng.integers(n, 9))
-            values = rng.integers(0, 17, size=(n, m)) / 16.0
-            expected, expected_obj = brute_force(values)
-            got, got_obj = max_weight_assignment(values)
-            assert got == expected, f"trial {trial}: {got} != {expected}\n{values}"
-            assert got_obj == expected_obj
+        # solver potential is exact and ties are genuine float equalities;
+        # few levels make many optima tie.
+        n = data.draw(st.integers(1, 6))
+        m = data.draw(st.integers(n, 8))
+        levels = data.draw(st.sampled_from([1, 2, 16]))
+        values = data.draw(arrays(np.int64, (n, m), elements=st.integers(0, levels))) / 16.0
+        expected, expected_obj = brute_force(values)
+        got, got_obj = max_weight_assignment(values)
+        assert got == expected
+        assert got_obj == expected_obj
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_objective_equals_scipy_optimum(self, data):
+        n = data.draw(st.integers(1, 7))
+        m = data.draw(st.integers(n, 12))
+        values = data.draw(arrays(np.float64, (n, m), elements=st.floats(-100.0, 100.0)))
+        rows, cols = linear_sum_assignment(values, maximize=True)
+        got, got_obj = max_weight_assignment(values)
+        assert len(set(got)) == n
+        assert got_obj == assignment_objective(values, got)
+        assert got_obj == pytest.approx(values[rows, cols].sum(), abs=1e-9)
 
     def test_matches_exhaustive_on_continuous_draws(self):
         rng = np.random.default_rng(7)

@@ -1,7 +1,12 @@
 """Schema, CSV round trips, loader diagnostics, binning, and splits."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from detangle.dataset import (
     DEFAULT_BINS,
@@ -30,6 +35,17 @@ from detangle.errors import (
 )
 
 SCHEMA = FactorSchema(("colour", "shape"), (2, 3))
+
+
+# Floats a decimal round trip most easily gets wrong: negative zero, the
+# smallest subnormal and normal, and the largest finite magnitudes.
+EDGE_FLOATS = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                        -1.7976931348623157e308])
+
+
+def assert_partition(train, test, n):
+    assert np.all(np.diff(train) > 0) and np.all(np.diff(test) > 0)
+    assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(n))
 
 
 def small_rep(n=12, m=3, seed=0):
@@ -122,15 +138,25 @@ class TestRepresentationSet:
 
 
 class TestCsvIO:
-    def test_write_load_roundtrip_bit_exact(self, tmp_path):
-        rep = small_rep(seed=5)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_write_load_roundtrip_bit_exact(self, tmp_path, data):
+        # tobytes(), not array_equal: array_equal treats -0.0 == 0.0.
+        m = data.draw(st.integers(2, 5))
+        drawn = data.draw(arrays(np.float64, (data.draw(st.integers(0, 20)), m),
+                                 elements=st.floats(allow_nan=False, allow_infinity=False)))
+        latents = np.vstack([np.repeat(EDGE_FLOATS[:, None], m, axis=1), drawn])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        labels = np.column_stack([rng.integers(0, k, len(latents)) for k in SCHEMA.cardinalities])
+        rep = RepresentationSet(latents, labels, SCHEMA)
         write_representation_set(rep, tmp_path / "data.csv", tmp_path / "schema.json")
         back = load_representation_set(tmp_path / "data.csv", tmp_path / "schema.json")
-        assert np.array_equal(back.latents, rep.latents)
-        assert np.array_equal(back.labels, rep.labels)
+        assert back.latents.tobytes() == rep.latents.tobytes()
+        assert back.labels.tobytes() == rep.labels.tobytes()
         assert back.schema == rep.schema
         header = (tmp_path / "data.csv").read_text().splitlines()[0]
-        assert header == "z0,z1,z2,g0,g1"
+        assert header == ",".join(f"z{i}" for i in range(m)) + ",g0,g1"
 
     def test_expected_header(self):
         assert expected_header(2, 1) == ["z0", "z1", "g0"]
@@ -250,16 +276,25 @@ class TestDiscretize:
 
 
 class TestSplits:
-    def test_random_split_partition(self):
-        rep = small_rep(n=50)
-        spec = SplitSpec(kind="random", test_fraction=0.2, seed=9)
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 300), fraction=st.floats(0.001, 0.999),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_split_partition(self, n, fraction, seed):
+        n_test = math.floor(n * fraction)
+        assume(1 <= n_test < n)
+        rep = small_rep(n=n)
+        spec = SplitSpec(kind="random", test_fraction=fraction, seed=seed)
         train, test = split_indices(rep, spec)
-        assert test.size == 10 and train.size == 40
-        assert np.array_equal(np.sort(np.concatenate([train, test])), np.arange(50))
+        assert test.size == n_test
+        assert_partition(train, test, n)
         train2, test2 = split_indices(rep, spec)
         assert np.array_equal(train, train2) and np.array_equal(test, test2)
-        _, test3 = split_indices(rep, SplitSpec(kind="random", test_fraction=0.2, seed=10))
-        assert not np.array_equal(test, test3)
+
+    def test_random_split_depends_on_seed(self):
+        rep = small_rep(n=50)
+        _, test = split_indices(rep, SplitSpec(kind="random", test_fraction=0.2, seed=9))
+        _, test2 = split_indices(rep, SplitSpec(kind="random", test_fraction=0.2, seed=10))
+        assert not np.array_equal(test, test2)
 
     def test_random_split_fraction_bounds(self):
         rep = small_rep(n=4)
@@ -270,14 +305,19 @@ class TestSplits:
         with pytest.raises(SplitError):
             SplitSpec(kind="random", test_fraction=0.5)
 
-    def test_cg_exclusion_membership(self):
-        rep = small_rep(n=60, seed=2)
-        spec = SplitSpec(kind="cg_exclusion", factor_a="colour", value_a=1,
-                         factor_b="shape", value_b=2)
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 120), seed=st.integers(0, 2**32 - 1),
+           value_a=st.integers(0, 1), value_b=st.integers(0, 2))
+    def test_cg_exclusion_membership(self, n, seed, value_a, value_b):
+        rep = small_rep(n=n, seed=seed)
+        mask = (rep.labels[:, 0] == value_a) & (rep.labels[:, 1] == value_b)
+        assume(0 < mask.sum() < n)
+        spec = SplitSpec(kind="cg_exclusion", factor_a="colour", value_a=value_a,
+                         factor_b="shape", value_b=value_b)
         train, test = split_indices(rep, spec)
-        mask = (rep.labels[:, 0] == 1) & (rep.labels[:, 1] == 2)
         assert np.array_equal(test, np.where(mask)[0])
         assert np.array_equal(train, np.where(~mask)[0])
+        assert_partition(train, test, n)
         train_set, test_set = make_split(rep, spec)
         assert train_set.n_rows == train.size and test_set.n_rows == test.size
 
