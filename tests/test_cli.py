@@ -486,9 +486,8 @@ class TestParserBasics:
                                     "correlate", "report"}
 
     def test_module_entry_point(self):
-        proc = subprocess.run([sys.executable, "-m", "detangle.cli", "--help"],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0
+        proc = run_python("-m", "detangle.cli", "--help")
+        assert proc.returncode == 0, proc.stderr
         assert "synth" in proc.stdout
 
     def test_package_entry_point(self):
