@@ -14,8 +14,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write text to path via a temp file + rename so readers never see a torn file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    # Mode 0o666 lets the umask decide permissions, as a plain open() would;
-    # tempfile.mkstemp would leave every output at 0o600.
+    # 0o666 leaves the mode to the umask, as open() does (mkstemp forces 0o600).
     tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
