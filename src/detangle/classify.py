@@ -152,14 +152,22 @@ def train_probe(
             step += 1
             bc1 = 1.0 - config.beta1**step
             bc2 = 1.0 - config.beta2**step
+            # In place, but each element sees the same operations in the same
+            # order as m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+            # w = w - (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
             for key, g in grads.items():
-                adam_m[key] = config.beta1 * adam_m[key] + (1.0 - config.beta1) * g
-                adam_v[key] = config.beta2 * adam_v[key] + (1.0 - config.beta2) * g * g
-                m_hat = adam_m[key] / bc1
-                v_hat = adam_v[key] / bc2
-                weights[key] = weights[key] - config.learning_rate * m_hat / (
-                    np.sqrt(v_hat) + config.epsilon
-                )
+                m, v = adam_m[key], adam_v[key]
+                m *= config.beta1
+                m += (1.0 - config.beta1) * g
+                v *= config.beta2
+                v += (1.0 - config.beta2) * g * g
+                denom = v / bc2
+                np.sqrt(denom, out=denom)
+                denom += config.epsilon
+                update = m / bc1
+                update *= config.learning_rate
+                update /= denom
+                weights[key] -= update
 
     mu_frozen = mu.copy()
     sigma_frozen = sigma.copy()
@@ -182,16 +190,15 @@ def probe_loss_and_gradients(
 
     Exposed so gradient-check tests can compare against finite differences.
     """
-    logits, hidden = _forward(weights, kind, X)
+    log_probs, hidden = _forward(weights, kind, X)
     b = X.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
-    loss = float(-log_probs[np.arange(b), y].mean())
+    rows = np.arange(b)
+    log_probs -= log_probs.max(axis=1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[rows, y].mean())
 
-    probs = np.exp(log_probs)
-    delta = probs.copy()
-    delta[np.arange(b), y] -= 1.0
+    delta = np.exp(log_probs)
+    delta[rows, y] -= 1.0
     delta /= b
 
     grads: dict[str, np.ndarray] = {}
@@ -202,7 +209,11 @@ def probe_loss_and_gradients(
         grads["W2"] = hidden.T @ delta
         grads["b2"] = delta.sum(axis=0)
         dhidden = delta @ weights["W2"].T
-        dhidden[hidden <= 0] = 0.0
+        # Multiplying by the mask is branch-free, unlike a boolean scatter. It
+        # leaves -0.0 where a scatter would write +0.0, so a gradient differs
+        # at most in the sign of an exact zero; Adam's b1*m + (1-b1)*g gives
+        # the same m for either zero, so the trained weights do not change.
+        dhidden *= hidden > 0
         grads["W1"] = X.T @ dhidden
         grads["b1"] = dhidden.sum(axis=0)
     return loss, grads
@@ -276,10 +287,17 @@ def _init_weights(
 def _forward(
     weights: dict[str, np.ndarray], kind: str, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Return fresh (logits, hidden) arrays; hidden is None for the linear head."""
     if kind == LINEAR:
-        return X @ weights["W"] + weights["b"], None
-    hidden = np.maximum(X @ weights["W1"] + weights["b1"], 0.0)
-    return hidden @ weights["W2"] + weights["b2"], hidden
+        logits = X @ weights["W"]
+        logits += weights["b"]
+        return logits, None
+    hidden = X @ weights["W1"]
+    hidden += weights["b1"]
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = hidden @ weights["W2"]
+    logits += weights["b2"]
+    return logits, hidden
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

@@ -4,12 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detangle.classify import (
     LINEAR,
     MLP,
     ProbeModel,
     TrainConfig,
+    _init_weights,
     accuracy,
     adjusted_accuracy,
     chance_rate,
@@ -219,6 +222,143 @@ class TestTrainProbe:
         y = np.array([0, 1, 0])
         with pytest.raises(ValidationError):
             train_probe(X, y)
+
+
+def reference_forward(weights, kind, X):
+    """Out-of-place forward pass of the original probe engine."""
+    if kind == LINEAR:
+        return X @ weights["W"] + weights["b"], None
+    hidden = np.maximum(X @ weights["W1"] + weights["b1"], 0.0)
+    return hidden @ weights["W2"] + weights["b2"], hidden
+
+
+def reference_loss_and_gradients(weights, kind, X, y):
+    """Loss and gradients of the original engine, with its boolean ReLU scatter."""
+    logits, hidden = reference_forward(weights, kind, X)
+    b = X.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = shifted - log_z
+    loss = float(-log_probs[np.arange(b), y].mean())
+
+    probs = np.exp(log_probs)
+    delta = probs.copy()
+    delta[np.arange(b), y] -= 1.0
+    delta /= b
+
+    grads = {}
+    if kind == LINEAR:
+        grads["W"] = X.T @ delta
+        grads["b"] = delta.sum(axis=0)
+    else:
+        grads["W2"] = hidden.T @ delta
+        grads["b2"] = delta.sum(axis=0)
+        dhidden = delta @ weights["W2"].T
+        dhidden[hidden <= 0] = 0.0
+        grads["W1"] = X.T @ dhidden
+        grads["b1"] = dhidden.sum(axis=0)
+    return loss, grads
+
+
+def reference_train(X, y, kind, config, k):
+    """The original out-of-place Adam loop.
+
+    Returns the trained weights, which train_probe must reproduce bit for
+    bit, and the standardized features.
+    """
+    mu = X.mean(axis=0)
+    sigma = X.std(axis=0)
+    sigma = np.where(sigma < 1e-12, 1.0, sigma)
+    Xs = (X - mu) / sigma
+    rng = np.random.default_rng(config.seed)
+    weights = _init_weights(kind, X.shape[1], k, config.hidden_units, rng)
+    n = X.shape[0]
+    batch_size = min(config.batch_size, n)
+    adam_m = {key: np.zeros_like(w) for key, w in weights.items()}
+    adam_v = {key: np.zeros_like(w) for key, w in weights.items()}
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            _, grads = reference_loss_and_gradients(weights, kind, Xs[batch], y[batch])
+            step += 1
+            bc1 = 1.0 - config.beta1**step
+            bc2 = 1.0 - config.beta2**step
+            for key, g in grads.items():
+                adam_m[key] = config.beta1 * adam_m[key] + (1.0 - config.beta1) * g
+                adam_v[key] = config.beta2 * adam_v[key] + (1.0 - config.beta2) * g * g
+                m_hat = adam_m[key] / bc1
+                v_hat = adam_v[key] / bc2
+                weights[key] = weights[key] - config.learning_rate * m_hat / (
+                    np.sqrt(v_hat) + config.epsilon
+                )
+    return weights, Xs
+
+
+def assert_matches_reference(X, y, kind, config, k):
+    X_bytes, y_bytes = X.tobytes(), y.tobytes()
+    model = train_probe(X, y, kind=kind, config=config, n_classes=k)
+    assert X.tobytes() == X_bytes and y.tobytes() == y_bytes
+    expected, Xs = reference_train(X, y, kind, config, k)
+    assert model.weights.keys() == expected.keys()
+    for key, w in model.weights.items():
+        assert not w.flags.writeable, key
+        assert w.tobytes() == expected[key].tobytes(), key
+    logits = reference_forward(expected, kind, Xs)[0]
+    assert model.logits(X).tobytes() == logits.tobytes()
+
+
+class TestReferenceEngine:
+    """train_probe against the original out-of-place engine, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 120),
+        d=st.integers(1, 8),
+        k=st.integers(2, 5),
+        hidden=st.integers(1, 40),
+        batch=st.integers(1, 64),
+        epochs=st.integers(1, 3),
+        log_lr=st.floats(-4.0, 0.0),
+        beta1=st.sampled_from([0.9, 0.5, 0.0]),
+        scale=st.sampled_from([1e-2, 1.0, 1e2]),
+        kind=st.sampled_from([LINEAR, MLP]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weights_bit_identical(
+        self, n, d, k, hidden, batch, epochs, log_lr, beta1, scale, kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(scale=scale, size=(n, d))
+        y = rng.integers(0, k, size=n)
+        y[:2] = [0, 1]
+        config = TrainConfig(
+            learning_rate=10.0**log_lr, beta1=beta1, epochs=epochs,
+            hidden_units=hidden, batch_size=batch, seed=seed,
+        )
+        assert_matches_reference(X, y, kind, config, k)
+
+    def test_dead_unit_with_negative_gradient(self):
+        # Batch size 1 on one feature: a unit whose weight has the opposite
+        # sign of the row is inactive for the whole batch, and the backward
+        # signal into it is negative for some of those units. The mask then
+        # writes -0.0 where the reference writes +0.0.
+        X = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
+        y = np.arange(9) % 3
+        config = TrainConfig(learning_rate=0.05, epochs=4, hidden_units=8,
+                             batch_size=1, seed=4)
+        rng = np.random.default_rng(config.seed)
+        weights = _init_weights(MLP, 1, 3, config.hidden_units, rng)
+        first = rng.permutation(9)[:1]
+        Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+        logits, hidden = reference_forward(weights, MLP, Xs[first])
+        delta = np.exp(logits - logits.max())
+        delta /= delta.sum()
+        delta[0, y[first]] -= 1.0
+        dhidden = delta @ weights["W2"].T
+        assert np.any((hidden[0] <= 0) & (dhidden[0] < 0))
+        assert_matches_reference(X, y, MLP, config, 3)
 
 
 class TestProbeModel:
