@@ -238,10 +238,10 @@ class SplitSpec:
 
 
 def load_schema(schema_path: str | Path) -> FactorSchema:
-    """Read a factor schema JSON sidecar."""
+    """Read a factor schema JSON sidecar; a leading UTF-8 byte-order mark is accepted."""
     schema_path = Path(schema_path)
     try:
-        text = schema_path.read_text(encoding="utf-8")
+        text = schema_path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataIOError(f"cannot read schema file {schema_path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -261,21 +261,23 @@ def expected_header(n_neurons: int, n_factors: int) -> list[str]:
     return [f"z{i}" for i in range(n_neurons)] + [f"g{j}" for j in range(n_factors)]
 
 
-def _parse_header(header: list[str], n_factors: int) -> int:
+def _parse_header(header: list[str], n_factors: int, data_path: Path) -> int:
     """Validate the z/g header layout and return the neuron count."""
     stripped = [h.strip() for h in header]
     n_g = sum(1 for h in stripped if h.startswith("g"))
     n_z = len(stripped) - n_g
     if n_z < 1:
-        raise HeaderMismatchError("header has no z columns", line=1)
+        raise HeaderMismatchError("header has no z columns", line=1, path=data_path)
     expected = expected_header(n_z, n_g)
     if stripped != expected:
         raise HeaderMismatchError(
-            f"expected columns {expected}, got {stripped}", line=1
+            f"expected columns {expected}, got {stripped}", line=1, path=data_path
         )
     if n_g != n_factors:
         raise HeaderMismatchError(
-            f"header has {n_g} label columns but schema declares {n_factors} factors", line=1
+            f"header has {n_g} label columns but schema declares {n_factors} factors",
+            line=1,
+            path=data_path,
         )
     return n_z
 
@@ -283,13 +285,14 @@ def _parse_header(header: list[str], n_factors: int) -> int:
 def load_representation_set(data_path: str | Path, schema_path: str | Path) -> RepresentationSet:
     """Load a CSV + schema sidecar pair into a validated RepresentationSet.
 
-    Raises distinct errors naming the offending row/column: header mismatch,
+    Both files may start with a UTF-8 byte-order mark. Raises distinct errors
+    naming the data file and the offending row/column: header mismatch,
     ragged or unparseable rows, out-of-range labels, non-finite latents.
     """
     schema = load_schema(schema_path)
     data_path = Path(data_path)
     try:
-        text = data_path.read_text(encoding="utf-8")
+        text = data_path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataIOError(f"cannot read data file {data_path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -299,8 +302,8 @@ def load_representation_set(data_path: str | Path, schema_path: str | Path) -> R
     try:
         header = next(reader)
     except StopIteration:
-        raise MalformedCsvError("file is empty", line=1) from None
-    n_z = _parse_header(header, schema.n_factors)
+        raise MalformedCsvError("file is empty", line=1, path=data_path) from None
+    n_z = _parse_header(header, schema.n_factors, data_path)
     n_cols = n_z + schema.n_factors
 
     latent_rows: list[list[float]] = []
@@ -310,7 +313,7 @@ def load_representation_set(data_path: str | Path, schema_path: str | Path) -> R
             continue
         if len(row) != n_cols:
             raise MalformedCsvError(
-                f"expected {n_cols} fields, got {len(row)}", line=line_no
+                f"expected {n_cols} fields, got {len(row)}", line=line_no, path=data_path
             )
         latents = []
         for i in range(n_z):
@@ -319,10 +322,13 @@ def load_representation_set(data_path: str | Path, schema_path: str | Path) -> R
                 value = float(row[i])
             except ValueError:
                 raise MalformedCsvError(
-                    f"cannot parse latent value {row[i]!r}", line=line_no, column=field_name
+                    f"cannot parse latent value {row[i]!r}",
+                    line=line_no,
+                    column=field_name,
+                    path=data_path,
                 ) from None
             if not math.isfinite(value):
-                raise NonFiniteLatentError(line_no, field_name, row[i])
+                raise NonFiniteLatentError(line_no, field_name, row[i], path=data_path)
             latents.append(value)
         labels = []
         for j in range(schema.n_factors):
@@ -332,17 +338,24 @@ def load_representation_set(data_path: str | Path, schema_path: str | Path) -> R
                 value = int(raw)
             except ValueError:
                 raise MalformedCsvError(
-                    f"cannot parse label value {raw!r}", line=line_no, column=field_name
+                    f"cannot parse label value {raw!r}",
+                    line=line_no,
+                    column=field_name,
+                    path=data_path,
                 ) from None
             k = schema.cardinalities[j]
             if not 0 <= value < k:
-                raise LabelOutOfRangeError(line_no, field_name, value, schema.names[j], k)
+                raise LabelOutOfRangeError(
+                    line_no, field_name, value, schema.names[j], k, path=data_path
+                )
             labels.append(value)
         latent_rows.append(latents)
         label_rows.append(labels)
 
     if not latent_rows:
-        raise MalformedCsvError("file contains a header but no data rows", line=1)
+        raise MalformedCsvError(
+            "file contains a header but no data rows", line=1, path=data_path
+        )
     return RepresentationSet(
         np.array(latent_rows, dtype=np.float64),
         np.array(label_rows, dtype=np.int64),

@@ -7,6 +7,8 @@ The CLI exits 1 on the former, 2 on the latter, 3 on :class:`TrainingDivergedErr
 
 from __future__ import annotations
 
+from os import PathLike
+
 
 class DetangleError(Exception):
     """Base class for all errors raised by this package."""
@@ -20,19 +22,34 @@ class DataIOError(DetangleError):
     """Filesystem or serialization failure."""
 
 
+def _located(
+    message: str, path: str | PathLike[str] | None, line: int | None, column: str | None
+) -> str:
+    """Prefix message with whichever of file path, line and column are known."""
+    where = []
+    if path is not None:
+        where.append(str(path))
+    if line is not None:
+        where.append(f"line {line}")
+    if column is not None:
+        where.append(f"column {column!r}")
+    return f"{', '.join(where)}: {message}" if where else message
+
+
 class MalformedCsvError(ValidationError):
     """CSV structure is broken (bad header, ragged row, unparseable field)."""
 
-    def __init__(self, message: str, line: int | None = None, column: str | None = None):
+    def __init__(
+        self,
+        message: str,
+        line: int | None = None,
+        column: str | None = None,
+        path: str | PathLike[str] | None = None,
+    ):
         self.line = line
         self.column = column
-        where = []
-        if line is not None:
-            where.append(f"line {line}")
-        if column is not None:
-            where.append(f"column {column!r}")
-        prefix = ", ".join(where)
-        super().__init__(f"{prefix}: {message}" if prefix else message)
+        self.path = path
+        super().__init__(_located(message, path, line, column))
 
 
 class HeaderMismatchError(MalformedCsvError):
@@ -42,22 +59,38 @@ class HeaderMismatchError(MalformedCsvError):
 class LabelOutOfRangeError(ValidationError):
     """A factor label falls outside [0, cardinality)."""
 
-    def __init__(self, line: int, column: str, value: object, factor: str, cardinality: int):
+    def __init__(
+        self,
+        line: int,
+        column: str,
+        value: object,
+        factor: str,
+        cardinality: int,
+        path: str | PathLike[str] | None = None,
+    ):
         self.line = line
         self.column = column
+        self.path = path
         super().__init__(
-            f"line {line}, column {column!r}: label {value!r} out of range for "
-            f"factor {factor!r} (cardinality {cardinality})"
+            _located(
+                f"label {value!r} out of range for factor {factor!r} (cardinality {cardinality})",
+                path,
+                line,
+                column,
+            )
         )
 
 
 class NonFiniteLatentError(ValidationError):
     """A latent value is NaN or infinite."""
 
-    def __init__(self, line: int, column: str, value: object):
+    def __init__(
+        self, line: int, column: str, value: object, path: str | PathLike[str] | None = None
+    ):
         self.line = line
         self.column = column
-        super().__init__(f"line {line}, column {column!r}: non-finite latent value {value!r}")
+        self.path = path
+        super().__init__(_located(f"non-finite latent value {value!r}", path, line, column))
 
 
 class SchemaError(ValidationError):

@@ -185,6 +185,14 @@ class TestMetrics:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "data.csv is not valid UTF-8" in err
 
+    def test_empty_csv_error_names_the_file(self, tmp_path, workspace, capsys):
+        shutil.copy(workspace / "a" / "schema.json", tmp_path / "schema.json")
+        (tmp_path / "data.csv").write_text("")
+        assert cli(["metrics", "--data", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{tmp_path / 'data.csv'}, line 1: file is empty" in err
+
     def test_empty_subset_exits_1(self, workspace):
         assert cli(["metrics", "--data", str(workspace / "a"), "--subset", ","]) == 1
 
@@ -229,6 +237,16 @@ class TestAlign:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "schema.json is not valid UTF-8" in err
+
+    def test_byte_order_mark_is_accepted(self, workspace, tmp_path):
+        bom = tmp_path / "bom"
+        bom.mkdir()
+        for name in ("data.csv", "schema.json"):
+            plain = (workspace / "b" / name).read_bytes()
+            (bom / name).write_bytes(b"\xef\xbb\xbf" + plain)
+        for data, out in ((workspace / "b", "plain.json"), (bom, "bom.json")):
+            assert cli(["align", "--data", str(data), "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
     def test_diagram_exports(self, workspace, tmp_path, capsys):
         svg = tmp_path / "h.svg"
