@@ -120,7 +120,6 @@ def max_weight_assignment(
     for row in range(n):
         chosen = None
         chosen_obj = -np.inf
-        chosen_completion: list[int] = []
         for col in available:
             rest_cols = [c for c in available if c != col]
             if row + 1 < n:
@@ -132,10 +131,10 @@ def max_weight_assignment(
             candidate = prefix + [col] + completion
             obj = assignment_objective(values, candidate)
             if obj >= best_objective:
-                chosen, chosen_obj, chosen_completion = col, obj, completion
+                chosen, chosen_obj = col, obj
                 break
             if obj > chosen_obj:
-                chosen, chosen_obj, chosen_completion = col, obj, completion
+                chosen, chosen_obj = col, obj
         prefix.append(chosen)
         available.remove(chosen)
         best_objective = max(best_objective, chosen_obj)

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -111,6 +112,7 @@ class RepresentationSet:
 
     Invariants enforced at construction: latents is N x m float64 and finite;
     labels is N x n integer with column j in [0, cardinality_j); m >= n; N >= 1.
+    The only check of latent finiteness and label range on loaded data.
     """
 
     latents: np.ndarray
@@ -132,31 +134,40 @@ class RepresentationSet:
             raise ValidationError(
                 f"label columns ({labels.shape[1]}) must match schema factors ({self.schema.n_factors})"
             )
+        bad = ~np.isfinite(latents)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise NonFiniteLatentError(
+                f"non-finite latent value {float(latents[row, col])!r}",
+                column=f"z{col}",
+                row=int(row),
+            )
+        # Compared before any integer cast: a label past int64 arrives as a
+        # Python int in an object array and is out of range for every factor.
+        try:
+            bad = (labels < 0) | (labels >= np.array(self.schema.cardinalities))
+        except TypeError:
+            raise ValidationError("labels must be integers") from None
+        if bad.any():
+            row, j = np.argwhere(bad)[0]
+            raise LabelOutOfRangeError(
+                f"label {labels[row].tolist()[j]!r} out of range for factor "
+                f"{self.schema.names[j]!r} (cardinality {self.schema.cardinalities[j]})",
+                column=f"g{j}",
+                row=int(row),
+            )
+        as_int = labels.astype(np.int64)
+        if not np.array_equal(as_int, labels):
+            raise ValidationError("labels must be integers")
         if latents.shape[1] < labels.shape[1]:
             raise ValidationError(
                 f"need at least as many neurons as factors: m={latents.shape[1]} < n={labels.shape[1]}"
             )
-        if not np.all(np.isfinite(latents)):
-            row, col = np.argwhere(~np.isfinite(latents))[0]
-            raise NonFiniteLatentError(int(row), f"z{col}", float(latents[row, col]))
-        if not np.issubdtype(labels.dtype, np.integer):
-            as_int = labels.astype(np.int64)
-            if not np.array_equal(as_int, labels):
-                raise ValidationError("labels must be integers")
-            labels = as_int
-        else:
-            labels = labels.astype(np.int64)
-        for j, (name, k) in enumerate(zip(self.schema.names, self.schema.cardinalities)):
-            col = labels[:, j]
-            bad = np.where((col < 0) | (col >= k))[0]
-            if bad.size:
-                raise LabelOutOfRangeError(int(bad[0]), f"g{j}", int(col[bad[0]]), name, k)
         latents = latents.copy()
-        labels = labels.copy()
         latents.setflags(write=False)
-        labels.setflags(write=False)
+        as_int.setflags(write=False)
         object.__setattr__(self, "latents", latents)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", as_int)
 
     @property
     def n_rows(self) -> int:
@@ -285,82 +296,83 @@ def _parse_header(header: list[str], n_factors: int, data_path: Path) -> int:
 def load_representation_set(data_path: str | Path, schema_path: str | Path) -> RepresentationSet:
     """Load a CSV + schema sidecar pair into a validated RepresentationSet.
 
-    Both files may start with a UTF-8 byte-order mark. Raises distinct errors
-    naming the data file and the offending row/column: header mismatch,
-    ragged or unparseable rows, out-of-range labels, non-finite latents.
+    Both files may start with a UTF-8 byte-order mark. Errors name the data
+    file, line and column. Parse errors (header, ragged row, unparseable
+    field) come first, then RepresentationSet's non-finite latent and
+    out-of-range label checks, each at the first offending row.
     """
     schema = load_schema(schema_path)
     data_path = Path(data_path)
+    latents = array("d")
+    labels: list[int] = []
+    lines = array("q")  # file line of each data row; blank lines are skipped
     try:
-        text = data_path.read_text(encoding="utf-8-sig")
+        with open(data_path, encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise MalformedCsvError("file is empty", line=1, path=data_path)
+            n_z = _parse_header(header, schema.n_factors, data_path)
+            n_cols = n_z + schema.n_factors
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != n_cols:
+                    raise MalformedCsvError(
+                        f"expected {n_cols} fields, got {len(row)}",
+                        line=reader.line_num,
+                        path=data_path,
+                    )
+                try:
+                    latents.extend(map(float, row[:n_z]))
+                    labels.extend(map(int, row[n_z:]))
+                except ValueError:
+                    raise _unparseable(row, n_z, reader.line_num, data_path) from None
+                lines.append(reader.line_num)
     except OSError as exc:
         raise DataIOError(f"cannot read data file {data_path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a field past csv's size limit
+        raise MalformedCsvError(str(exc), line=reader.line_num, path=data_path) from None
     except UnicodeDecodeError as exc:
-        raise MalformedCsvError(f"data file {data_path} is not valid UTF-8: {exc}") from exc
+        # exc.start counts from the start of the decoded chunk, not the file.
+        raise MalformedCsvError(
+            f"data file {data_path} is not valid UTF-8: cannot decode byte "
+            f"0x{exc.object[exc.start]:02x} ({exc.reason})"
+        ) from exc
 
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedCsvError("file is empty", line=1, path=data_path) from None
-    n_z = _parse_header(header, schema.n_factors, data_path)
-    n_cols = n_z + schema.n_factors
-
-    latent_rows: list[list[float]] = []
-    label_rows: list[list[int]] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != n_cols:
-            raise MalformedCsvError(
-                f"expected {n_cols} fields, got {len(row)}", line=line_no, path=data_path
-            )
-        latents = []
-        for i in range(n_z):
-            field_name = f"z{i}"
-            try:
-                value = float(row[i])
-            except ValueError:
-                raise MalformedCsvError(
-                    f"cannot parse latent value {row[i]!r}",
-                    line=line_no,
-                    column=field_name,
-                    path=data_path,
-                ) from None
-            if not math.isfinite(value):
-                raise NonFiniteLatentError(line_no, field_name, row[i], path=data_path)
-            latents.append(value)
-        labels = []
-        for j in range(schema.n_factors):
-            field_name = f"g{j}"
-            raw = row[n_z + j].strip()
-            try:
-                value = int(raw)
-            except ValueError:
-                raise MalformedCsvError(
-                    f"cannot parse label value {raw!r}",
-                    line=line_no,
-                    column=field_name,
-                    path=data_path,
-                ) from None
-            k = schema.cardinalities[j]
-            if not 0 <= value < k:
-                raise LabelOutOfRangeError(
-                    line_no, field_name, value, schema.names[j], k, path=data_path
-                )
-            labels.append(value)
-        latent_rows.append(latents)
-        label_rows.append(labels)
-
-    if not latent_rows:
+    if not lines:
         raise MalformedCsvError(
             "file contains a header but no data rows", line=1, path=data_path
         )
-    return RepresentationSet(
-        np.array(latent_rows, dtype=np.float64),
-        np.array(label_rows, dtype=np.int64),
-        schema,
-    )
+    try:
+        label_array = np.array(labels, dtype=np.int64)
+    except OverflowError:  # a label past int64; RepresentationSet reports it
+        label_array = np.array(labels, dtype=object)
+    try:
+        return RepresentationSet(
+            np.frombuffer(latents, dtype=np.float64).reshape(-1, n_z),
+            label_array.reshape(-1, schema.n_factors),
+            schema,
+        )
+    except (NonFiniteLatentError, LabelOutOfRangeError) as exc:
+        exc.path, exc.line, exc.row = data_path, lines[exc.row], None
+        raise
+
+
+def _unparseable(row: list[str], n_z: int, line: int, data_path: Path) -> MalformedCsvError:
+    """Error for the first field of row that float (z) or int (g) rejects."""
+    for i, raw in enumerate(row):
+        if i < n_z:
+            kind, column, parse = "latent", f"z{i}", float
+        else:
+            kind, column, parse, raw = "label", f"g{i - n_z}", int, raw.strip()
+        try:
+            parse(raw)
+        except ValueError:
+            return MalformedCsvError(
+                f"cannot parse {kind} value {raw!r}", line=line, column=column, path=data_path
+            )
+    raise AssertionError("no unparseable field in row")
 
 
 def write_representation_set(
@@ -400,7 +412,9 @@ def discretize_neuron(
         raise ValidationError("values must be a non-empty 1-D array")
     if not np.all(np.isfinite(values)):
         idx = int(np.argwhere(~np.isfinite(values))[0][0])
-        raise NonFiniteLatentError(idx, "z", float(values[idx]))
+        raise NonFiniteLatentError(
+            f"non-finite latent value {float(values[idx])!r}", column="z", row=idx
+        )
     if not isinstance(n_bins, int) or isinstance(n_bins, bool) or n_bins < 1:
         raise ValidationError(f"n_bins must be a positive integer, got {n_bins!r}")
     if strategy not in BIN_STRATEGIES:

@@ -3,6 +3,13 @@
 Validation failures raise subclasses of :class:`ValidationError`; anything
 that went wrong while reading or writing files raises :class:`DataIOError`.
 The CLI exits 1 on the former, 2 on the latter, 3 on :class:`TrainingDivergedError`.
+
+Errors about a position in the data carry it in attributes with one meaning
+each: ``line`` is a 1-based line of the data file (the header is line 1),
+``row`` is a 0-based row of an in-memory array, ``column`` names the column
+(``"z3"``, ``"g0"``) and ``path`` the data file. An error from the CSV loader
+has a ``line`` and no ``row``; one from :class:`RepresentationSet` or
+``discretize_neuron`` has a ``row`` and no ``line``.
 """
 
 from __future__ import annotations
@@ -22,22 +29,8 @@ class DataIOError(DetangleError):
     """Filesystem or serialization failure."""
 
 
-def _located(
-    message: str, path: str | PathLike[str] | None, line: int | None, column: str | None
-) -> str:
-    """Prefix message with whichever of file path, line and column are known."""
-    where = []
-    if path is not None:
-        where.append(str(path))
-    if line is not None:
-        where.append(f"line {line}")
-    if column is not None:
-        where.append(f"column {column!r}")
-    return f"{', '.join(where)}: {message}" if where else message
-
-
-class MalformedCsvError(ValidationError):
-    """CSV structure is broken (bad header, ragged row, unparseable field)."""
+class _LocatedError(ValidationError):
+    """A validation error whose message is prefixed by whatever position is known."""
 
     def __init__(
         self,
@@ -45,52 +38,40 @@ class MalformedCsvError(ValidationError):
         line: int | None = None,
         column: str | None = None,
         path: str | PathLike[str] | None = None,
+        *,
+        row: int | None = None,
     ):
+        super().__init__(message)
         self.line = line
         self.column = column
         self.path = path
-        super().__init__(_located(message, path, line, column))
+        self.row = row
+
+    def __str__(self) -> str:
+        where = [] if self.path is None else [str(self.path)]
+        if self.line is not None:
+            where.append(f"line {self.line}")
+        if self.row is not None:
+            where.append(f"row {self.row}")
+        if self.column is not None:
+            where.append(f"column {self.column!r}")
+        return f"{', '.join(where)}: {self.args[0]}" if where else self.args[0]
+
+
+class MalformedCsvError(_LocatedError):
+    """CSV structure is broken (bad header, ragged row, unparseable field)."""
 
 
 class HeaderMismatchError(MalformedCsvError):
     """CSV header does not match the expected z/g column layout."""
 
 
-class LabelOutOfRangeError(ValidationError):
+class LabelOutOfRangeError(_LocatedError):
     """A factor label falls outside [0, cardinality)."""
 
-    def __init__(
-        self,
-        line: int,
-        column: str,
-        value: object,
-        factor: str,
-        cardinality: int,
-        path: str | PathLike[str] | None = None,
-    ):
-        self.line = line
-        self.column = column
-        self.path = path
-        super().__init__(
-            _located(
-                f"label {value!r} out of range for factor {factor!r} (cardinality {cardinality})",
-                path,
-                line,
-                column,
-            )
-        )
 
-
-class NonFiniteLatentError(ValidationError):
+class NonFiniteLatentError(_LocatedError):
     """A latent value is NaN or infinite."""
-
-    def __init__(
-        self, line: int, column: str, value: object, path: str | PathLike[str] | None = None
-    ):
-        self.line = line
-        self.column = column
-        self.path = path
-        super().__init__(_located(f"non-finite latent value {value!r}", path, line, column))
 
 
 class SchemaError(ValidationError):

@@ -179,11 +179,16 @@ class TestMetrics:
 
     def test_non_utf8_csv_exits_1(self, tmp_path, workspace, capsys):
         shutil.copy(workspace / "a" / "schema.json", tmp_path / "schema.json")
-        (tmp_path / "data.csv").write_bytes(b"z0,z1,g0,g1\n0.1,0.2\xff,0,1\n")
-        assert cli(["metrics", "--data", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "data.csv is not valid UTF-8" in err
+        bad = b"0.1,0.2\xff,0,1\n"
+        # The second file puts the bad byte ~240 kB in, past the first read
+        # buffer, where a decoder position counts from the buffer, not the file.
+        for body in (bad, b"0.1,0.2,0,1\n" * 20000 + bad):
+            (tmp_path / "data.csv").write_bytes(b"z0,z1,g0,g1\n" + body)
+            assert cli(["metrics", "--data", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "data.csv is not valid UTF-8" in err
+            assert "position" not in err
 
     def test_empty_csv_error_names_the_file(self, tmp_path, workspace, capsys):
         shutil.copy(workspace / "a" / "schema.json", tmp_path / "schema.json")
@@ -239,14 +244,27 @@ class TestAlign:
         assert "schema.json is not valid UTF-8" in err
 
     def test_byte_order_mark_is_accepted(self, workspace, tmp_path):
-        bom = tmp_path / "bom"
-        bom.mkdir()
-        for name in ("data.csv", "schema.json"):
-            plain = (workspace / "b" / name).read_bytes()
-            (bom / name).write_bytes(b"\xef\xbb\xbf" + plain)
-        for data, out in ((workspace / "b", "plain.json"), (bom, "bom.json")):
-            assert cli(["align", "--data", str(data), "--out", str(tmp_path / out)]) == 0
-        assert (tmp_path / "bom.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+        edits = {"bom": lambda raw: b"\xef\xbb\xbf" + raw,
+                 "crlf": lambda raw: raw.replace(b"\n", b"\r\n")}
+        for variant, edit in edits.items():
+            (tmp_path / variant).mkdir()
+            for name in ("data.csv", "schema.json"):
+                plain = (workspace / "b" / name).read_bytes()
+                (tmp_path / variant / name).write_bytes(edit(plain))
+        assert cli(["align", "--data", str(workspace / "b"), "--out", str(tmp_path / "plain.json")]) == 0
+        for variant in edits:
+            out = tmp_path / f"{variant}.json"
+            assert cli(["align", "--data", str(tmp_path / variant), "--out", str(out)]) == 0
+            assert out.read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999"])
+    def test_label_past_int64_exits_1(self, workspace, tmp_path, capsys, label):
+        shutil.copy(workspace / "b" / "schema.json", tmp_path / "schema.json")
+        (tmp_path / "data.csv").write_text(f"z0,z1,g0,g1\n0.5,0.5,0,1\n0.5,0.5,0,{label}\n")
+        assert cli(["align", "--data", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'data.csv'}, line 3, column 'g1': label {label} "
+                       "out of range for factor 'shape' (cardinality 2)\n")
 
     def test_diagram_exports(self, workspace, tmp_path, capsys):
         svg = tmp_path / "h.svg"

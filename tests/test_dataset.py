@@ -1,6 +1,7 @@
 """Schema, CSV round trips, loader diagnostics, binning, and splits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ class TestRepresentationSet:
         latents[2, 1] = np.nan
         with pytest.raises(NonFiniteLatentError) as exc:
             RepresentationSet(latents, np.zeros((4, 2), dtype=int), SCHEMA)
-        assert exc.value.line == 2 and exc.value.column == "z1"
+        assert exc.value.row == 2 and exc.value.line is None and exc.value.column == "z1"
 
     def test_rejects_out_of_range_label(self):
         labels = np.zeros((4, 2), dtype=int)
@@ -127,6 +128,11 @@ class TestRepresentationSet:
     def test_rejects_non_integer_labels(self):
         with pytest.raises(ValidationError, match="integer"):
             RepresentationSet(np.zeros((4, 2)), np.full((4, 2), 0.5), SCHEMA)
+
+    def test_rejects_string_labels(self):
+        # The range check runs before any integer cast and cannot compare strings.
+        with pytest.raises(ValidationError, match="integer"):
+            RepresentationSet(np.zeros((4, 2)), np.full((4, 2), "1"), SCHEMA)
 
     def test_subset_keeps_order(self):
         rep = small_rep()
@@ -209,6 +215,40 @@ class TestCsvIO:
             load_representation_set(data, schema)
         assert exc.value.line == 2 and exc.value.column == "g1"
 
+    def test_field_past_csv_limit_reports_line(self, tmp_path):
+        data, schema = self.write(tmp_path, "z0,g0,g1\n0.5,1,2\n" + "1" * 200_000 + ",1,2\n")
+        with pytest.raises(MalformedCsvError, match="field limit") as exc:
+            load_representation_set(data, schema)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999"])
+    def test_label_past_int64_is_out_of_range(self, tmp_path, label):
+        data, schema = self.write(tmp_path, f"z0,g0,g1\n0.5,1,2\n0.5,1,{label}\n")
+        with pytest.raises(LabelOutOfRangeError, match=f"label {label} .* factor 'shape'") as exc:
+            load_representation_set(data, schema)
+        assert exc.value.line == 3 and exc.value.column == "g1" and exc.value.row is None
+
+    def test_value_error_line_counts_blank_lines(self, tmp_path):
+        data, schema = self.write(tmp_path, "z0,g0,g1\n0.5,1,2\n\n\n0.5,1,2\ninf,0,0\n")
+        with pytest.raises(NonFiniteLatentError) as exc:
+            load_representation_set(data, schema)
+        assert exc.value.line == 6 and exc.value.column == "z0"
+        assert str(exc.value) == f"{data}, line 6, column 'z0': non-finite latent value inf"
+
+    def test_load_does_not_copy_the_whole_file(self, tmp_path):
+        rng = np.random.default_rng(0)
+        schema = FactorSchema(tuple(f"f{j}" for j in range(8)), (6,) * 8)
+        rep = RepresentationSet(rng.normal(size=(3000, 32)), rng.integers(0, 6, (3000, 8)), schema)
+        write_representation_set(rep, tmp_path / "data.csv", tmp_path / "schema.json")
+        size = (tmp_path / "data.csv").stat().st_size
+        tracemalloc.start()
+        try:
+            load_representation_set(tmp_path / "data.csv", tmp_path / "schema.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * size
+
     def test_empty_and_header_only_files(self, tmp_path):
         data, schema = self.write(tmp_path, "")
         with pytest.raises(MalformedCsvError, match="empty"):
@@ -263,8 +303,9 @@ class TestDiscretize:
             discretize_neuron(np.ones(5), n_bins=0)
         with pytest.raises(ValidationError):
             discretize_neuron(np.ones(5), strategy="magic")
-        with pytest.raises(NonFiniteLatentError):
+        with pytest.raises(NonFiniteLatentError) as exc:
             discretize_neuron(np.array([1.0, np.inf]))
+        assert exc.value.row == 1 and exc.value.line is None
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
