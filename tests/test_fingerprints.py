@@ -23,6 +23,7 @@ FINGERPRINTS = {
     "metrics_table1_b": "82cb4fb7385b736c52967aa7c911e4fc6a1eef0aa54808ef47ed360913671e1e",
     "align_table1_b": "6d4ac28f4c4165360d260f3570a45396547893bc4f789129604ec2839ed029ef",
     "cg_control_table1_b": "3c1556bc3c05ee163f3b07697716e38395efdb7a5b16a5012a26bdf01e465778",
+    "cg_suite_table1_b": "9d3f77bceb158a85357a6b05ca9c686397ae9ac01f22c17bf34583cc20155c9f",
     "metrics_rotated": "21783c2244f868281aa04869bf16a04a7c1407010562e0ff3e7ded71dc7a5859",
     "align_rotated": "db2e83a428477fe4a1f07974bfce8cad09c9d3c47fbf382422ded463b5e10f09",
 }
@@ -49,6 +50,9 @@ JOBS = {
     "align_table1_b": ["align", "--data", "table1_b"],
     "cg_control_table1_b": ["cg", "--data", "table1_b", "--pairs", "colour:0,shape:1",
                             "--probe", "both", "--seed", "17", "--epochs", "3"],
+    "cg_suite_table1_b": ["cg", "--data", "table1_b",
+                          "--pairs", "colour:0,shape:1;colour:1,shape:0;shape:1,colour:1",
+                          "--probe", "both", "--seed", "17", "--epochs", "3"],
     "metrics_rotated": ["metrics", "--data", "rotated", "--seed", "7", "--epochs", "3",
                         "--subset", "size,shape"],
     "align_rotated": ["align", "--data", "rotated", "--bins", "12"],
