@@ -7,10 +7,17 @@ joint score counts rows where both excluded factors are right
 simultaneously. A matched-size random split of the same data serves as the
 control. All chance adjustments use label frequencies of the full set, so
 the constant test labels of an exclusion split cannot degenerate them.
+
+The control depends only on the held-out size and the seed, not on the
+pair. The pairs of one run_cg_suite call that hold out the same number of
+rows therefore share one control per probe kind: it is trained for the first
+such pair and rescored for the others, and every number equals what
+separate run_cg calls report.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,43 +110,47 @@ def resolve_pair(rep: RepresentationSet, pair: ExcludedPair | tuple) -> Excluded
 
 def measure_probes(
     train_rep: RepresentationSet,
-    test_rep: RepresentationSet,
-    pair: ExcludedPair,
+    test_latents: np.ndarray,
     probe_kind: str,
     config: TrainConfig,
-    full_labels: np.ndarray,
     seed_salt: int = 0,
-) -> tuple[dict, dict]:
-    """Train one probe per factor on the train half and score the test half.
-
-    Returns (per_factor, joint_both). Chance rates come from full_labels
-    (the complete set's label matrix) so they describe the data population
-    rather than the possibly single-valued test slice.
-    """
+) -> list[np.ndarray]:
+    """Train one probe per factor on train_rep; return each probe's
+    predictions on test_latents, in schema order."""
     if probe_kind not in PROBE_KINDS:
         raise ValidationError(f"unknown probe kind {probe_kind!r}")
     schema = train_rep.schema
-
-    per_factor: dict[str, dict] = {}
-    preds_by_name: dict[str, np.ndarray] = {}
-    for j, name in enumerate(schema.names):
-        probe = train_probe(
+    return [
+        train_probe(
             train_rep.latents,
             train_rep.labels[:, j],
             probe_kind,
             config.with_seed(spawn_seed(config.seed, seed_salt, j)),
             n_classes=schema.cardinalities[j],
-        )
-        preds = probe.predict(test_rep.latents)
-        raw = float(np.mean(preds == test_rep.labels[:, j]))
+        ).predict(test_latents)
+        for j in range(schema.n_factors)
+    ]
+
+
+def _score(
+    pair: ExcludedPair,
+    schema: FactorSchema,
+    preds: Sequence[np.ndarray],
+    test_labels: np.ndarray,
+    full_labels: np.ndarray,
+) -> tuple[dict, dict]:
+    """(per_factor, joint_both) chance-adjusted accuracies of per-factor
+    predictions. Chance rates come from full_labels (the complete set's label
+    matrix) so they describe the data population rather than the possibly
+    single-valued test slice."""
+    per_factor: dict[str, dict] = {}
+    for j, name in enumerate(schema.names):
+        raw = float(np.mean(preds[j] == test_labels[:, j]))
         r = chance_rate(full_labels[:, j])
         per_factor[name] = {"raw": raw, "adjusted": adjusted_accuracy(raw, r), "chance_rate": r}
-        preds_by_name[name] = preds
 
     ia, ib = schema.index_of(pair.factor_a), schema.index_of(pair.factor_b)
-    both_correct = (preds_by_name[pair.factor_a] == test_rep.labels[:, ia]) & (
-        preds_by_name[pair.factor_b] == test_rep.labels[:, ib]
-    )
+    both_correct = (preds[ia] == test_labels[:, ia]) & (preds[ib] == test_labels[:, ib])
     raw_both = float(np.mean(both_correct))
     paired = full_labels[:, ia].astype(np.int64) * int(
         schema.cardinalities[ib]
@@ -151,6 +162,19 @@ def measure_probes(
         "chance_rate": r_both,
     }
     return per_factor, joint_both
+
+
+def _control_split(n_rows: int, n_test: int, seed: int) -> SplitSpec:
+    """The random split matched to n_test held-out rows of n_rows.
+
+    split_indices tests on floor(n_rows * test_fraction) rows, and
+    n_test / n_rows can round to just below the exact quotient, so the
+    fraction is bumped by one ulp when the floor falls short.
+    """
+    test_fraction = n_test / n_rows
+    if math.floor(n_rows * test_fraction) < n_test:
+        test_fraction = math.nextafter(test_fraction, 1.0)
+    return SplitSpec(kind="random", test_fraction=test_fraction, seed=spawn_seed(seed, 4242))
 
 
 def _split_audit(
@@ -178,13 +202,16 @@ def run_cg(
     probe_kind: str = MLP,
     config: TrainConfig | None = None,
     control: bool = True,
+    _controls: dict | None = None,
 ) -> CgRunResult:
     """One exclusion run: hold out the pair's rows, probe, and audit the split.
 
     The audit records that train and test row ids are disjoint, that no
     training row matches the excluded combination, and that every test row
     does. With control=True a matched-size random split of the same data is
-    probed identically.
+    probed identically. _controls, when given, maps (probe kind, control
+    split) to that control's test predictions and test labels; a missing
+    entry is trained and stored, a present one is scored without training.
     """
     config = config or TrainConfig()
     pair = resolve_pair(rep, pair)
@@ -199,27 +226,25 @@ def run_cg(
     leaked = int(np.intersect1d(train_idx, test_idx).size)
     audit = _split_audit(pair, rep.schema, rep.labels[train_idx], rep.labels[test_idx], leaked)
 
-    train_rep, test_rep = rep.subset(train_idx), rep.subset(test_idx)
-    per_factor, joint_both = measure_probes(
-        train_rep, test_rep, pair, probe_kind, config, rep.labels, seed_salt=1
-    )
+    test_rep = rep.subset(test_idx)
+    preds = measure_probes(rep.subset(train_idx), test_rep.latents, probe_kind, config, seed_salt=1)
+    per_factor, joint_both = _score(pair, rep.schema, preds, test_rep.labels, rep.labels)
 
     control_payload = None
     if control:
-        test_fraction = test_idx.size / rep.n_rows
-        control_split = SplitSpec(
-            kind="random", test_fraction=test_fraction, seed=spawn_seed(config.seed, 4242)
-        )
-        ctr_train_idx, ctr_test_idx = split_indices(rep, control_split)
-        ctr_per_factor, ctr_joint = measure_probes(
-            rep.subset(ctr_train_idx),
-            rep.subset(ctr_test_idx),
-            pair,
-            probe_kind,
-            config,
-            rep.labels,
-            seed_salt=2,
-        )
+        control_split = _control_split(rep.n_rows, test_idx.size, config.seed)
+        controls = {} if _controls is None else _controls
+        key = (probe_kind, control_split)
+        if key not in controls:
+            ctr_train_idx, ctr_test_idx = split_indices(rep, control_split)
+            ctr_test = rep.subset(ctr_test_idx)
+            controls[key] = (
+                measure_probes(
+                    rep.subset(ctr_train_idx), ctr_test.latents, probe_kind, config, seed_salt=2
+                ),
+                ctr_test.labels,
+            )
+        ctr_per_factor, ctr_joint = _score(pair, rep.schema, *controls[key], rep.labels)
         control_payload = {
             "split": {
                 "kind": control_split.kind,
@@ -259,9 +284,8 @@ def run_cg_presplit(
     pair = resolve_pair(train_rep, pair)
     audit = _split_audit(pair, train_rep.schema, train_rep.labels, test_rep.labels, leaked=None)
     full_labels = np.vstack([train_rep.labels, test_rep.labels])
-    per_factor, joint_both = measure_probes(
-        train_rep, test_rep, pair, probe_kind, config, full_labels, seed_salt=1
-    )
+    preds = measure_probes(train_rep, test_rep.latents, probe_kind, config, seed_salt=1)
+    per_factor, joint_both = _score(pair, train_rep.schema, preds, test_rep.labels, full_labels)
     return CgRunResult(
         pair=pair,
         probe_kind=probe_kind,
@@ -285,15 +309,17 @@ def run_cg_suite(
     """Cross product of pairs x probe kinds, with per-kind averages.
 
     Fails fast, naming the pair, when any exclusion split is degenerate.
+    Pairs with the same held-out size share one control per probe kind.
     """
     config = config or TrainConfig()
     if not pairs:
         raise ValidationError("run_cg_suite needs at least one excluded pair")
     runs: list[CgRunResult] = []
+    controls: dict = {}
     for pair in pairs:
         for kind in probe_kinds:
             try:
-                runs.append(run_cg(rep, pair, kind, config, control=control))
+                runs.append(run_cg(rep, pair, kind, config, control=control, _controls=controls))
             except SplitError as exc:
                 resolved = resolve_pair(rep, pair)
                 raise SplitError(

@@ -9,7 +9,6 @@ next to a JSON schema sidecar {"factors": [{"name": ..., "cardinality": ...}]}.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from array import array
@@ -29,7 +28,7 @@ from .errors import (
     SplitError,
     ValidationError,
 )
-from .util import atomic_write_text
+from .util import atomic_open, atomic_write_text
 
 SCHEMA_VERSION = 1
 
@@ -382,14 +381,13 @@ def write_representation_set(
 
     write -> load round-trips to bit-identical latents and labels.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(expected_header(rep.n_neurons, rep.n_factors))
-    for i in range(rep.n_rows):
-        writer.writerow(
-            [repr(float(v)) for v in rep.latents[i]] + [str(int(v)) for v in rep.labels[i]]
-        )
-    atomic_write_text(Path(data_path), buf.getvalue())
+    with atomic_open(data_path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(expected_header(rep.n_neurons, rep.n_factors))
+        for i in range(rep.n_rows):
+            writer.writerow(
+                [repr(float(v)) for v in rep.latents[i]] + [str(int(v)) for v in rep.labels[i]]
+            )
     write_schema(rep.schema, schema_path)
 
 

@@ -5,13 +5,17 @@ from __future__ import annotations
 import json
 import os
 import secrets
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a temp file + rename so readers never see a torn file."""
+@contextmanager
+def atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """Open a temp file next to path for UTF-8 text; on a clean exit rename it
+    over path, so readers never see a torn file, and on an error delete it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # 0o666 leaves the mode to the umask, as open() does (mkstemp forces 0o600).
@@ -19,7 +23,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -27,6 +31,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to path atomically (see atomic_open)."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def atomic_write_json(path: str | Path, payload: object) -> None:

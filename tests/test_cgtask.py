@@ -1,11 +1,17 @@
 """Tests for the held-out-combination probing harness."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import detangle.cgtask as cgtask
 from detangle.cgtask import (
     CgRunResult,
     ExcludedPair,
+    _control_split,
     render_cg_table,
     resolve_pair,
     run_cg,
@@ -14,7 +20,7 @@ from detangle.cgtask import (
     sample_pairs,
     suite_averages,
 )
-from detangle.classify import LINEAR, TrainConfig
+from detangle.classify import LINEAR, MLP, TrainConfig
 from detangle.dataset import FactorSchema, RepresentationSet, SplitSpec, split_indices
 from detangle.errors import SplitError, ValidationError
 from detangle.synth import GeneratorSpec, generate
@@ -28,6 +34,23 @@ def grid_rep(copies=10, sigma=0.05, seed=3):
         GeneratorSpec(kind="ideal", schema=schema, samples_per_cell=copies,
                       noise_sigma=sigma, seed=seed)
     )
+
+
+def held_out_rep(n_rows, n_held_out, seed=0):
+    """n_rows rows of two binary factors, exactly n_held_out of them a=1, b=1."""
+    rng = np.random.default_rng(seed)
+    others = np.array([[0, 0], [0, 1], [1, 0]])
+    labels = np.vstack([np.tile([1, 1], (n_held_out, 1)),
+                        others[np.arange(n_rows - n_held_out) % 3]])
+    latents = labels + rng.normal(scale=0.1, size=labels.shape)
+    return RepresentationSet(latents, labels, FactorSchema(("a", "b"), (2, 2)))
+
+
+def control_test_rows(rep, control):
+    """Test-side size of the split a payload's control block records."""
+    split = control["split"]
+    spec = SplitSpec(split["kind"], test_fraction=split["test_fraction"], seed=split["seed"])
+    return split_indices(rep, spec)[1].size
 
 
 class TestResolvePair:
@@ -85,6 +108,32 @@ class TestRunCg:
         assert result.control["split"]["test_fraction"] == pytest.approx(10 / 160)
         assert set(result.control["per_factor"]) == {"size", "shape"}
         assert set(result.control["joint_both"]) == {"raw", "adjusted", "chance_rate"}
+
+    def test_control_matches_held_out_size_where_the_fraction_rounds_down(self):
+        # 47 * (3 / 47) is 2.9999999999999996, so the control used to test on 2 rows.
+        rep = held_out_rep(47, 3)
+        result = run_cg(rep, ("a", 1, "b", 1), LINEAR, FAST)
+        assert result.n_test == 3
+        assert control_test_rows(rep, result.control) == 3
+
+    def test_single_held_out_row_gets_a_one_row_control(self):
+        # 49 * (1 / 49) is 0.9999999999999999: the control split used to be empty.
+        rep = held_out_rep(49, 1)
+        result = run_cg(rep, ("a", 1, "b", 1), LINEAR, FAST)
+        assert control_test_rows(rep, result.control) == 1
+        suite = run_cg_suite(rep, [("a", 1, "b", 1)], (LINEAR,), FAST)
+        assert suite.runs[0].to_json_dict() == result.to_json_dict()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))))
+    def test_control_split_tests_on_exactly_the_held_out_size(self, sizes):
+        n_rows, n_test = sizes
+        rep = RepresentationSet(np.zeros((n_rows, 1)), np.zeros((n_rows, 1), dtype=np.int64),
+                                FactorSchema(("f",), (2,)))
+        spec = _control_split(n_rows, n_test, seed=5)
+        assert split_indices(rep, spec)[1].size == n_test
+        if math.floor(n_rows * (n_test / n_rows)) == n_test:
+            assert spec.test_fraction == n_test / n_rows
 
     def test_control_can_be_disabled(self):
         rep = grid_rep(copies=10)
@@ -199,6 +248,60 @@ class TestSuite:
         suite = run_cg_suite(rep, [("size", 0, "shape", 0)], (LINEAR,), FAST)
         assert suite_averages(list(suite.runs), (LINEAR,)) == suite.averages
         assert suite_averages(list(suite.runs), ("mlp",)) == {}
+
+
+class TestSuiteSharesControls:
+    """A suite trains each control once per (probe kind, held-out size) and
+    reports exactly what separate run_cg calls report."""
+
+    def assert_matches_standalone(self, rep, pairs, kinds):
+        suite = run_cg_suite(rep, pairs, kinds, FAST)
+        expected = [run_cg(rep, pair, kind, FAST).to_json_dict() for pair in pairs for kind in kinds]
+        assert [run.to_json_dict() for run in suite.runs] == expected
+        return suite
+
+    def test_exact_grid_matches_standalone_runs(self):
+        pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1), ("shape", 2, "size", 1)]
+        suite = self.assert_matches_standalone(grid_rep(copies=10), pairs, (LINEAR, MLP))
+        assert {run.n_test for run in suite.runs} == {10}
+
+    def test_unequal_sizes_and_repeated_pair_match_standalone_runs(self):
+        full = grid_rep(copies=12)
+        rep = full.subset(np.sort(np.random.default_rng(1).permutation(full.n_rows)[:150]))
+        pairs = sample_pairs(rep, "size", "shape", 4, seed=2)
+        pairs.append(pairs[0])
+        suite = self.assert_matches_standalone(rep, pairs, (LINEAR,))
+        sizes = [run.n_test for run in suite.runs]
+        assert 1 < len(set(sizes)) < len(sizes)
+
+    def count_probes(self, monkeypatch):
+        calls = []
+        train_probe = cgtask.train_probe
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return train_probe(*args, **kwargs)
+
+        monkeypatch.setattr(cgtask, "train_probe", counted)
+        return calls
+
+    def test_equal_held_out_sizes_train_one_control(self, monkeypatch):
+        calls = self.count_probes(monkeypatch)
+        pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1), ("size", 1, "shape", 2)]
+        rep = grid_rep(copies=10)
+        run_cg_suite(rep, pairs, (LINEAR,), FAST)
+        assert len(calls) == 4 * rep.n_factors
+
+    def test_a_new_held_out_size_trains_one_more_control(self, monkeypatch):
+        full = grid_rep(copies=10)
+        cell = (full.labels[:, 0] == 2) & (full.labels[:, 1] == 2)
+        rep = full.subset(np.flatnonzero(~cell | (np.cumsum(cell) > 3)))
+        calls = self.count_probes(monkeypatch)
+        pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1), ("size", 1, "shape", 2),
+                 ("size", 2, "shape", 2)]
+        suite = run_cg_suite(rep, pairs, (LINEAR,), FAST)
+        assert [run.n_test for run in suite.runs] == [10, 10, 10, 7]
+        assert len(calls) == (4 + 2) * rep.n_factors
 
 
 class TestSamplePairs:

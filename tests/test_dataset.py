@@ -1,5 +1,6 @@
 """Schema, CSV round trips, loader diagnostics, binning, and splits."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -248,6 +249,23 @@ class TestCsvIO:
         finally:
             tracemalloc.stop()
         assert peak < 4 * size
+
+    def test_write_streams_rows_with_unchanged_bytes(self, tmp_path):
+        rng = np.random.default_rng(0)
+        schema = FactorSchema(tuple(f"f{j}" for j in range(8)), (6,) * 8)
+        rep = RepresentationSet(rng.normal(size=(3000, 32)), rng.integers(0, 6, (3000, 8)), schema)
+        tracemalloc.start()
+        try:
+            write_representation_set(rep, tmp_path / "data.csv", tmp_path / "schema.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = (tmp_path / "data.csv").read_bytes()
+        # The bytes the whole-file writer produced before rows were streamed.
+        assert hashlib.sha256(data).hexdigest() == (
+            "3d43ab9110009f57eb38a766481e96e1864a0d523231b17bb09cdd07189181cd"
+        )
+        assert peak < 0.5 * len(data)
 
     def test_empty_and_header_only_files(self, tmp_path):
         data, schema = self.write(tmp_path, "")

@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import detangle
-from detangle.util import atomic_write_json, atomic_write_text, spawn_seed
+from detangle.util import atomic_open, atomic_write_json, atomic_write_text, spawn_seed
 
 
 def test_spawn_seed_deterministic_and_branch_sensitive():
@@ -26,6 +27,17 @@ def test_atomic_write_text_replaces_and_leaves_no_temp(tmp_path):
     atomic_write_text(target, "second")
     assert target.read_text() == "second"
     assert [p.name for p in target.parent.iterdir()] == ["out.txt"]
+
+
+def test_atomic_open_error_keeps_old_file_and_leaves_no_temp(tmp_path):
+    target = tmp_path / "out.txt"
+    atomic_write_text(target, "old")
+    with pytest.raises(RuntimeError):
+        with atomic_open(target) as fh:
+            fh.write("half")
+            raise RuntimeError("writer failed")
+    assert target.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_atomic_write_json_full_precision(tmp_path):
