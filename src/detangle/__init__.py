@@ -5,64 +5,24 @@ single-neuron agreement and knockout metrics built on an injective
 factor-to-neuron alignment, the older gap-based baselines (MIG, SAP, DCI),
 a held-out-combination generalization harness, and deterministic synthetic
 generators for all of it.
+
+The package namespace exports the names below; everything else is imported
+from its submodule (e.g. ``detangle.metrics.snc``). ``detangle.cli`` is the
+command line module.
 """
 
-from .align import (
-    Alignment,
-    GREEDY,
-    INJECTIVE,
-    assignment_objective,
-    export_hinton,
-    greedy_alignment,
-    hinton_svg,
-    hinton_text,
-    injective_alignment,
-    max_weight_assignment,
-)
-from .analysis import (
-    CorrelationResult,
-    betainc_regularized,
-    correlate_metrics_with_cg,
-    pearson,
-    render_correlation_table,
-    t_two_sided_p,
-)
-from .cgtask import (
-    CgRunResult,
-    CgSuiteResult,
-    ExcludedPair,
-    render_cg_table,
-    run_cg,
-    run_cg_presplit,
-    run_cg_suite,
-    sample_pairs,
-)
-from .classify import (
-    LINEAR,
-    MLP,
-    ProbeModel,
-    TrainConfig,
-    accuracy,
-    adjusted_accuracy,
-    chance_rate,
-    train_probe,
-)
-from .cli import cli, main
+from . import cli
+from .align import Alignment, hinton_svg, hinton_text
+from .analysis import betainc_regularized, pearson, t_two_sided_p
+from .cgtask import render_cg_table, run_cg
+from .classify import MLP, TrainConfig, train_probe
 from .dataset import (
     DEFAULT_BINS,
-    EQUAL_WIDTH,
-    FactorSchema,
     QUANTILE,
+    FactorSchema,
     RepresentationSet,
-    SplitSpec,
-    DiscretizedNeuron,
     discretize_neuron,
-    load_representation_set,
-    load_schema,
-    make_split,
-    split_indices,
     write_representation_set,
-    write_schema,
 )
 from .errors import (
     AlphabetOverflowError,
@@ -78,123 +38,46 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .infotheory import (
-    ContingencyTable,
-    ImportanceMatrix,
-    entropy,
-    entropy_from_counts,
-    importance_matrix,
-    joint_mutual_information,
-    mutual_information,
-)
-from .metrics import (
-    DciResult,
-    MetricReport,
-    MigResult,
-    NkResult,
-    SapResult,
-    SncResult,
-    aggregate,
-    bin_match_accuracy,
-    compute_metric_report,
-    dci,
-    mig,
-    nk,
-    render_metric_table,
-    sap,
-    snc,
-)
-from .synth import GENERATOR_KINDS, GeneratorSpec, factor_grid, generate
-from .util import spawn_seed
+from .infotheory import ImportanceMatrix
+from .metrics import compute_metric_report, render_metric_table
+from .synth import GeneratorSpec, factor_grid, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Alignment",
     "AlphabetOverflowError",
-    "CgRunResult",
-    "CgSuiteResult",
-    "ContingencyTable",
-    "CorrelationResult",
     "DEFAULT_BINS",
     "DataIOError",
-    "DciResult",
     "DegenerateInputError",
     "DetangleError",
-    "DiscretizedNeuron",
-    "EQUAL_WIDTH",
-    "ExcludedPair",
     "FactorSchema",
-    "GENERATOR_KINDS",
-    "GREEDY",
     "GeneratorSpec",
     "HeaderMismatchError",
-    "INJECTIVE",
     "ImportanceMatrix",
-    "LINEAR",
     "LabelOutOfRangeError",
     "MLP",
     "MalformedCsvError",
-    "MetricReport",
-    "MigResult",
-    "NkResult",
     "NonFiniteLatentError",
-    "ProbeModel",
     "QUANTILE",
     "RepresentationSet",
-    "SapResult",
     "SchemaError",
-    "SncResult",
     "SplitError",
-    "SplitSpec",
     "TrainConfig",
     "TrainingDivergedError",
     "ValidationError",
-    "accuracy",
-    "adjusted_accuracy",
-    "aggregate",
-    "assignment_objective",
     "betainc_regularized",
-    "bin_match_accuracy",
-    "chance_rate",
-    "cli",
     "compute_metric_report",
-    "correlate_metrics_with_cg",
-    "dci",
     "discretize_neuron",
-    "entropy",
-    "entropy_from_counts",
-    "export_hinton",
     "factor_grid",
     "generate",
-    "greedy_alignment",
     "hinton_svg",
     "hinton_text",
-    "importance_matrix",
-    "injective_alignment",
-    "joint_mutual_information",
-    "load_representation_set",
-    "load_schema",
-    "main",
-    "make_split",
-    "max_weight_assignment",
-    "mig",
-    "mutual_information",
-    "nk",
     "pearson",
     "render_cg_table",
-    "render_correlation_table",
     "render_metric_table",
     "run_cg",
-    "run_cg_presplit",
-    "run_cg_suite",
-    "sample_pairs",
-    "sap",
-    "snc",
-    "spawn_seed",
-    "split_indices",
     "t_two_sided_p",
     "train_probe",
     "write_representation_set",
-    "write_schema",
 ]

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .metrics import aggregate
+from .util import payload_kind
 
 _BETA_EPS = 3e-14
 _BETA_FPMIN = 1e-300
@@ -159,16 +160,17 @@ BASELINE_AGGREGATES = (MEAN_ALL, MEAN_SUBSET, PRODUCT_SUBSET)
 # baseline metrics default to their usual mean over all factors but can be
 # restricted the same way for a like-for-like comparison.
 SUBSET_METRICS = ("snc", "nk")
+# The metrics whose payload blocks carry per-factor scores.
+PER_FACTOR_METRICS = ("snc", "nk", "mig", "sap")
 
 
 def _aggregate_from_payload(
     payload: dict, metric: str, subset: Sequence[str] | None, mode: str
 ) -> float:
     """Combine one metric's per-factor scores into a single model score."""
-    block = payload.get(metric)
-    if block is None:
-        raise ValidationError(f"metric payload has no {metric!r} block")
-    per_factor = block["per_factor"]
+    per_factor = (payload.get(metric) or {}).get("per_factor")
+    if per_factor is None:
+        raise ValidationError(f"metric payload has no {metric!r} block with per-factor scores")
     missing = [name for name in subset or () if name not in per_factor]
     if missing:
         raise ValidationError(f"metric payload lacks factors {missing} for {metric!r}")
@@ -176,17 +178,19 @@ def _aggregate_from_payload(
 
 
 def _cg_score(payload: dict) -> float:
-    if "joint_both" in payload:
+    try:
+        kind = payload_kind(payload)
+    except ValidationError as exc:
+        raise ValidationError(f"not a generalization payload: {exc}") from exc
+    if kind == "cg_run":
         return float(payload["joint_both"]["adjusted"])
-    if "runs" in payload:
-        averages = payload["averages"]
-        if len(averages) != 1:
-            raise ValidationError(
-                "suite payload holds several probe kinds; correlate one at a time"
-            )
-        (avg,) = averages.values()
-        return float(avg["joint_both_adjusted"])
-    raise ValidationError("not a generalization payload (no joint_both or runs)")
+    if kind != "cg_suite":
+        raise ValidationError(f"not a generalization payload: got a {kind} payload")
+    averages = payload["averages"]
+    if len(averages) != 1:
+        raise ValidationError("suite payload holds several probe kinds; correlate one at a time")
+    (avg,) = averages.values()
+    return float(avg["joint_both_adjusted"])
 
 
 def correlate_metrics_with_cg(
@@ -205,6 +209,11 @@ def correlate_metrics_with_cg(
     all factors, or mean/product over the subset). The target score is the
     chance-adjusted joint accuracy on the excluded combination.
     """
+    unknown = [m for m in metrics if m not in PER_FACTOR_METRICS]
+    if unknown:
+        raise ValidationError(
+            f"cannot correlate {unknown}: per-factor scores exist only for {PER_FACTOR_METRICS}"
+        )
     if len(metric_payloads) != len(cg_payloads):
         raise ValidationError(
             f"got {len(metric_payloads)} metric payloads but {len(cg_payloads)} "

@@ -34,7 +34,7 @@ from .classify import (
 )
 from .dataset import FactorSchema, RepresentationSet, SplitSpec, split_indices
 from .errors import SplitError, ValidationError
-from .util import spawn_seed
+from .util import payload_kind, spawn_seed
 
 
 @dataclass(frozen=True)
@@ -246,11 +246,7 @@ def run_cg(
             )
         ctr_per_factor, ctr_joint = _score(pair, rep.schema, *controls[key], rep.labels)
         control_payload = {
-            "split": {
-                "kind": control_split.kind,
-                "test_fraction": control_split.test_fraction,
-                "seed": control_split.seed,
-            },
+            "split": control_split.to_json_dict(),
             "per_factor": ctr_per_factor,
             "joint_both": ctr_joint,
         }
@@ -392,7 +388,7 @@ def sample_pairs(
 def render_cg_table(payload: dict) -> str:
     """Aligned text table: one row per evaluation setting, columns for each
     excluded factor and for both jointly (all chance-adjusted)."""
-    if "runs" in payload:
+    if payload_kind(payload) == "cg_suite":
         header = f"{'setting':<22}{'factor_a':>10}{'factor_b':>10}{'both':>10}"
         lines = [header]
         for kind, avg in payload["averages"].items():

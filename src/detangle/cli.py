@@ -40,7 +40,7 @@ from .dataset import (
 )
 from .errors import DataIOError, TrainingDivergedError, ValidationError
 from .infotheory import ImportanceMatrix, importance_matrix
-from .util import atomic_write_json, atomic_write_text
+from .util import atomic_write_json, atomic_write_text, payload_kind
 
 
 class _UsageError(Exception):
@@ -230,7 +230,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> str:
     schema = _parse_factor_list(args.factors) if args.factors else None
     spec = synth.GeneratorSpec(
         kind=args.kind,
@@ -248,16 +248,15 @@ def _cmd_synth(args) -> int:
     except OSError as exc:
         raise DataIOError(f"cannot create {out_dir}: {exc}") from exc
     write_representation_set(rep, out_dir / "data.csv", out_dir / "schema.json")
-    print(
+    return (
         f"wrote {rep.n_rows} rows ({rep.n_neurons} neurons, "
-        f"{rep.schema.n_factors} factors) to {out_dir}"
+        f"{rep.schema.n_factors} factors) to {out_dir}\n"
     )
-    return 0
 
 
-def _cmd_metrics(args) -> int:
+def _metrics_payload(args) -> dict:
     rep = _load_rep(args.data, args.schema)
-    report = metrics.compute_metric_report(
+    return metrics.compute_metric_report(
         rep,
         align_mode=args.align,
         n_bins=args.bins,
@@ -265,28 +264,19 @@ def _cmd_metrics(args) -> int:
         config=_train_config(args),
         subset=_parse_subset(args.subset),
         aggregate_mode=args.aggregate,
-    )
-    payload = report.to_json_dict()
-    if args.out:
-        atomic_write_json(args.out, payload)
-    print(metrics.render_metric_table(payload), end="")
-    return 0
+    ).to_json_dict()
 
 
-def _cmd_align(args) -> int:
+def _align_payload(args) -> dict:
     rep = _load_rep(args.data, args.schema)
     imp = importance_matrix(rep, n_bins=args.bins)
     alignment = greedy_alignment(imp) if args.align == GREEDY else injective_alignment(imp)
-    payload = {
+    export_hinton(imp, alignment, svg_path=args.svg, text_path=args.text)
+    return {
         "schema_version": 1,
         "importance": imp.to_json_dict(),
         "alignment": alignment.to_json_dict(),
     }
-    if args.out:
-        atomic_write_json(args.out, payload)
-    export_hinton(imp, alignment, svg_path=args.svg, text_path=args.text)
-    print(hinton_text(imp, alignment), end="")
-    return 0
 
 
 def _cg_payload(args) -> dict:
@@ -320,19 +310,11 @@ def _cg_payload(args) -> dict:
     return cgtask.run_cg_suite(rep, pairs, kinds, config, control=control).to_json_dict()
 
 
-def _cmd_cg(args) -> int:
-    payload = _cg_payload(args)
-    if args.out:
-        atomic_write_json(args.out, payload)
-    print(cgtask.render_cg_table(payload), end="")
-    return 0
-
-
-def _cmd_correlate(args) -> int:
-    metric_payloads = [_read_json(p) for p in args.metrics.split(",") if p.strip()]
-    cg_payloads = [_read_json(p) for p in args.cg.split(",") if p.strip()]
+def _correlate_payload(args) -> dict:
+    metric_payloads = [_read_payload(p)[0] for p in args.metrics.split(",") if p.strip()]
+    cg_payloads = [_read_payload(p)[0] for p in args.cg.split(",") if p.strip()]
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
-    result = analysis.correlate_metrics_with_cg(
+    return analysis.correlate_metrics_with_cg(
         metric_payloads,
         cg_payloads,
         subset=_parse_subset(args.subset),
@@ -340,59 +322,78 @@ def _cmd_correlate(args) -> int:
         aggregate_mode=args.aggregate,
         baseline_aggregate=args.baseline_aggregate,
     )
-    if args.out:
-        atomic_write_json(args.out, result)
-    print(analysis.render_correlation_table(result), end="")
-    return 0
 
 
-def _render_payload(payload: dict) -> str:
-    if "per_metric" in payload:
-        return analysis.render_correlation_table(payload)
-    if "runs" in payload or "joint_both" in payload:
-        return cgtask.render_cg_table(payload)
-    if "snc" in payload:
+def render(payload: dict) -> str:
+    """The text a command prints for its payload, for every payload kind."""
+    kind = payload_kind(payload)
+    if kind == "metrics":
         return metrics.render_metric_table(payload)
-    if "importance" in payload:
-        imp_block = payload["importance"]
-        imp = ImportanceMatrix(
-            values=np.asarray(imp_block["bits"], dtype=np.float64),
-            factor_names=tuple(imp_block["factor_names"]),
-            n_bins=imp_block["n_bins"],
-            strategy=imp_block["strategy"],
-        )
-        align_block = payload.get("alignment")
-        alignment = None
-        if align_block:
-            alignment = Alignment(
-                assignment=tuple(align_block["assignment"]),
-                mode=align_block["mode"],
-                objective_value=float(align_block["objective_bits"]),
-                degenerate=bool(align_block["degenerate"]),
-            )
-        return hinton_text(imp, alignment)
-    raise ValidationError(
-        "unrecognized payload: expected a metrics, alignment, generalization, "
-        "or correlation JSON"
+    if kind in ("cg_run", "cg_suite"):
+        return cgtask.render_cg_table(payload)
+    if kind == "correlation":
+        return analysis.render_correlation_table(payload)
+    imp_block = payload["importance"]
+    imp = ImportanceMatrix(
+        values=np.asarray(imp_block["bits"], dtype=np.float64),
+        factor_names=tuple(imp_block["factor_names"]),
+        n_bins=imp_block["n_bins"],
+        strategy=imp_block["strategy"],
     )
+    align_block = payload.get("alignment")
+    alignment = None
+    if align_block:
+        alignment = Alignment(
+            assignment=tuple(align_block["assignment"]),
+            mode=align_block["mode"],
+            objective_value=float(align_block["objective_bits"]),
+            degenerate=bool(align_block["degenerate"]),
+        )
+    return hinton_text(imp, alignment)
 
 
-def _cmd_report(args) -> int:
-    text = _render_payload(_read_json(args.input))
+def _read_payload(path: str) -> tuple[dict, str]:
+    """A stored payload and its rendered text. A payload of no known kind,
+    or one missing or mistyping a key its renderer reads, is a
+    ValidationError naming path."""
+    payload = _read_json(path)
+    try:
+        return payload, render(payload)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(
+            f"{path}: incomplete or malformed {payload_kind(payload)} payload "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _cmd_report(args) -> str:
+    text = _read_payload(args.input)[1]
     if args.out:
         atomic_write_text(args.out, text)
-    print(text, end="")
-    return 0
+    return text
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "metrics": _cmd_metrics,
-    "align": _cmd_align,
-    "cg": _cmd_cg,
-    "correlate": _cmd_correlate,
-    "report": _cmd_report,
+# Commands that print text of their own.
+_TEXT_HANDLERS = {"synth": _cmd_synth, "report": _cmd_report}
+# Commands that build a payload: written to --out as JSON, printed rendered.
+_PAYLOAD_HANDLERS = {
+    "metrics": _metrics_payload,
+    "align": _align_payload,
+    "cg": _cg_payload,
+    "correlate": _correlate_payload,
 }
+
+
+def _run(args) -> str:
+    """Run one subcommand; returns the text it prints."""
+    if args.command in _TEXT_HANDLERS:
+        return _TEXT_HANDLERS[args.command](args)
+    payload = _PAYLOAD_HANDLERS[args.command](args)
+    if args.out:
+        atomic_write_json(args.out, payload)
+    return render(payload)
 
 
 def cli(argv=None) -> int:
@@ -412,7 +413,8 @@ def cli(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _HANDLERS[args.command](args)
+        print(_run(args), end="")
+        return 0
     except (DataIOError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -245,6 +245,11 @@ class SplitSpec:
                 raise SplitError(f"cg_exclusion split is missing {missing}")
         else:
             raise SplitError(f"unknown split kind {self.kind!r}")
+
+    def to_json_dict(self) -> dict:
+        """The fields that are set, in declaration order."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: value for name, value in values.items() if value is not None}
 
 
 def load_schema(schema_path: str | Path) -> FactorSchema:
@@ -503,14 +508,6 @@ def split_indices(rep: RepresentationSet, spec: SplitSpec) -> tuple[np.ndarray, 
             f"{rep.schema.names[b]}={spec.value_b}) matches every row; nothing left to train on"
         )
     return train, test
-
-
-def make_split(
-    rep: RepresentationSet, spec: SplitSpec
-) -> tuple[RepresentationSet, RepresentationSet]:
-    """Materialize the split as (train_set, test_set)."""
-    train_idx, test_idx = split_indices(rep, spec)
-    return rep.subset(train_idx), rep.subset(test_idx)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

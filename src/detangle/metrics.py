@@ -143,6 +143,11 @@ class NkResult:
         }
 
 
+def _nk_split(seed: int) -> SplitSpec:
+    """NK's default held-out split: a random 20%, seeded from the train config."""
+    return SplitSpec(kind="random", test_fraction=0.2, seed=spawn_seed(seed, 8080))
+
+
 def nk(
     rep: RepresentationSet,
     alignment: Alignment,
@@ -161,7 +166,7 @@ def nk(
     if rep.n_neurons < 2:
         raise ValidationError("knockout needs at least two neurons")
     config = config or TrainConfig()
-    split = split or SplitSpec(kind="random", test_fraction=0.2, seed=spawn_seed(config.seed, 8080))
+    split = split or _nk_split(config.seed)
     train_idx, test_idx = split_indices(rep, split)
     x_train, x_test = rep.latents[train_idx], rep.latents[test_idx]
 
@@ -199,7 +204,7 @@ def nk(
         per_factor=per_factor,
         mean=float(np.mean(list(per_factor.values()))),
         details=details,
-        split={"kind": split.kind, "test_fraction": split.test_fraction, "seed": split.seed},
+        split=split.to_json_dict(),
     )
 
 
@@ -490,6 +495,9 @@ def compute_metric_report(
     train config seed.
     """
     config = config or TrainConfig()
+    if subset is not None:
+        # Reject a bad subset or aggregate mode before any probe trains.
+        aggregate(dict.fromkeys(rep.schema.names, 0.0), aggregate_mode, subset)
     imp = importance_matrix(rep, n_bins=n_bins, strategy=strategy)
     if align_mode == "injective":
         alignment = injective_alignment(imp)
@@ -499,7 +507,7 @@ def compute_metric_report(
         raise ValidationError(f"unknown align mode {align_mode!r}")
 
     snc_res = snc(rep, alignment)
-    split = SplitSpec(kind="random", test_fraction=0.2, seed=spawn_seed(config.seed, 8080))
+    split = _nk_split(config.seed)
     nk_res = nk(rep, alignment, config=config, split=split)
     mig_res = mig(imp, factor_entropies(rep))
     sap_res = sap(rep)
@@ -552,7 +560,7 @@ def compute_metric_report(
             "n_bins": n_bins,
             "strategy": strategy,
             "probe": asdict(config),
-            "split": {"kind": split.kind, "test_fraction": split.test_fraction, "seed": split.seed},
+            "split": split.to_json_dict(),
         },
         importance=imp,
         alignment=alignment,

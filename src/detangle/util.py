@@ -1,4 +1,4 @@
-"""Small shared helpers: atomic file writes and seed derivation."""
+"""Small shared helpers: atomic file writes, seed derivation and payload kinds."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ from pathlib import Path
 from typing import Iterator, TextIO
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 @contextmanager
@@ -56,3 +58,27 @@ def spawn_seed(base_seed: int, *branch: int) -> int:
         [int(base_seed) & 0xFFFFFFFF, len(branch), *[int(b) & 0xFFFFFFFF for b in branch]]
     )
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# Stored payloads carry no explicit type; each kind is told by a key it always
+# has, tried in this order because a metrics payload also holds "importance".
+_KIND_KEYS = (
+    ("per_metric", "correlation"),
+    ("runs", "cg_suite"),
+    ("joint_both", "cg_run"),
+    ("snc", "metrics"),
+    ("importance", "align"),
+)
+
+
+def payload_kind(payload: dict) -> str:
+    """The kind of a stored JSON payload: "metrics", "align", "cg_run",
+    "cg_suite" or "correlation". Every reader of a payload decides its
+    kind here."""
+    for key, kind in _KIND_KEYS:
+        if key in payload:
+            return kind
+    raise ValidationError(
+        "unrecognized payload: expected a metrics, alignment, generalization, "
+        "or correlation JSON"
+    )

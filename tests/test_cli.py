@@ -18,6 +18,7 @@ import pytest
 
 import detangle
 from detangle.cli import build_parser, cli
+from detangle.util import payload_kind
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -425,6 +426,15 @@ class TestCorrelate:
                     "--subset", "size,shape"]) == 1
         assert "1 metric payloads but 2" in capsys.readouterr().err
 
+    def test_column_without_per_factor_scores_exits_1(self, workspace, capsys):
+        assert cli(["correlate",
+                    "--metrics", str(workspace / "ideal_metrics.json"),
+                    "--cg", str(workspace / "ideal_cg.json"),
+                    "--subset", "size,shape", "--columns", "snc,dci"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'dci'" in err
+
     def test_missing_file_exits_2(self, workspace, tmp_path):
         assert cli(["correlate", "--metrics", str(tmp_path / "gone.json"),
                     "--cg", str(workspace / "ideal_cg.json"),
@@ -471,11 +481,45 @@ class TestReport:
         assert rendered.read_text() == stdout
         assert "colour" in stdout
 
+    @pytest.mark.parametrize("kind", ["metrics", "align", "cg_run", "cg_suite", "correlation"])
+    def test_report_prints_what_the_writing_command_printed(self, kind, workspace, tmp_path,
+                                                            capsys):
+        models = ("ideal", "rotated", "code")
+        argv = {
+            "metrics": ["metrics", "--data", str(workspace / "b"), "--epochs", "3"],
+            "align": ["align", "--data", str(workspace / "b")],
+            "cg_run": ["cg", "--data", str(workspace / "b"), "--pairs", "colour:0,shape:1",
+                       "--epochs", "3"],
+            "cg_suite": ["cg", "--data", str(workspace / "b"), "--pairs", "colour:0,shape:1",
+                         "--probe", "both", "--epochs", "3"],
+            "correlation": ["correlate",
+                            "--metrics", ",".join(str(workspace / f"{m}_metrics.json")
+                                                  for m in models),
+                            "--cg", ",".join(str(workspace / f"{m}_cg.json") for m in models),
+                            "--subset", "size,shape"],
+        }[kind]
+        payload = tmp_path / "payload.json"
+        assert cli(argv + ["--out", str(payload)]) == 0
+        written = capsys.readouterr().out
+        assert payload_kind(read_json(payload)) == kind
+        assert cli(["report", "--in", str(payload)]) == 0
+        assert capsys.readouterr().out == written
+
     def test_unrecognized_payload_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "odd.json"
         bad.write_text(json.dumps({"surprise": 1}))
         assert cli(["report", "--in", str(bad)]) == 1
         assert "unrecognized payload" in capsys.readouterr().err
+        # A recognised kind with keys missing names the file, for report and
+        # for correlate, which reads the same payloads.
+        for payload in ({"per_metric": {}}, {"runs": []}, {"joint_both": {}}, {"snc": {}}):
+            bad.write_text(json.dumps(payload))
+            for argv in (["report", "--in", str(bad)],
+                         ["correlate", "--metrics", str(bad), "--cg", str(bad),
+                          "--subset", "a"]):
+                assert cli(argv) == 1
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
     def test_invalid_json_exits_2(self, tmp_path):
         bad = tmp_path / "broken.json"

@@ -21,7 +21,6 @@ from detangle.dataset import (
     expected_header,
     load_representation_set,
     load_schema,
-    make_split,
     split_indices,
     write_representation_set,
     write_schema,
@@ -377,8 +376,6 @@ class TestSplits:
         assert np.array_equal(test, np.where(mask)[0])
         assert np.array_equal(train, np.where(~mask)[0])
         assert_partition(train, test, n)
-        train_set, test_set = make_split(rep, spec)
-        assert train_set.n_rows == train.size and test_set.n_rows == test.size
 
     def test_cg_exclusion_errors(self):
         rep = small_rep(n=30, seed=4)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import detangle.metrics as metrics_module
 from detangle.align import Alignment, greedy_alignment, injective_alignment
 from detangle.dataset import FactorSchema, RepresentationSet
 from detangle.errors import DegenerateInputError, ValidationError
@@ -382,6 +383,18 @@ class TestMetricReport:
         assert agg["subset"] == ["colour"]
         assert agg["values"]["snc"] == pytest.approx(report.snc.per_factor["colour"])
         assert set(agg["values"]) == {"snc", "nk", "mig", "sap"}
+
+    @pytest.mark.parametrize("subset, mode", [(("colour", "nope"), "product"),
+                                              ((), "product"),
+                                              (("colour",), "median")])
+    def test_bad_subset_rejected_before_any_probe(self, variant_b_rep, monkeypatch,
+                                                  subset, mode):
+        calls = []
+        monkeypatch.setattr(metrics_module, "train_probe",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValidationError):
+            compute_metric_report(variant_b_rep, subset=subset, aggregate_mode=mode)
+        assert calls == []
 
     def test_unknown_align_mode_rejected(self, variant_a_rep):
         with pytest.raises(ValidationError, match="align mode"):

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 import detangle
-from detangle.util import atomic_open, atomic_write_json, atomic_write_text, spawn_seed
+from detangle.errors import ValidationError
+from detangle.util import (
+    atomic_open,
+    atomic_write_json,
+    atomic_write_text,
+    payload_kind,
+    spawn_seed,
+)
 
 
 def test_spawn_seed_deterministic_and_branch_sensitive():
@@ -19,6 +26,22 @@ def test_spawn_seed_deterministic_and_branch_sensitive():
     seeds = {spawn_seed(7), spawn_seed(7, 0), spawn_seed(7, 1), spawn_seed(8), spawn_seed(7, 0, 1)}
     assert len(seeds) == 5
     assert all(isinstance(s, int) and s >= 0 for s in seeds)
+
+
+@pytest.mark.parametrize("keys, kind", [
+    (("importance", "alignment"), "align"),
+    (("snc", "importance", "alignment"), "metrics"),
+    (("joint_both", "per_factor"), "cg_run"),
+    (("runs", "joint_both"), "cg_suite"),
+    (("per_metric", "runs", "snc"), "correlation"),
+])
+def test_payload_kind_key_precedence(keys, kind):
+    assert payload_kind(dict.fromkeys(keys)) == kind
+
+
+def test_payload_kind_rejects_unknown_payload():
+    with pytest.raises(ValidationError, match="unrecognized payload"):
+        payload_kind({"schema_version": 1})
 
 
 def test_atomic_write_text_replaces_and_leaves_no_temp(tmp_path):
