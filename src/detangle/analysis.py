@@ -168,12 +168,19 @@ def _aggregate_from_payload(
     payload: dict, metric: str, subset: Sequence[str] | None, mode: str
 ) -> float:
     """Combine one metric's per-factor scores into a single model score."""
-    per_factor = (payload.get(metric) or {}).get("per_factor")
-    if per_factor is None:
+    block = payload.get(metric)
+    per_factor = block.get("per_factor") if isinstance(block, dict) else None
+    if not isinstance(per_factor, dict):
         raise ValidationError(f"metric payload has no {metric!r} block with per-factor scores")
     missing = [name for name in subset or () if name not in per_factor]
     if missing:
         raise ValidationError(f"metric payload lacks factors {missing} for {metric!r}")
+    for name in subset or per_factor:
+        score = per_factor[name]
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
+            raise ValidationError(
+                f"metric payload's {metric!r} score for factor {name!r} is not a number: {score!r}"
+            )
     return aggregate(per_factor, mode, subset)
 
 
@@ -187,6 +194,8 @@ def _cg_score(payload: dict) -> float:
     if kind != "cg_suite":
         raise ValidationError(f"not a generalization payload: got a {kind} payload")
     averages = payload["averages"]
+    if not averages:
+        raise ValidationError("suite payload holds no probe kind")
     if len(averages) != 1:
         raise ValidationError("suite payload holds several probe kinds; correlate one at a time")
     (avg,) = averages.values()

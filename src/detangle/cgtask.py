@@ -18,7 +18,7 @@ separate run_cg calls report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from .classify import (
     MLP,
     PROBE_KINDS,
     TrainConfig,
-    accuracy,
     adjusted_accuracy,
     chance_rate,
     train_probe,
@@ -47,12 +46,7 @@ class ExcludedPair:
     value_b: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "factor_a": self.factor_a,
-            "value_a": self.value_a,
-            "factor_b": self.factor_b,
-            "value_b": self.value_b,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -68,18 +62,7 @@ class CgRunResult:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "pair": self.pair.to_json_dict(),
-            "probe_kind": self.probe_kind,
-            "per_factor": self.per_factor,
-            "joint_both": self.joint_both,
-            "control": self.control,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "audit": self.audit,
-            "seed": self.seed,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -95,17 +78,46 @@ class CgSuiteResult:
         }
 
 
-def resolve_pair(rep: RepresentationSet, pair: ExcludedPair | tuple) -> ExcludedPair:
-    """Normalize a pair given as an ExcludedPair or (a, va, b, vb) tuple."""
-    if isinstance(pair, ExcludedPair):
-        a, va, b, vb = pair.factor_a, pair.value_a, pair.factor_b, pair.value_b
-    else:
-        a, va, b, vb = pair
-    ia = rep.schema.index_of(a)
-    ib = rep.schema.index_of(b)
+def _named_pair(schema: FactorSchema, pair: ExcludedPair | tuple) -> ExcludedPair:
+    """The pair with its factors given by name; they must be two distinct
+    factors of schema."""
+    a, va, b, vb = astuple(pair) if isinstance(pair, ExcludedPair) else pair
+    ia, ib = schema.index_of(a), schema.index_of(b)
     if ia == ib:
         raise SplitError("excluded pair needs two distinct factors")
-    return ExcludedPair(rep.schema.names[ia], int(va), rep.schema.names[ib], int(vb))
+    return ExcludedPair(schema.names[ia], int(va), schema.names[ib], int(vb))
+
+
+def resolve_pair(rep: RepresentationSet, pair: ExcludedPair | tuple) -> ExcludedPair:
+    """Normalize a pair given as an ExcludedPair or (a, va, b, vb) tuple and
+    check it against rep's schema: two distinct known factors, each value
+    below its factor's cardinality. The only check of a pair."""
+    schema = rep.schema
+    pair = _named_pair(schema, pair)
+    for tag, name, value in (
+        ("value_a", pair.factor_a, pair.value_a),
+        ("value_b", pair.factor_b, pair.value_b),
+    ):
+        k = schema.cardinalities[schema.index_of(name)]
+        if not 0 <= value < k:
+            raise SplitError(f"{tag}={value} out of range for factor {name!r} (cardinality {k})")
+    return pair
+
+
+def _exclusion_rows(rep: RepresentationSet, pair: ExcludedPair) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) row indices, both ascending: the test rows are exactly
+    those matching pair. Neither side may be empty."""
+    ia, ib = rep.schema.index_of(pair.factor_a), rep.schema.index_of(pair.factor_b)
+    mask = (rep.labels[:, ia] == pair.value_a) & (rep.labels[:, ib] == pair.value_b)
+    test, train = np.flatnonzero(mask), np.flatnonzero(~mask)
+    described = (
+        f"cg_exclusion pair ({pair.factor_a}={pair.value_a}, {pair.factor_b}={pair.value_b})"
+    )
+    if test.size == 0:
+        raise SplitError(f"{described} matches no rows")
+    if train.size == 0:
+        raise SplitError(f"{described} matches every row; nothing left to train on")
+    return train, test
 
 
 def measure_probes(
@@ -141,8 +153,8 @@ def _score(
 ) -> tuple[dict, dict]:
     """(per_factor, joint_both) chance-adjusted accuracies of per-factor
     predictions. Chance rates come from full_labels (the complete set's label
-    matrix) so they describe the data population rather than the possibly
-    single-valued test slice."""
+    matrix, in any row order) so they describe the data population rather
+    than the possibly single-valued test slice."""
     per_factor: dict[str, dict] = {}
     for j, name in enumerate(schema.names):
         raw = float(np.mean(preds[j] == test_labels[:, j]))
@@ -196,6 +208,34 @@ def _split_audit(
     }
 
 
+def _held_out_run(
+    pair: ExcludedPair,
+    train_rep: RepresentationSet,
+    test_rep: RepresentationSet,
+    probe_kind: str,
+    config: TrainConfig,
+    leaked: int | None,
+) -> CgRunResult:
+    """Probe a held-out split: train on train_rep, score on test_rep, and
+    audit the split. The two sets together are the full population whose
+    label frequencies set the chance rates. No control."""
+    schema = train_rep.schema
+    preds = measure_probes(train_rep, test_rep.latents, probe_kind, config, seed_salt=1)
+    full_labels = np.vstack([train_rep.labels, test_rep.labels])
+    per_factor, joint_both = _score(pair, schema, preds, test_rep.labels, full_labels)
+    return CgRunResult(
+        pair=pair,
+        probe_kind=probe_kind,
+        per_factor=per_factor,
+        joint_both=joint_both,
+        control=None,
+        n_train=train_rep.n_rows,
+        n_test=test_rep.n_rows,
+        audit=_split_audit(pair, schema, train_rep.labels, test_rep.labels, leaked),
+        seed=config.seed,
+    )
+
+
 def run_cg(
     rep: RepresentationSet,
     pair: ExcludedPair | tuple,
@@ -215,52 +255,34 @@ def run_cg(
     """
     config = config or TrainConfig()
     pair = resolve_pair(rep, pair)
-    split = SplitSpec(
-        kind="cg_exclusion",
-        factor_a=pair.factor_a,
-        value_a=pair.value_a,
-        factor_b=pair.factor_b,
-        value_b=pair.value_b,
-    )
-    train_idx, test_idx = split_indices(rep, split)
+    train_idx, test_idx = _exclusion_rows(rep, pair)
     leaked = int(np.intersect1d(train_idx, test_idx).size)
-    audit = _split_audit(pair, rep.schema, rep.labels[train_idx], rep.labels[test_idx], leaked)
+    result = _held_out_run(
+        pair, rep.subset(train_idx), rep.subset(test_idx), probe_kind, config, leaked
+    )
+    if not control:
+        return result
 
-    test_rep = rep.subset(test_idx)
-    preds = measure_probes(rep.subset(train_idx), test_rep.latents, probe_kind, config, seed_salt=1)
-    per_factor, joint_both = _score(pair, rep.schema, preds, test_rep.labels, rep.labels)
-
-    control_payload = None
-    if control:
-        control_split = _control_split(rep.n_rows, test_idx.size, config.seed)
-        controls = {} if _controls is None else _controls
-        key = (probe_kind, control_split)
-        if key not in controls:
-            ctr_train_idx, ctr_test_idx = split_indices(rep, control_split)
-            ctr_test = rep.subset(ctr_test_idx)
-            controls[key] = (
-                measure_probes(
-                    rep.subset(ctr_train_idx), ctr_test.latents, probe_kind, config, seed_salt=2
-                ),
-                ctr_test.labels,
-            )
-        ctr_per_factor, ctr_joint = _score(pair, rep.schema, *controls[key], rep.labels)
-        control_payload = {
+    control_split = _control_split(rep.n_rows, test_idx.size, config.seed)
+    controls = {} if _controls is None else _controls
+    key = (probe_kind, control_split)
+    if key not in controls:
+        ctr_train_idx, ctr_test_idx = split_indices(rep, control_split)
+        ctr_test = rep.subset(ctr_test_idx)
+        controls[key] = (
+            measure_probes(
+                rep.subset(ctr_train_idx), ctr_test.latents, probe_kind, config, seed_salt=2
+            ),
+            ctr_test.labels,
+        )
+    ctr_per_factor, ctr_joint = _score(pair, rep.schema, *controls[key], rep.labels)
+    return replace(
+        result,
+        control={
             "split": control_split.to_json_dict(),
             "per_factor": ctr_per_factor,
             "joint_both": ctr_joint,
-        }
-
-    return CgRunResult(
-        pair=pair,
-        probe_kind=probe_kind,
-        per_factor=per_factor,
-        joint_both=joint_both,
-        control=control_payload,
-        n_train=int(train_idx.size),
-        n_test=int(test_idx.size),
-        audit=audit,
-        seed=config.seed,
+        },
     )
 
 
@@ -274,25 +296,10 @@ def run_cg_presplit(
     """Run on an externally produced train/test pair (e.g. separately encoded
     splits). No control split is computed; the audit verifies the exclusion
     structure of the given sets."""
-    config = config or TrainConfig()
     if train_rep.schema != test_rep.schema:
         raise ValidationError("train and test sets must share one schema")
     pair = resolve_pair(train_rep, pair)
-    audit = _split_audit(pair, train_rep.schema, train_rep.labels, test_rep.labels, leaked=None)
-    full_labels = np.vstack([train_rep.labels, test_rep.labels])
-    preds = measure_probes(train_rep, test_rep.latents, probe_kind, config, seed_salt=1)
-    per_factor, joint_both = _score(pair, train_rep.schema, preds, test_rep.labels, full_labels)
-    return CgRunResult(
-        pair=pair,
-        probe_kind=probe_kind,
-        per_factor=per_factor,
-        joint_both=joint_both,
-        control=None,
-        n_train=train_rep.n_rows,
-        n_test=test_rep.n_rows,
-        audit=audit,
-        seed=config.seed,
-    )
+    return _held_out_run(pair, train_rep, test_rep, probe_kind, config or TrainConfig(), None)
 
 
 def run_cg_suite(
@@ -317,12 +324,20 @@ def run_cg_suite(
             try:
                 runs.append(run_cg(rep, pair, kind, config, control=control, _controls=controls))
             except SplitError as exc:
-                resolved = resolve_pair(rep, pair)
+                named = _named_pair(rep.schema, pair)
                 raise SplitError(
-                    f"degenerate exclusion split for pair {resolved.to_json_dict()}: {exc}"
+                    f"degenerate exclusion split for pair {named.to_json_dict()}: {exc}"
                 ) from exc
 
     return CgSuiteResult(runs=tuple(runs), averages=suite_averages(runs, probe_kinds))
+
+
+def cg_payload(runs: Sequence[CgRunResult], probe_kinds: Sequence[str]) -> dict:
+    """The stored payload of one cg job: a single run's payload, or for
+    several runs a suite payload with their per-kind averages."""
+    if len(runs) == 1:
+        return runs[0].to_json_dict()
+    return CgSuiteResult(tuple(runs), suite_averages(runs, probe_kinds)).to_json_dict()
 
 
 def suite_averages(runs: Sequence[CgRunResult], probe_kinds: Sequence[str]) -> dict:
@@ -385,42 +400,47 @@ def sample_pairs(
     ]
 
 
+# Per table column, the key of a suite average; the control's add "control_".
+_AVERAGE_KEYS = ("excluded_a_adjusted", "excluded_b_adjusted", "joint_both_adjusted")
+
+
+def _table_row(setting: str, cells: Sequence, spec: str = "10.4f") -> str:
+    return f"{setting:<22}" + "".join(format(cell, spec) for cell in cells)
+
+
 def render_cg_table(payload: dict) -> str:
     """Aligned text table: one row per evaluation setting, columns for each
     excluded factor and for both jointly (all chance-adjusted)."""
     if payload_kind(payload) == "cg_suite":
-        header = f"{'setting':<22}{'factor_a':>10}{'factor_b':>10}{'both':>10}"
-        lines = [header]
-        for kind, avg in payload["averages"].items():
-            lines.append(
-                f"{'cg (' + kind + ')':<22}{avg['excluded_a_adjusted']:10.4f}"
-                f"{avg['excluded_b_adjusted']:10.4f}{avg['joint_both_adjusted']:10.4f}"
+        averages = payload["averages"].items()
+        lines = [_table_row("setting", ("factor_a", "factor_b", "both"), ">10")]
+        lines += [
+            _table_row("cg (" + kind + ")", [avg[key] for key in _AVERAGE_KEYS])
+            for kind, avg in averages
+        ]
+        lines += [
+            _table_row(
+                "random split (" + kind + ")", [avg["control_" + key] for key in _AVERAGE_KEYS]
             )
-        for kind, avg in payload["averages"].items():
-            if "control_joint_both_adjusted" in avg:
-                lines.append(
-                    f"{'random split (' + kind + ')':<22}"
-                    f"{avg['control_excluded_a_adjusted']:10.4f}"
-                    f"{avg['control_excluded_b_adjusted']:10.4f}"
-                    f"{avg['control_joint_both_adjusted']:10.4f}"
-                )
+            for kind, avg in averages
+            if "control_joint_both_adjusted" in avg
+        ]
         return "\n".join(lines) + "\n"
     pair = payload["pair"]
     name_a, name_b = pair["factor_a"], pair["factor_b"]
     kind = payload["probe_kind"]
     lines = [
         f"excluded pair: {name_a}={pair['value_a']}, {name_b}={pair['value_b']}",
-        f"{'setting':<22}{name_a:>10}{name_b:>10}{'both':>10}",
-        f"{'cg (' + kind + ')':<22}{payload['per_factor'][name_a]['adjusted']:10.4f}"
-        f"{payload['per_factor'][name_b]['adjusted']:10.4f}"
-        f"{payload['joint_both']['adjusted']:10.4f}",
+        _table_row("setting", (name_a, name_b, "both"), ">10"),
     ]
-    if payload.get("control"):
-        ctr = payload["control"]
-        lines.append(
-            f"{'random split (' + kind + ')':<22}"
-            f"{ctr['per_factor'][name_a]['adjusted']:10.4f}"
-            f"{ctr['per_factor'][name_b]['adjusted']:10.4f}"
-            f"{ctr['joint_both']['adjusted']:10.4f}"
+    settings = (("cg (" + kind + ")", payload), ("random split (" + kind + ")", payload.get("control")))
+    lines += [
+        _table_row(
+            setting,
+            [block["per_factor"][name]["adjusted"] for name in (name_a, name_b)]
+            + [block["joint_both"]["adjusted"]],
         )
+        for setting, block in settings
+        if block
+    ]
     return "\n".join(lines) + "\n"

@@ -293,21 +293,18 @@ def _cg_payload(args) -> dict:
         train_rep = _load_rep(args.train_data, args.schema)
         test_rep = _load_rep(args.test_data, args.schema)
         runs = [
-            cgtask.run_cg_presplit(train_rep, test_rep, pairs[0], kind, config)
-            for kind in kinds
+            cgtask.run_cg_presplit(train_rep, test_rep, pairs[0], kind, config) for kind in kinds
         ]
-        if len(runs) == 1:
-            return runs[0].to_json_dict()
-        return cgtask.CgSuiteResult(
-            runs=tuple(runs), averages=cgtask.suite_averages(runs, kinds)
-        ).to_json_dict()
-    if not args.data:
+    elif not args.data:
         raise ValidationError("cg needs --data, or --train-data with --test-data")
-    rep = _load_rep(args.data, args.schema)
-    control = not args.no_control
-    if len(pairs) == 1 and len(kinds) == 1:
-        return cgtask.run_cg(rep, pairs[0], kinds[0], config, control=control).to_json_dict()
-    return cgtask.run_cg_suite(rep, pairs, kinds, config, control=control).to_json_dict()
+    else:
+        rep = _load_rep(args.data, args.schema)
+        control = not args.no_control
+        if len(pairs) == 1 and len(kinds) == 1:
+            runs = [cgtask.run_cg(rep, pairs[0], kinds[0], config, control=control)]
+        else:
+            runs = cgtask.run_cg_suite(rep, pairs, kinds, config, control=control).runs
+    return cgtask.cg_payload(runs, kinds)
 
 
 def _correlate_payload(args) -> dict:

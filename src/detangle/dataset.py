@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -218,38 +218,27 @@ class DiscretizedNeuron:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Declarative train/test split.
+    """Declarative seeded random train/test split.
 
-    kind="random": test set is floor(N * test_fraction) rows drawn by the
-    seeded RNG. kind="cg_exclusion": the test set is exactly the rows where
-    factor_a == value_a and factor_b == value_b.
+    The test set is floor(N * test_fraction) rows drawn by the seeded RNG;
+    kind is always "random". The held-out-combination split of the cg
+    harness is not a SplitSpec: cgtask builds it from its ExcludedPair.
     """
 
     kind: str
     test_fraction: float | None = None
     seed: int | None = None
-    factor_a: int | str | None = None
-    value_a: int | None = None
-    factor_b: int | str | None = None
-    value_b: int | None = None
 
     def __post_init__(self):
-        if self.kind == "random":
-            if self.test_fraction is None or not (0.0 < float(self.test_fraction) < 1.0):
-                raise SplitError(f"random split needs test_fraction in (0, 1), got {self.test_fraction!r}")
-            if self.seed is None:
-                raise SplitError("random split needs a seed")
-        elif self.kind == "cg_exclusion":
-            missing = [f for f in ("factor_a", "value_a", "factor_b", "value_b") if getattr(self, f) is None]
-            if missing:
-                raise SplitError(f"cg_exclusion split is missing {missing}")
-        else:
+        if self.kind != "random":
             raise SplitError(f"unknown split kind {self.kind!r}")
+        if self.test_fraction is None or not (0.0 < float(self.test_fraction) < 1.0):
+            raise SplitError(f"random split needs test_fraction in (0, 1), got {self.test_fraction!r}")
+        if self.seed is None:
+            raise SplitError("random split needs a seed")
 
     def to_json_dict(self) -> dict:
-        """The fields that are set, in declaration order."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: value for name, value in values.items() if value is not None}
+        return asdict(self)
 
 
 def load_schema(schema_path: str | Path) -> FactorSchema:
@@ -466,47 +455,23 @@ def discretize_neuron(
 
 
 def split_indices(rep: RepresentationSet, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Return (train_indices, test_indices) for the split, both sorted ascending.
+    """Return (train_indices, test_indices) for the random split, both sorted
+    ascending.
 
-    The two index arrays are disjoint and their union is exactly range(N).
+    The two index arrays are disjoint, neither is empty, and their union is
+    exactly range(N).
     """
     n = rep.n_rows
-    if spec.kind == "random":
-        n_test = int(math.floor(n * float(spec.test_fraction)))
-        if n_test < 1 or n_test >= n:
-            raise SplitError(
-                f"random split with test_fraction={spec.test_fraction} on N={n} rows "
-                f"leaves an empty side (test={n_test})"
-            )
-        rng = np.random.default_rng(spec.seed)
-        perm = rng.permutation(n)
-        test = np.sort(perm[:n_test])
-        train = np.sort(perm[n_test:])
-        return train, test
-
-    a = rep.schema.index_of(spec.factor_a)
-    b = rep.schema.index_of(spec.factor_b)
-    if a == b:
-        raise SplitError(f"cg_exclusion needs two distinct factors, got {spec.factor_a!r} twice")
-    for idx, value, tag in ((a, spec.value_a, "value_a"), (b, spec.value_b, "value_b")):
-        k = rep.schema.cardinalities[idx]
-        if not 0 <= int(value) < k:
-            raise SplitError(
-                f"{tag}={value} out of range for factor {rep.schema.names[idx]!r} (cardinality {k})"
-            )
-    mask = (rep.labels[:, a] == int(spec.value_a)) & (rep.labels[:, b] == int(spec.value_b))
-    test = np.where(mask)[0]
-    train = np.where(~mask)[0]
-    if test.size == 0:
+    n_test = int(math.floor(n * float(spec.test_fraction)))
+    if n_test < 1 or n_test >= n:
         raise SplitError(
-            f"cg_exclusion pair ({rep.schema.names[a]}={spec.value_a}, "
-            f"{rep.schema.names[b]}={spec.value_b}) matches no rows"
+            f"random split with test_fraction={spec.test_fraction} on N={n} rows "
+            f"leaves an empty side (test={n_test})"
         )
-    if train.size == 0:
-        raise SplitError(
-            f"cg_exclusion pair ({rep.schema.names[a]}={spec.value_a}, "
-            f"{rep.schema.names[b]}={spec.value_b}) matches every row; nothing left to train on"
-        )
+    rng = np.random.default_rng(spec.seed)
+    perm = rng.permutation(n)
+    test = np.sort(perm[:n_test])
+    train = np.sort(perm[n_test:])
     return train, test
 
 

@@ -144,7 +144,8 @@ class NkResult:
 
 
 def _nk_split(seed: int) -> SplitSpec:
-    """NK's default held-out split: a random 20%, seeded from the train config."""
+    """NK's held-out split, which the report's other probes share: a random
+    20%, seeded from the train config."""
     return SplitSpec(kind="random", test_fraction=0.2, seed=spawn_seed(seed, 8080))
 
 
@@ -152,21 +153,20 @@ def nk(
     rep: RepresentationSet,
     alignment: Alignment,
     config: TrainConfig | None = None,
-    split: SplitSpec | None = None,
 ) -> NkResult:
     """Neuron-knockout score per factor: held-out accuracy drop after
     removing the aligned neuron, clamped at zero.
 
     For each factor an MLP probe is trained on all m neurons and another on
     the m-1 neurons without the aligned one; both are evaluated on the
-    held-out split (default: random 20%, seeded from the train config).
+    held-out split (a random 20%, seeded from the train config).
     Chance-adjusted versions of both accuracies are recorded in the details.
     """
     _check_alignment(rep, alignment)
     if rep.n_neurons < 2:
         raise ValidationError("knockout needs at least two neurons")
     config = config or TrainConfig()
-    split = split or _nk_split(config.seed)
+    split = _nk_split(config.seed)
     train_idx, test_idx = split_indices(rep, split)
     x_train, x_test = rep.latents[train_idx], rep.latents[test_idx]
 
@@ -507,11 +507,11 @@ def compute_metric_report(
         raise ValidationError(f"unknown align mode {align_mode!r}")
 
     snc_res = snc(rep, alignment)
-    split = _nk_split(config.seed)
-    nk_res = nk(rep, alignment, config=config, split=split)
+    nk_res = nk(rep, alignment, config=config)
     mig_res = mig(imp, factor_entropies(rep))
     sap_res = sap(rep)
 
+    split = _nk_split(config.seed)
     train_idx, test_idx = split_indices(rep, split)
     x_train, x_test = rep.latents[train_idx], rep.latents[test_idx]
 

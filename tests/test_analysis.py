@@ -298,6 +298,12 @@ class TestCorrelateMetrics:
         with pytest.raises(ValidationError, match="one at a time"):
             correlate_metrics_with_cg(metric_payloads, suites, subset=("a",), metrics=("snc",))
 
+    def test_suite_without_probe_kinds_rejected(self):
+        metric_payloads, _ = synthetic_study(n_models=3)
+        suites = [{"runs": [], "averages": {}}] * 3
+        with pytest.raises(ValidationError, match="suite payload holds no probe kind"):
+            correlate_metrics_with_cg(metric_payloads, suites, subset=("a",), metrics=("snc",))
+
     def test_length_mismatch_rejected(self):
         metric_payloads, cg_payloads = synthetic_study()
         with pytest.raises(ValidationError, match="payloads"):
@@ -308,6 +314,21 @@ class TestCorrelateMetrics:
         del metric_payloads[1]["nk"]
         with pytest.raises(ValidationError, match="no 'nk' block"):
             correlate_metrics_with_cg(metric_payloads, cg_payloads, subset=("a",), metrics=("nk",))
+
+    @pytest.mark.parametrize("block", [["a"], {"per_factor": ["a"]}])
+    def test_block_that_is_not_an_object_rejected(self, block):
+        metric_payloads, cg_payloads = synthetic_study(n_models=3)
+        metric_payloads[1]["nk"] = block
+        with pytest.raises(ValidationError, match="no 'nk' block"):
+            correlate_metrics_with_cg(metric_payloads, cg_payloads, subset=("a",), metrics=("nk",))
+
+    @pytest.mark.parametrize("score", ["0.5", None, True, [0.5]])
+    def test_non_numeric_factor_score_rejected(self, score):
+        metric_payloads, cg_payloads = synthetic_study(n_models=3)
+        metric_payloads[1]["mig"]["per_factor"]["b"] = score
+        with pytest.raises(ValidationError, match="'mig' score for factor 'b' is not a number"):
+            correlate_metrics_with_cg(metric_payloads, cg_payloads, subset=("a",),
+                                      metrics=("mig",))
 
     def test_missing_subset_factor_rejected(self):
         metric_payloads, cg_payloads = synthetic_study(n_models=3)

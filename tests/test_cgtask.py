@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import detangle.cgtask as cgtask
@@ -12,6 +12,7 @@ from detangle.cgtask import (
     CgRunResult,
     ExcludedPair,
     _control_split,
+    _exclusion_rows,
     render_cg_table,
     resolve_pair,
     run_cg,
@@ -70,6 +71,15 @@ class TestResolvePair:
         with pytest.raises(ValidationError):
             resolve_pair(variant_a_rep, ("texture", 0, "shape", 1))
 
+    @pytest.mark.parametrize("pair, message", [
+        (("colour", 2, "shape", 0), "value_a=2 out of range for factor 'colour' (cardinality 2)"),
+        (("colour", 0, "shape", -1), "value_b=-1 out of range for factor 'shape' (cardinality 2)"),
+    ])
+    def test_value_out_of_range_rejected(self, variant_a_rep, pair, message):
+        with pytest.raises(SplitError) as info:
+            resolve_pair(variant_a_rep, pair)
+        assert str(info.value) == message
+
     def test_json_payload(self):
         pair = ExcludedPair("size", 2, "shape", 3)
         assert pair.to_json_dict() == {
@@ -78,6 +88,36 @@ class TestResolvePair:
             "factor_b": "shape",
             "value_b": 3,
         }
+
+
+class TestExclusionSplit:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 120), seed=st.integers(0, 2**32 - 1),
+           value_a=st.integers(0, 1), value_b=st.integers(0, 2))
+    def test_membership(self, n, seed, value_a, value_b):
+        rng = np.random.default_rng(seed)
+        labels = np.column_stack([rng.integers(0, 2, n), rng.integers(0, 3, n)])
+        rep = RepresentationSet(rng.normal(size=(n, 3)), labels,
+                                FactorSchema(("colour", "shape"), (2, 3)))
+        mask = (labels[:, 0] == value_a) & (labels[:, 1] == value_b)
+        assume(0 < mask.sum() < n)
+        train, test = _exclusion_rows(rep, ExcludedPair("colour", value_a, "shape", value_b))
+        assert np.array_equal(test, np.flatnonzero(mask))
+        assert np.array_equal(train, np.flatnonzero(~mask))
+
+    def test_degenerate_pair_rejected(self):
+        schema = FactorSchema(("a", "b"), (2, 2))
+        latents = np.random.default_rng(0).normal(size=(30, 2))
+        rep = RepresentationSet(latents, np.array([[0, 0], [0, 1], [1, 0]] * 10), schema)
+        with pytest.raises(SplitError) as info:
+            _exclusion_rows(rep, ExcludedPair("a", 1, "b", 1))
+        assert str(info.value) == "cg_exclusion pair (a=1, b=1) matches no rows"
+        only_one = RepresentationSet(latents, np.zeros((30, 2), dtype=np.int64), schema)
+        with pytest.raises(SplitError) as info:
+            _exclusion_rows(only_one, ExcludedPair("a", 0, "b", 0))
+        assert str(info.value) == (
+            "cg_exclusion pair (a=0, b=0) matches every row; nothing left to train on"
+        )
 
 
 class TestRunCg:
@@ -172,11 +212,10 @@ class TestPresplit:
         rep = grid_rep(copies=10)
         pair = ("size", 2, "shape", 3)
         internal = run_cg(rep, pair, LINEAR, FAST, control=False)
-        split = SplitSpec(kind="cg_exclusion", factor_a="size", value_a=2,
-                          factor_b="shape", value_b=3)
-        train_idx, test_idx = split_indices(rep, split)
+        held_out = (rep.labels[:, 0] == 2) & (rep.labels[:, 1] == 3)
         external = run_cg_presplit(
-            rep.subset(train_idx), rep.subset(test_idx), pair, LINEAR, FAST
+            rep.subset(np.flatnonzero(~held_out)), rep.subset(np.flatnonzero(held_out)),
+            pair, LINEAR, FAST
         )
         assert external.per_factor == internal.per_factor
         assert external.joint_both == internal.joint_both
@@ -193,6 +232,11 @@ class TestPresplit:
         result = run_cg_presplit(rep, test_rep, pair, LINEAR, FAST)
         assert result.audit["train_rows_matching_pair"] == 5
         assert not result.audit["clean"]
+
+    def test_value_out_of_range_rejected(self):
+        rep = grid_rep(copies=5)
+        with pytest.raises(SplitError, match="value_b=4 out of range for factor 'shape'"):
+            run_cg_presplit(rep, rep, ("size", 0, "shape", 4), LINEAR, FAST)
 
     def test_schema_mismatch_rejected(self):
         rep = grid_rep(copies=5)
@@ -302,6 +346,34 @@ class TestSuiteSharesControls:
         suite = run_cg_suite(rep, pairs, (LINEAR,), FAST)
         assert [run.n_test for run in suite.runs] == [10, 10, 10, 7]
         assert len(calls) == (4 + 2) * rep.n_factors
+
+
+class TestProbeCallOrder:
+    """The benchmark's control_share counts every measure_probes call inside
+    a run_cg call after the first as the control's."""
+
+    def record_salts(self, monkeypatch):
+        calls = []
+        measure_probes = cgtask.measure_probes
+
+        def recorded(train_rep, test_latents, probe_kind, config, seed_salt=0):
+            calls.append((probe_kind, seed_salt))
+            return measure_probes(train_rep, test_latents, probe_kind, config, seed_salt)
+
+        monkeypatch.setattr(cgtask, "measure_probes", recorded)
+        return calls
+
+    def test_run_probes_the_held_out_split_before_the_control(self, monkeypatch):
+        calls = self.record_salts(monkeypatch)
+        run_cg(grid_rep(copies=10), ("size", 2, "shape", 3), LINEAR, FAST)
+        assert calls == [(LINEAR, 1), (LINEAR, 2)]
+
+    def test_suite_with_equal_held_out_sizes_probes_one_control_per_kind(self, monkeypatch):
+        calls = self.record_salts(monkeypatch)
+        pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1), ("size", 1, "shape", 2)]
+        run_cg_suite(grid_rep(copies=10), pairs, (LINEAR, MLP), FAST)
+        assert calls == [(LINEAR, 1), (LINEAR, 2), (MLP, 1), (MLP, 2)] + [
+            (LINEAR, 1), (MLP, 1)] * 2
 
 
 class TestSamplePairs:

@@ -328,22 +328,16 @@ class TestCg:
         assert "cg (linear)" in stdout
 
     def test_presplit_matches_internal_split(self, workspace, tmp_path):
-        from detangle.dataset import (
-            SplitSpec,
-            load_representation_set,
-            split_indices,
-            write_representation_set,
-        )
+        from detangle.dataset import load_representation_set, write_representation_set
 
         rep = load_representation_set(workspace / "ideal" / "data.csv",
                                       workspace / "ideal" / "schema.json")
-        spec = SplitSpec(kind="cg_exclusion", factor_a="size", value_a=2,
-                         factor_b="shape", value_b=1)
-        train_idx, test_idx = split_indices(rep, spec)
-        for name, idx in (("train", train_idx), ("test", test_idx)):
+        held_out = (rep.labels[:, 0] == 2) & (rep.labels[:, 1] == 1)
+        for name, rows in (("train", ~held_out), ("test", held_out)):
             d = tmp_path / name
             d.mkdir()
-            write_representation_set(rep.subset(idx), d / "data.csv", d / "schema.json")
+            write_representation_set(rep.subset(np.flatnonzero(rows)),
+                                     d / "data.csv", d / "schema.json")
         out = tmp_path / "pre.json"
         assert cli(["cg", "--train-data", str(tmp_path / "train"),
                     "--test-data", str(tmp_path / "test"),
@@ -368,6 +362,14 @@ class TestCg:
     def test_external_mode_misuse_exits_1(self, argv, fragment, capsys):
         assert cli(["cg"] + argv) == 1
         assert fragment in capsys.readouterr().err
+
+    def test_out_of_range_pair_exits_1_in_both_modes(self, workspace, capsys):
+        data = str(workspace / "b")
+        errors = []
+        for sets in (["--data", data], ["--train-data", data, "--test-data", data]):
+            assert cli(["cg", *sets, "--pairs", "colour:5,shape:1"]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: value_a=5 out of range for factor 'colour' (cardinality 2)\n"] * 2
 
     @pytest.mark.parametrize("pairs", ["size:2", "size:2,shape:x", "size,shape",
                                        "size:2,shape:1,extra:0", ";"])
@@ -434,6 +436,20 @@ class TestCorrelate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'dci'" in err
+
+    def test_non_numeric_factor_score_exits_1(self, workspace, tmp_path, capsys):
+        models = ("ideal", "rotated", "code")
+        bad = read_json(workspace / "rotated_metrics.json")
+        bad["mig"]["per_factor"]["size"] = "x"
+        (tmp_path / "rotated_metrics.json").write_text(json.dumps(bad), encoding="utf-8")
+        metric_paths = [workspace / "ideal_metrics.json", tmp_path / "rotated_metrics.json",
+                        workspace / "code_metrics.json"]
+        assert cli(["correlate", "--metrics", ",".join(map(str, metric_paths)),
+                    "--cg", ",".join(str(workspace / f"{m}_cg.json") for m in models),
+                    "--subset", "size,shape", "--columns", "mig"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'mig'" in err and "'size'" in err
 
     def test_missing_file_exits_2(self, workspace, tmp_path):
         assert cli(["correlate", "--metrics", str(tmp_path / "gone.json"),

@@ -363,44 +363,7 @@ class TestSplits:
         with pytest.raises(SplitError):
             SplitSpec(kind="random", test_fraction=0.5)
 
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(2, 120), seed=st.integers(0, 2**32 - 1),
-           value_a=st.integers(0, 1), value_b=st.integers(0, 2))
-    def test_cg_exclusion_membership(self, n, seed, value_a, value_b):
-        rep = small_rep(n=n, seed=seed)
-        mask = (rep.labels[:, 0] == value_a) & (rep.labels[:, 1] == value_b)
-        assume(0 < mask.sum() < n)
-        spec = SplitSpec(kind="cg_exclusion", factor_a="colour", value_a=value_a,
-                         factor_b="shape", value_b=value_b)
-        train, test = split_indices(rep, spec)
-        assert np.array_equal(test, np.where(mask)[0])
-        assert np.array_equal(train, np.where(~mask)[0])
-        assert_partition(train, test, n)
-
-    def test_cg_exclusion_errors(self):
-        rep = small_rep(n=30, seed=4)
-        with pytest.raises(SplitError, match="matches no rows"):
-            labels = rep.labels.copy()
-            labels[:, 0] = 0
-            only_zero = RepresentationSet(rep.latents, labels, SCHEMA)
-            split_indices(
-                only_zero,
-                SplitSpec(kind="cg_exclusion", factor_a="colour", value_a=1,
-                          factor_b="shape", value_b=0),
-            )
-        with pytest.raises(SplitError, match="distinct factors"):
-            split_indices(
-                rep,
-                SplitSpec(kind="cg_exclusion", factor_a="colour", value_a=0,
-                          factor_b="colour", value_b=1),
-            )
-        with pytest.raises(SplitError, match="out of range"):
-            split_indices(
-                rep,
-                SplitSpec(kind="cg_exclusion", factor_a="colour", value_a=5,
-                          factor_b="shape", value_b=0),
-            )
-        with pytest.raises(SplitError):
-            SplitSpec(kind="cg_exclusion", factor_a="colour", value_a=0)
-        with pytest.raises(SplitError):
-            SplitSpec(kind="upside_down")
+    @pytest.mark.parametrize("kind", ["upside_down", "cg_exclusion"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(SplitError, match="unknown split kind"):
+            SplitSpec(kind=kind, test_fraction=0.5, seed=1)
