@@ -1,5 +1,6 @@
 """Tests for probe training: gradients, determinism, capacity, adjustment."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -486,3 +487,34 @@ class TestChanceAndAdjustment:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert adjusted_accuracy(0.9, 0.5) == pytest.approx(0.8)
+
+
+WEIGHT_FINGERPRINTS = {
+    LINEAR: "0ad41d258427f4cdc3d1be63754db6ad00463cebf2659c8d666d294ea4e783c6",
+    MLP: "f3dd43f1168d787355eaf8471c6ba51b64d68ee95e0f2f254b96be574b910eb0",
+}
+
+
+def noisy_six_class_problem():
+    """Six overlapping Gaussian classes in 8 dimensions, fixed seed."""
+    rng = np.random.default_rng(2024)
+    y = rng.integers(0, 6, size=300)
+    centers = rng.normal(size=(6, 8))
+    X = centers[y] + rng.normal(scale=1.5, size=(300, 8))
+    return X, y
+
+
+@pytest.mark.parametrize("kind", [LINEAR, MLP])
+def test_probe_weight_fingerprint(kind):
+    # Payload fingerprints round probe outputs to accuracies; this pins the
+    # trained weights and logits themselves, so any change in probe
+    # numerics shows here first.
+    X, y = noisy_six_class_problem()
+    config = TrainConfig(seed=5, epochs=3, hidden_units=16, batch_size=32)
+    model = train_probe(X, y, kind=kind, config=config, n_classes=6)
+    digest = hashlib.sha256()
+    for key in sorted(model.weights):
+        digest.update(key.encode("ascii"))
+        digest.update(model.weights[key].tobytes())
+    digest.update(model.logits(X).tobytes())
+    assert digest.hexdigest() == WEIGHT_FINGERPRINTS[kind]
