@@ -90,14 +90,19 @@ def test_atomic_write_text_mode_follows_umask(tmp_path):
     assert (tmp_path / "private.txt").stat().st_mode & 0o777 == 0o600
 
 
-def run_detangle(env_overrides, *args):
-    """Run `python -m detangle` in a fresh interpreter on this checkout."""
+def run_python(env_overrides, *args):
+    """Run `python *args` in a fresh interpreter on this checkout; return stdout."""
     src = str(Path(detangle.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     env = {**os.environ, "PYTHONPATH": path, **env_overrides}
-    proc = subprocess.run([sys.executable, "-m", "detangle", *args],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def run_detangle(env_overrides, *args):
+    """Run `python -m detangle` in a fresh interpreter on this checkout."""
+    run_python(env_overrides, "-m", "detangle", *args)
 
 
 def test_blas_thread_count_never_changes_metrics_payload(tmp_path):
@@ -111,3 +116,30 @@ def test_blas_thread_count_never_changes_metrics_payload(tmp_path):
                      "--seed", "3", "--epochs", "2", "--out", str(out))
         payloads.append(out.read_bytes())
     assert payloads[0] == payloads[1]
+
+
+# Big enough batches (512 x 32 features, 256 hidden units) that OpenBLAS
+# splits the probe's matrix products across threads when it may.
+PROBE_BYTES_SCRIPT = """
+import hashlib
+import numpy as np
+from detangle.classify import TrainConfig, train_probe
+rng = np.random.default_rng(8)
+y = rng.integers(0, 6, size=4000)
+X = rng.normal(size=(6, 32))[y] + rng.normal(size=(4000, 32))
+for kind in ("mlp", "linear"):
+    config = TrainConfig(seed=1, epochs=2, batch_size=512)
+    model = train_probe(X, y, kind, config, n_classes=6)
+    digest = hashlib.sha256()
+    for key in sorted(model.weights):
+        digest.update(model.weights[key].tobytes())
+    digest.update(model.logits(X).tobytes())
+    print(kind, digest.hexdigest())
+"""
+
+
+def test_blas_thread_count_never_changes_probe_weights():
+    outputs = [run_python({"OPENBLAS_NUM_THREADS": threads}, "-c", PROBE_BYTES_SCRIPT)
+               for threads in ("1", "2")]
+    assert len(outputs[0].split()) == 4
+    assert outputs[0] == outputs[1]
