@@ -311,24 +311,27 @@ def run_cg_suite(
 ) -> CgSuiteResult:
     """Cross product of pairs x probe kinds, with per-kind averages.
 
-    Fails fast, naming the pair, when any exclusion split is degenerate.
+    Checks every pair before any probe trains, and fails naming the first
+    pair whose exclusion split is degenerate.
     Pairs with the same held-out size share one control per probe kind.
     """
     config = config or TrainConfig()
     if not pairs:
         raise ValidationError("run_cg_suite needs at least one excluded pair")
-    runs: list[CgRunResult] = []
-    controls: dict = {}
     for pair in pairs:
-        for kind in probe_kinds:
-            try:
-                runs.append(run_cg(rep, pair, kind, config, control=control, _controls=controls))
-            except SplitError as exc:
-                named = _named_pair(rep.schema, pair)
-                raise SplitError(
-                    f"degenerate exclusion split for pair {named.to_json_dict()}: {exc}"
-                ) from exc
-
+        try:
+            _exclusion_rows(rep, resolve_pair(rep, pair))
+        except SplitError as exc:
+            named = _named_pair(rep.schema, pair)
+            raise SplitError(
+                f"degenerate exclusion split for pair {named.to_json_dict()}: {exc}"
+            ) from exc
+    controls: dict = {}
+    runs = [
+        run_cg(rep, pair, kind, config, control=control, _controls=controls)
+        for pair in pairs
+        for kind in probe_kinds
+    ]
     return CgSuiteResult(runs=tuple(runs), averages=suite_averages(runs, probe_kinds))
 
 

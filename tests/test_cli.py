@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import detangle
+import detangle.cgtask as cgtask
 from detangle.cli import build_parser, cli
 from detangle.util import payload_kind
 
@@ -370,6 +371,16 @@ class TestCg:
             assert cli(["cg", *sets, "--pairs", "colour:5,shape:1"]) == 1
             errors.append(capsys.readouterr().err)
         assert errors == ["error: value_a=5 out of range for factor 'colour' (cardinality 2)\n"] * 2
+
+    def test_bad_last_pair_exits_1_before_any_probe_trains(self, workspace, monkeypatch,
+                                                           capsys):
+        calls = []
+        monkeypatch.setattr(cgtask, "train_probe", lambda *args, **kwargs: calls.append(1))
+        assert cli(["cg", "--data", str(workspace / "b"), "--probe", "both",
+                    "--pairs", "colour:0,shape:1;colour:5,shape:1"]) == 1
+        assert calls == []
+        assert capsys.readouterr().err.startswith(
+            "error: degenerate exclusion split for pair {'factor_a': 'colour', 'value_a': 5,")
 
     @pytest.mark.parametrize("pairs", ["size:2", "size:2,shape:x", "size,shape",
                                        "size:2,shape:1,extra:0", ";"])
