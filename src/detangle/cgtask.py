@@ -327,11 +327,8 @@ def run_cg_suite(
                 f"degenerate exclusion split for pair {named.to_json_dict()}: {exc}"
             ) from exc
     controls: dict = {}
-    runs = [
-        run_cg(rep, pair, kind, config, control=control, _controls=controls)
-        for pair in pairs
-        for kind in probe_kinds
-    ]
+    runs = [run_cg(rep, pair, kind, config, control=control, _controls=controls)
+            for pair in pairs for kind in probe_kinds]
     return CgSuiteResult(runs=tuple(runs), averages=suite_averages(runs, probe_kinds))
 
 

@@ -2,9 +2,10 @@
 layer ReLU MLP, trained with Adam on softmax cross-entropy.
 
 Training is bit-deterministic for a fixed config: parameter init and batch
-shuffling come from one seeded generator, everything runs in float64, and no
-early stopping or learning-rate schedule is applied. Inputs are standardized
-with statistics of the training split; the fitted model carries them.
+shuffling come from one seeded generator, and no early stopping or
+learning-rate schedule is applied. Inputs are standardized in float64 with
+statistics of the training split, which the fitted model carries; training
+and prediction run in float32.
 """
 
 from __future__ import annotations
@@ -66,14 +67,16 @@ class ProbeModel:
             raise ValidationError(
                 f"expected features with {self.mu.shape[0]} columns, got shape {features.shape}"
             )
-        return (features - self.mu) / self.sigma
+        return ((features - self.mu) / self.sigma).astype(np.float32)
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         return _forward(self.weights, self.kind, self._standardize(features))[0]
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Class probabilities; each row sums to 1 within 1e-9."""
-        return _softmax(self.logits(features))
+        """Class probabilities, by a float64 softmax; each row sums to 1 within 1e-9."""
+        logits = self.logits(features).astype(np.float64)
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return exp / exp.sum(axis=1, keepdims=True)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Most likely class per row; argmax ties go to the lowest index."""
@@ -113,12 +116,10 @@ def train_probe(
         raise ValidationError("features must be finite")
     if y.ndim != 1 or y.shape[0] != X.shape[0]:
         raise ValidationError("labels must be 1-D and match the feature rows")
-    if not np.issubdtype(y.dtype, np.integer):
-        as_int = y.astype(np.int64)
-        if not np.array_equal(as_int, y):
-            raise ValidationError("labels must be integers")
-        y = as_int
-    y = y.astype(np.int64)
+    as_int = y.astype(np.int64)
+    if not np.array_equal(as_int, y):
+        raise ValidationError("labels must be integers")
+    y = as_int
     if y.min() < 0:
         raise ValidationError("labels must be non-negative")
     present = np.unique(y)
@@ -131,22 +132,29 @@ def train_probe(
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
     sigma = np.where(sigma < 1e-12, 1.0, sigma)
-    Xs = (X - mu) / sigma
+    Xs = X - mu
+    Xs /= sigma
+    Xs = Xs.astype(np.float32)
 
     rng = np.random.default_rng(config.seed)
-    d = X.shape[1]
-    weights = _init_weights(kind, d, k, config.hidden_units, rng)
+    init = _init_weights(kind, X.shape[1], k, config.hidden_units, rng)
+    # Every parameter lives in one flat float32 vector, so Adam updates all
+    # of them with one pass of ufuncs; weights and grads are views into it.
+    theta = np.concatenate([w.ravel() for w in init.values()]).astype(np.float32)
+    g, m, v, s1, s2 = (np.zeros_like(theta) for _ in range(5))
+    weights, grads, start = {}, {}, 0
+    for key, w in init.items():
+        weights[key], grads[key] = (a[start : start + w.size].reshape(w.shape) for a in (theta, g))
+        start += w.size
 
     n = X.shape[0]
-    batch_size = min(config.batch_size, n)
-    adam_m = {key: np.zeros_like(w) for key, w in weights.items()}
-    adam_v = {key: np.zeros_like(w) for key, w in weights.items()}
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            loss, grads = probe_loss_and_gradients(weights, kind, Xs[batch], y[batch])
+        X_epoch, y_epoch = Xs[order], y[order]
+        for start in range(0, n, config.batch_size):
+            batch = slice(start, start + config.batch_size)
+            loss, _ = probe_loss_and_gradients(weights, kind, X_epoch[batch], y_epoch[batch], grads)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, float(loss))
             step += 1
@@ -155,29 +163,24 @@ def train_probe(
             # In place, but each element sees the same operations in the same
             # order as m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
             # w = w - (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
-            for key, g in grads.items():
-                m, v = adam_m[key], adam_v[key]
-                m *= config.beta1
-                m += (1.0 - config.beta1) * g
-                v *= config.beta2
-                v += (1.0 - config.beta2) * g * g
-                denom = v / bc2
-                np.sqrt(denom, out=denom)
-                denom += config.epsilon
-                update = m / bc1
-                update *= config.learning_rate
-                update /= denom
-                weights[key] -= update
+            np.multiply(m, config.beta1, out=m)
+            np.multiply(g, 1.0 - config.beta1, out=s1)
+            np.add(m, s1, out=m)
+            np.multiply(v, config.beta2, out=v)
+            np.multiply(g, 1.0 - config.beta2, out=s1)
+            np.multiply(s1, g, out=s1)
+            np.add(v, s1, out=v)
+            np.divide(v, bc2, out=s1)
+            np.sqrt(s1, out=s1)
+            np.add(s1, config.epsilon, out=s1)
+            np.divide(m, bc1, out=s2)
+            np.multiply(s2, config.learning_rate, out=s2)
+            np.divide(s2, s1, out=s2)
+            np.subtract(theta, s2, out=theta)
 
-    mu_frozen = mu.copy()
-    sigma_frozen = sigma.copy()
-    mu_frozen.setflags(write=False)
-    sigma_frozen.setflags(write=False)
-    for w in weights.values():
-        w.setflags(write=False)
-    return ProbeModel(
-        kind=kind, n_classes=k, mu=mu_frozen, sigma=sigma_frozen, weights=weights, config=config
-    )
+    for array in (mu, sigma, theta, *weights.values()):
+        array.setflags(write=False)
+    return ProbeModel(kind=kind, n_classes=k, mu=mu, sigma=sigma, weights=weights, config=config)
 
 
 def probe_loss_and_gradients(
@@ -185,10 +188,13 @@ def probe_loss_and_gradients(
     kind: str,
     X: np.ndarray,
     y: np.ndarray,
+    out: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch and its analytic gradients.
 
-    Exposed so gradient-check tests can compare against finite differences.
+    Computes in the dtype of X and weights, and writes the gradients into out
+    (arrays shaped like weights) or, without it, into fresh arrays. Exposed
+    so gradient-check tests can compare against finite differences.
     """
     log_probs, hidden = _forward(weights, kind, X)
     b = X.shape[0]
@@ -201,21 +207,21 @@ def probe_loss_and_gradients(
     delta[rows, y] -= 1.0
     delta /= b
 
-    grads: dict[str, np.ndarray] = {}
+    grads = {key: np.empty_like(w) for key, w in weights.items()} if out is None else out
     if kind == LINEAR:
-        grads["W"] = X.T @ delta
-        grads["b"] = delta.sum(axis=0)
+        np.matmul(X.T, delta, out=grads["W"])
+        delta.sum(axis=0, out=grads["b"])
     else:
-        grads["W2"] = hidden.T @ delta
-        grads["b2"] = delta.sum(axis=0)
+        np.matmul(hidden.T, delta, out=grads["W2"])
+        delta.sum(axis=0, out=grads["b2"])
         dhidden = delta @ weights["W2"].T
         # Multiplying by the mask is branch-free, unlike a boolean scatter. It
         # leaves -0.0 where a scatter would write +0.0, so a gradient differs
         # at most in the sign of an exact zero; Adam's b1*m + (1-b1)*g gives
         # the same m for either zero, so the trained weights do not change.
         dhidden *= hidden > 0
-        grads["W1"] = X.T @ dhidden
-        grads["b1"] = dhidden.sum(axis=0)
+        np.matmul(X.T, dhidden, out=grads["W1"])
+        dhidden.sum(axis=0, out=grads["b1"])
     return loss, grads
 
 
@@ -298,9 +304,3 @@ def _forward(
     logits = hidden @ weights["W2"]
     logits += weights["b2"]
     return logits, hidden
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)

@@ -98,6 +98,28 @@ class TestGradients:
         loss, _ = probe_loss_and_gradients(weights, LINEAR, X, y)
         assert loss == pytest.approx(np.log(3.0), abs=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", [LINEAR, MLP])
+    def test_out_views_get_the_fresh_gradients(self, kind, dtype):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(16, 5)).astype(dtype)
+        y = rng.integers(0, 4, size=16)
+        shapes = _init_weights(kind, 5, 4, 7, rng)
+        weights = {key: rng.normal(size=w.shape).astype(dtype) for key, w in shapes.items()}
+        flat = np.full(sum(w.size for w in weights.values()), np.nan, dtype=dtype)
+        ends = np.cumsum([w.size for w in weights.values()])
+        out = {key: flat[end - w.size : end].reshape(w.shape)
+               for (key, w), end in zip(weights.items(), ends)}
+        loss, grads = probe_loss_and_gradients(weights, kind, X, y, out=out)
+        fresh_loss, fresh = probe_loss_and_gradients(weights, kind, X, y)
+        assert grads is out
+        assert loss == fresh_loss
+        assert out.keys() == fresh.keys()
+        for key, g in out.items():
+            assert g.dtype == fresh[key].dtype == dtype, key
+            assert np.shares_memory(g, flat), key
+            assert g.tobytes() == fresh[key].tobytes(), key
+
     def test_loss_handles_large_logits(self):
         X = np.array([[1000.0], [-1000.0]])
         y = np.array([0, 1])
@@ -111,6 +133,15 @@ def xor_features_labels(copies=256, seed=0):
     spec = GeneratorSpec(kind="xor", samples_per_cell=copies, seed=seed)
     rep = generate(spec)
     return rep.latents, rep.labels[:, 0].astype(np.int64)
+
+
+def noisy_six_class_problem():
+    """Six overlapping Gaussian classes in 8 dimensions, fixed seed."""
+    rng = np.random.default_rng(2024)
+    y = rng.integers(0, 6, size=300)
+    centers = rng.normal(size=(6, 8))
+    X = centers[y] + rng.normal(scale=1.5, size=(300, 8))
+    return X, y
 
 
 class TestTrainProbe:
@@ -187,6 +218,19 @@ class TestTrainProbe:
         assert model.n_classes == 4
         assert model.predict_proba(X).shape == (40, 4)
 
+    @pytest.mark.parametrize("kind", [LINEAR, MLP])
+    def test_float32_weights_float64_moments_all_read_only(self, kind):
+        X, y = noisy_six_class_problem()
+        X_bytes, y_bytes = X.tobytes(), y.tobytes()
+        model = train_probe(X, y, kind=kind, config=TrainConfig(seed=1, epochs=1, hidden_units=8))
+        assert X.tobytes() == X_bytes and y.tobytes() == y_bytes
+        assert model.mu.dtype == model.sigma.dtype == np.float64
+        assert {w.dtype for w in model.weights.values()} == {np.dtype(np.float32)}
+        for array in (model.mu, model.sigma, *model.weights.values()):
+            assert not array.flags.writeable
+        assert model.logits(X).dtype == np.float32
+        assert model.predict_proba(X).dtype == np.float64
+
     def test_single_class_labels_rejected(self):
         X = np.zeros((10, 2))
         y = np.zeros(10, dtype=np.int64)
@@ -262,7 +306,8 @@ def reference_loss_and_gradients(weights, kind, X, y):
 
 
 def reference_train(X, y, kind, config, k):
-    """The original out-of-place Adam loop.
+    """The original out-of-place Adam loop, in float32: the features are
+    standardized in float64 and then, like the initial weights, cast.
 
     Returns the trained weights, which train_probe must reproduce bit for
     bit, and the standardized features.
@@ -270,9 +315,12 @@ def reference_train(X, y, kind, config, k):
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
     sigma = np.where(sigma < 1e-12, 1.0, sigma)
-    Xs = (X - mu) / sigma
+    Xs = ((X - mu) / sigma).astype(np.float32)
     rng = np.random.default_rng(config.seed)
-    weights = _init_weights(kind, X.shape[1], k, config.hidden_units, rng)
+    weights = {
+        key: w.astype(np.float32)
+        for key, w in _init_weights(kind, X.shape[1], k, config.hidden_units, rng).items()
+    }
     n = X.shape[0]
     batch_size = min(config.batch_size, n)
     adam_m = {key: np.zeros_like(w) for key, w in weights.items()}
@@ -370,6 +418,14 @@ class TestProbeModel:
         assert probs.shape == (len(y), 2)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs >= 0.0)
+        # Unsaturated: every class keeps real mass, so rounding in each term
+        # of the row sum counts.
+        X, y = noisy_six_class_problem()
+        model = train_probe(X, y, kind=LINEAR, config=TrainConfig(seed=2, epochs=1))
+        probs = model.predict_proba(X)
+        assert probs.shape == (len(y), 6)
+        assert probs.min() > 1e-3
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_predict_tie_takes_lowest_class(self):
         # Zero weights give identical logits for every class.
@@ -490,18 +546,9 @@ class TestChanceAndAdjustment:
 
 
 WEIGHT_FINGERPRINTS = {
-    LINEAR: "0ad41d258427f4cdc3d1be63754db6ad00463cebf2659c8d666d294ea4e783c6",
-    MLP: "f3dd43f1168d787355eaf8471c6ba51b64d68ee95e0f2f254b96be574b910eb0",
+    LINEAR: "1a8c50410f4534982323b04e292fb5927abb75009803aa1dd9b2020fc842b3fb",
+    MLP: "c3e385b171238d024c0a1e1149e3e6e991c02141e2b121e89d01785c9129dbf0",
 }
-
-
-def noisy_six_class_problem():
-    """Six overlapping Gaussian classes in 8 dimensions, fixed seed."""
-    rng = np.random.default_rng(2024)
-    y = rng.integers(0, 6, size=300)
-    centers = rng.normal(size=(6, 8))
-    X = centers[y] + rng.normal(scale=1.5, size=(300, 8))
-    return X, y
 
 
 @pytest.mark.parametrize("kind", [LINEAR, MLP])
