@@ -3,7 +3,10 @@
 Each test runs one CLI job on a fixed-seed input and pins the sha256 of
 its JSON payload in canonical form (sorted keys, fixed separators, floats
 by repr). A refactor that keeps every number bit-identical keeps every
-hash; a change that alters numerics must say so and re-pin them.
+hash; a change that alters numerics must say so and re-pin them. A second
+hash pins the raw bytes `--out` writes, so a change of key order or
+indentation fails too. The correlation payload of the shared
+generator-family study is pinned the same two ways.
 
 Inputs: the exact `table1_b` population with 40 copies per cell (as in the
 acceptance suite), whose neurons are already discrete, its split into the
@@ -32,6 +35,21 @@ FINGERPRINTS = {
     "metrics_rotated": "21783c2244f868281aa04869bf16a04a7c1407010562e0ff3e7ded71dc7a5859",
     "align_rotated": "db2e83a428477fe4a1f07974bfce8cad09c9d3c47fbf382422ded463b5e10f09",
 }
+
+# sha256 of the file each job writes with --out, byte for byte.
+RAW_FINGERPRINTS = {
+    "metrics_table1_b": "218c8d1abd861e79d3a0ffb94ce1fba96fc9547beca945f12053ff1d24dfe37e",
+    "align_table1_b": "9c09c318c91b40636a107b71608cae56d37b22538c2b73d8f6a09edef8d639b4",
+    "cg_control_table1_b": "cea96c628d8178217cc7f22a7092b07be8a1f1a0a787281d65dbd847de3816da",
+    "cg_no_control_table1_b": "27def5f952de4ceef799f3c5dc3c7c960dfb46cf7dfb4266b282191b8b113a2a",
+    "cg_external_table1_b": "01ebb923f7981c76f2b5358747167646d2eaf57bc26014ba5dc990f23874108f",
+    "cg_suite_table1_b": "e44f508814fe738c4ea9616b7a87676a2e21968a37078cb74651dea17f65c8ad",
+    "metrics_rotated": "91f864914d05c45417f6947d426a0adcf7112ffb915317b6915c60ce245d6b50",
+    "align_rotated": "92549680563f628d48f0912d925d0968e819357bccc03d7429e5103d045bd01c",
+}
+
+CORRELATION_FINGERPRINT = "fbf312091db09f9d1a656eb551632b5c34063f86f887f3acb5503d0c4a4b14ac"
+CORRELATION_RAW_FINGERPRINT = "74e228b9063169627167486a4c24ece27b73be7bbd64eb7d262979b879644140"
 
 
 def canonical_sha256(payload) -> str:
@@ -82,5 +100,13 @@ def test_payload_fingerprint(job, inputs, tmp_path, capsys):
     out = tmp_path / "payload.json"
     assert cli(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
-    payload = json.loads(out.read_text(encoding="utf-8"))
-    assert canonical_sha256(payload) == FINGERPRINTS[job]
+    raw = out.read_bytes()
+    assert canonical_sha256(json.loads(raw.decode("utf-8"))) == FINGERPRINTS[job]
+    assert hashlib.sha256(raw).hexdigest() == RAW_FINGERPRINTS[job]
+
+
+def test_correlation_fingerprint(generator_family_study):
+    payload = generator_family_study["correlation"]
+    assert canonical_sha256(payload) == CORRELATION_FINGERPRINT
+    text = json.dumps(payload, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CORRELATION_RAW_FINGERPRINT
