@@ -9,37 +9,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .metrics import aggregate
-from .util import payload_kind
+from .util import payload_kind, require_distinct
 
 _BETA_EPS = 3e-14
 _BETA_FPMIN = 1e-300
 _BETA_MAX_ITER = 300
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    r: float
-    n: int
-    t: float
-    p: float
-    p_floored: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "r": self.r,
-            "n": self.n,
-            "t": self.t,
-            "p": self.p,
-            "p_floored": self.p_floored,
-        }
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -112,8 +92,10 @@ def t_two_sided_p(t: float, df: int) -> float:
     return betainc_regularized(df / 2.0, 0.5, df / (df + t * t))
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
-    """Pearson correlation with a two-sided significance test.
+def pearson(x: Sequence[float], y: Sequence[float]) -> dict:
+    """Pearson correlation with a two-sided significance test: the
+    correlation block of a correlate payload, with keys r, n, t, p and
+    p_floored.
 
     Needs n >= 3 finite points and nonzero variance on both sides. A perfect
     |r| = 1 fit has an infinite t statistic; its p is reported as the
@@ -140,15 +122,19 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     n = int(xv.size)
     df = n - 2
     if abs(r) == 1.0:
-        return CorrelationResult(
-            r=r, n=n, t=math.inf if r > 0 else -math.inf, p=sys.float_info.min, p_floored=True
-        )
-    t = r * math.sqrt(df) / math.sqrt(1.0 - r * r)
-    p = t_two_sided_p(t, df)
+        t, p = math.copysign(math.inf, r), 0.0
+    else:
+        t = r * math.sqrt(df) / math.sqrt(1.0 - r * r)
+        p = t_two_sided_p(t, df)
     floored = p < sys.float_info.min
-    if floored:
-        p = sys.float_info.min
-    return CorrelationResult(r=r, n=n, t=t, p=p, p_floored=floored)
+    return {
+        "schema_version": 1,
+        "r": r,
+        "n": n,
+        "t": t,
+        "p": max(p, sys.float_info.min),
+        "p_floored": floored,
+    }
 
 
 MEAN_ALL = "mean_all"
@@ -228,8 +214,12 @@ def correlate_metrics_with_cg(
             f"got {len(metric_payloads)} metric payloads but {len(cg_payloads)} "
             "generalization payloads"
         )
+    if not metrics:
+        raise ValidationError("correlate needs at least one metric column")
+    require_distinct(metrics, "metric column")
     if not subset:
         raise ValidationError("correlate needs a nonempty factor subset")
+    require_distinct(subset, "factor in subset")
     if baseline_aggregate not in BASELINE_AGGREGATES:
         raise ValidationError(
             f"baseline_aggregate must be one of {BASELINE_AGGREGATES}, "
@@ -252,11 +242,7 @@ def correlate_metrics_with_cg(
             names = None if baseline_aggregate == MEAN_ALL else subset
             mode = "product" if baseline_aggregate == PRODUCT_SUBSET else "mean"
         x = [_aggregate_from_payload(p, metric, names, mode) for p in metric_payloads]
-        result = pearson(x, y)
-        out["per_metric"][metric] = {
-            "values": x,
-            "correlation": result.to_json_dict(),
-        }
+        out["per_metric"][metric] = {"values": x, "correlation": pearson(x, y)}
     return out
 
 

@@ -18,7 +18,7 @@ separate run_cg calls report.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,35 +47,6 @@ class ExcludedPair:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class CgRunResult:
-    pair: ExcludedPair
-    probe_kind: str
-    per_factor: dict[str, dict]
-    joint_both: dict
-    control: dict | None
-    n_train: int
-    n_test: int
-    audit: dict
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        return {"schema_version": 1, **asdict(self)}
-
-
-@dataclass(frozen=True)
-class CgSuiteResult:
-    runs: tuple[CgRunResult, ...]
-    averages: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "runs": [run.to_json_dict() for run in self.runs],
-            "averages": self.averages,
-        }
 
 
 def _named_pair(schema: FactorSchema, pair: ExcludedPair | tuple) -> ExcludedPair:
@@ -215,25 +186,27 @@ def _held_out_run(
     probe_kind: str,
     config: TrainConfig,
     leaked: int | None,
-) -> CgRunResult:
+) -> dict:
     """Probe a held-out split: train on train_rep, score on test_rep, and
-    audit the split. The two sets together are the full population whose
-    label frequencies set the chance rates. No control."""
+    audit the split; returns the run payload with control None. The two
+    sets together are the full population whose label frequencies set the
+    chance rates."""
     schema = train_rep.schema
     preds = measure_probes(train_rep, test_rep.latents, probe_kind, config, seed_salt=1)
     full_labels = np.vstack([train_rep.labels, test_rep.labels])
     per_factor, joint_both = _score(pair, schema, preds, test_rep.labels, full_labels)
-    return CgRunResult(
-        pair=pair,
-        probe_kind=probe_kind,
-        per_factor=per_factor,
-        joint_both=joint_both,
-        control=None,
-        n_train=train_rep.n_rows,
-        n_test=test_rep.n_rows,
-        audit=_split_audit(pair, schema, train_rep.labels, test_rep.labels, leaked),
-        seed=config.seed,
-    )
+    return {
+        "schema_version": 1,
+        "pair": pair.to_json_dict(),
+        "probe_kind": probe_kind,
+        "per_factor": per_factor,
+        "joint_both": joint_both,
+        "control": None,
+        "n_train": train_rep.n_rows,
+        "n_test": test_rep.n_rows,
+        "audit": _split_audit(pair, schema, train_rep.labels, test_rep.labels, leaked),
+        "seed": config.seed,
+    }
 
 
 def run_cg(
@@ -243,8 +216,9 @@ def run_cg(
     config: TrainConfig | None = None,
     control: bool = True,
     _controls: dict | None = None,
-) -> CgRunResult:
-    """One exclusion run: hold out the pair's rows, probe, and audit the split.
+) -> dict:
+    """One exclusion run: hold out the pair's rows, probe, and audit the
+    split. Returns the run payload that `detangle cg --out` writes.
 
     The audit records that train and test row ids are disjoint, that no
     training row matches the excluded combination, and that every test row
@@ -276,14 +250,12 @@ def run_cg(
             ctr_test.labels,
         )
     ctr_per_factor, ctr_joint = _score(pair, rep.schema, *controls[key], rep.labels)
-    return replace(
-        result,
-        control={
-            "split": control_split.to_json_dict(),
-            "per_factor": ctr_per_factor,
-            "joint_both": ctr_joint,
-        },
-    )
+    result["control"] = {
+        "split": control_split.to_json_dict(),
+        "per_factor": ctr_per_factor,
+        "joint_both": ctr_joint,
+    }
+    return result
 
 
 def run_cg_presplit(
@@ -292,7 +264,7 @@ def run_cg_presplit(
     pair: ExcludedPair | tuple,
     probe_kind: str = MLP,
     config: TrainConfig | None = None,
-) -> CgRunResult:
+) -> dict:
     """Run on an externally produced train/test pair (e.g. separately encoded
     splits). No control split is computed; the audit verifies the exclusion
     structure of the given sets."""
@@ -308,8 +280,9 @@ def run_cg_suite(
     probe_kinds: Sequence[str] = (MLP,),
     config: TrainConfig | None = None,
     control: bool = True,
-) -> CgSuiteResult:
-    """Cross product of pairs x probe kinds, with per-kind averages.
+) -> dict:
+    """Cross product of pairs x probe kinds: the suite payload of their runs
+    and per-kind averages.
 
     Checks every pair before any probe trains, and fails naming the first
     pair whose exclusion split is degenerate.
@@ -329,46 +302,49 @@ def run_cg_suite(
     controls: dict = {}
     runs = [run_cg(rep, pair, kind, config, control=control, _controls=controls)
             for pair in pairs for kind in probe_kinds]
-    return CgSuiteResult(runs=tuple(runs), averages=suite_averages(runs, probe_kinds))
+    return _suite_payload(runs, probe_kinds)
 
 
-def cg_payload(runs: Sequence[CgRunResult], probe_kinds: Sequence[str]) -> dict:
+def cg_payload(runs: Sequence[dict], probe_kinds: Sequence[str]) -> dict:
     """The stored payload of one cg job: a single run's payload, or for
     several runs a suite payload with their per-kind averages."""
-    if len(runs) == 1:
-        return runs[0].to_json_dict()
-    return CgSuiteResult(tuple(runs), suite_averages(runs, probe_kinds)).to_json_dict()
+    return runs[0] if len(runs) == 1 else _suite_payload(runs, probe_kinds)
 
 
-def suite_averages(runs: Sequence[CgRunResult], probe_kinds: Sequence[str]) -> dict:
-    """Per-probe-kind averages over a list of runs (control rows if present)."""
+def _suite_payload(runs: Sequence[dict], probe_kinds: Sequence[str]) -> dict:
+    return {"schema_version": 1, "runs": list(runs), "averages": suite_averages(runs, probe_kinds)}
+
+
+def _run_scores(run: dict) -> dict:
+    """The scores of one run payload that a suite averages, under their
+    average keys; the control's only when the run has one."""
+    a, b = run["pair"]["factor_a"], run["pair"]["factor_b"]
+    scores = {
+        "excluded_a_adjusted": run["per_factor"][a]["adjusted"],
+        "excluded_b_adjusted": run["per_factor"][b]["adjusted"],
+        "joint_both_adjusted": run["joint_both"]["adjusted"],
+        "joint_both_raw": run["joint_both"]["raw"],
+    }
+    control = run["control"]
+    if control is not None:
+        scores["control_joint_both_adjusted"] = control["joint_both"]["adjusted"]
+        scores["control_excluded_a_adjusted"] = control["per_factor"][a]["adjusted"]
+        scores["control_excluded_b_adjusted"] = control["per_factor"][b]["adjusted"]
+    return scores
+
+
+def suite_averages(runs: Sequence[dict], probe_kinds: Sequence[str]) -> dict:
+    """Per-probe-kind averages over a list of run payloads (control rows if
+    every run of the kind has a control)."""
     averages: dict[str, dict] = {}
     for kind in probe_kinds:
-        kind_runs = [r for r in runs if r.probe_kind == kind]
-        if not kind_runs:
-            continue
-        averages[kind] = {
-            "excluded_a_adjusted": float(
-                np.mean([r.per_factor[r.pair.factor_a]["adjusted"] for r in kind_runs])
-            ),
-            "excluded_b_adjusted": float(
-                np.mean([r.per_factor[r.pair.factor_b]["adjusted"] for r in kind_runs])
-            ),
-            "joint_both_adjusted": float(
-                np.mean([r.joint_both["adjusted"] for r in kind_runs])
-            ),
-            "joint_both_raw": float(np.mean([r.joint_both["raw"] for r in kind_runs])),
-        }
-        if all(r.control is not None for r in kind_runs):
-            averages[kind]["control_joint_both_adjusted"] = float(
-                np.mean([r.control["joint_both"]["adjusted"] for r in kind_runs])
-            )
-            averages[kind]["control_excluded_a_adjusted"] = float(
-                np.mean([r.control["per_factor"][r.pair.factor_a]["adjusted"] for r in kind_runs])
-            )
-            averages[kind]["control_excluded_b_adjusted"] = float(
-                np.mean([r.control["per_factor"][r.pair.factor_b]["adjusted"] for r in kind_runs])
-            )
+        rows = [_run_scores(r) for r in runs if r["probe_kind"] == kind]
+        if rows:
+            averages[kind] = {
+                key: float(np.mean([row[key] for row in rows]))
+                for key in rows[0]
+                if all(key in row for row in rows)
+            }
     return averages
 
 

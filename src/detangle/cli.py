@@ -264,7 +264,7 @@ def _metrics_payload(args) -> dict:
         config=_train_config(args),
         subset=_parse_subset(args.subset),
         aggregate_mode=args.aggregate,
-    ).to_json_dict()
+    )
 
 
 def _align_payload(args) -> dict:
@@ -303,7 +303,7 @@ def _cg_payload(args) -> dict:
         if len(pairs) == 1 and len(kinds) == 1:
             runs = [cgtask.run_cg(rep, pairs[0], kinds[0], config, control=control)]
         else:
-            runs = cgtask.run_cg_suite(rep, pairs, kinds, config, control=control).runs
+            runs = cgtask.run_cg_suite(rep, pairs, kinds, config, control=control)["runs"]
     return cgtask.cg_payload(runs, kinds)
 
 

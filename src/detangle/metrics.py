@@ -6,12 +6,13 @@ as many bins as the factor has classes, matches bins to classes with the
 best bijection, and chance-adjusts the agreement. NK (neuron knockout) is
 the drop in held-out probe accuracy when the aligned neuron is removed from
 the representation; chance-adjusted accuracies are recorded alongside the
-raw ones. MIG, SAP, and DCI are included as baselines.
+raw ones. MIG, SAP, and DCI are included as baselines. Each metric returns
+its block of the metrics payload as a plain dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .dataset import (
 )
 from .errors import DegenerateInputError, ValidationError
 from .infotheory import ContingencyTable, ImportanceMatrix, bin_matrix, entropy, importance_matrix
-from .util import spawn_seed
+from .util import require_distinct, spawn_seed
 
 MEAN = "mean"
 PRODUCT = "product"
@@ -73,26 +74,18 @@ def factor_entropies(rep: RepresentationSet) -> np.ndarray:
     return np.array([entropy(rep.labels[:, j]) for j in range(rep.n_factors)])
 
 
+def _per_factor_block(per_factor: dict[str, float], **extra) -> dict:
+    """A per-factor metric's payload block: its scores, their mean, then
+    the metric's own keys in the order given."""
+    return {"per_factor": per_factor, "mean": float(np.mean(list(per_factor.values()))), **extra}
+
+
 # ---------------------------------------------------------------------------
 # SNC
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SncResult:
-    per_factor: dict[str, float]
-    mean: float
-    details: dict[str, dict]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_factor": dict(self.per_factor),
-            "mean": self.mean,
-            "details": self.details,
-        }
-
-
-def snc(rep: RepresentationSet, alignment: Alignment) -> SncResult:
+def snc(rep: RepresentationSet, alignment: Alignment) -> dict:
     """Single-neuron classification score per factor, and their mean.
 
     For factor j with K_j classes and aligned neuron i: bin neuron i into
@@ -115,32 +108,12 @@ def snc(rep: RepresentationSet, alignment: Alignment) -> SncResult:
         score = adjusted_accuracy(agreement, r)
         per_factor[name] = score
         details[name] = {"neuron": int(neuron), "agreement": agreement, "chance_rate": r}
-    return SncResult(
-        per_factor=per_factor,
-        mean=float(np.mean(list(per_factor.values()))),
-        details=details,
-    )
+    return _per_factor_block(per_factor, details=details)
 
 
 # ---------------------------------------------------------------------------
 # NK
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NkResult:
-    per_factor: dict[str, float]
-    mean: float
-    details: dict[str, dict]
-    split: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_factor": dict(self.per_factor),
-            "mean": self.mean,
-            "details": self.details,
-            "split": self.split,
-        }
 
 
 def _nk_split(seed: int) -> SplitSpec:
@@ -153,7 +126,7 @@ def nk(
     rep: RepresentationSet,
     alignment: Alignment,
     config: TrainConfig | None = None,
-) -> NkResult:
+) -> dict:
     """Neuron-knockout score per factor: held-out accuracy drop after
     removing the aligned neuron, clamped at zero.
 
@@ -200,12 +173,7 @@ def nk(
             "chance_rate": r,
         }
 
-    return NkResult(
-        per_factor=per_factor,
-        mean=float(np.mean(list(per_factor.values()))),
-        details=details,
-        split=split.to_json_dict(),
-    )
+    return _per_factor_block(per_factor, details=details, split=split.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +181,7 @@ def nk(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MigResult:
-    per_factor: dict[str, float]
-    mean: float
-
-    def to_json_dict(self) -> dict:
-        return {"per_factor": dict(self.per_factor), "mean": self.mean}
-
-
-def mig(imp: ImportanceMatrix, entropies: Sequence[float] | np.ndarray) -> MigResult:
+def mig(imp: ImportanceMatrix, entropies: Sequence[float] | np.ndarray) -> dict:
     """Mutual information gap: (top1 - top2 of each factor's row) / H(factor),
     clipped to [0, 1]."""
     if imp.n_neurons < 2:
@@ -237,9 +196,7 @@ def mig(imp: ImportanceMatrix, entropies: Sequence[float] | np.ndarray) -> MigRe
         row = np.sort(imp.values[j])[::-1]
         gap = (row[0] - row[1]) / entropies[j]
         per_factor[name] = float(np.clip(gap, 0.0, 1.0))
-    return MigResult(
-        per_factor=per_factor, mean=float(np.mean(list(per_factor.values())))
-    )
+    return _per_factor_block(per_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -247,23 +204,7 @@ def mig(imp: ImportanceMatrix, entropies: Sequence[float] | np.ndarray) -> MigRe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SapResult:
-    per_factor: dict[str, float]
-    mean: float
-    accuracy_matrix: np.ndarray
-    details: dict[str, dict]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_factor": dict(self.per_factor),
-            "mean": self.mean,
-            "accuracy_matrix": [[float(v) for v in row] for row in self.accuracy_matrix],
-            "details": self.details,
-        }
-
-
-def sap(rep: RepresentationSet) -> SapResult:
+def sap(rep: RepresentationSet) -> dict:
     """Separated-attribute gap on single-neuron predictive accuracy.
 
     Score of neuron i for factor j is the best-bijection agreement of the
@@ -292,13 +233,7 @@ def sap(rep: RepresentationSet) -> SapResult:
             "top_accuracy": float(acc[j, top]),
             "second_accuracy": float(acc[j, second]),
         }
-    acc.setflags(write=False)
-    return SapResult(
-        per_factor=per_factor,
-        mean=float(np.mean(list(per_factor.values()))),
-        accuracy_matrix=acc,
-        details=details,
-    )
+    return _per_factor_block(per_factor, accuracy_matrix=acc.tolist(), details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -306,33 +241,7 @@ def sap(rep: RepresentationSet) -> SapResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DciResult:
-    disentanglement: float
-    completeness: float
-    informativeness: float | None
-    avg_dc: float
-    per_neuron_d: tuple[float, ...]
-    per_factor_c: dict[str, float]
-    neuron_weights: tuple[float, ...]
-    degenerate: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "disentanglement": self.disentanglement,
-            "completeness": self.completeness,
-            "informativeness": self.informativeness,
-            "avg_dc": self.avg_dc,
-            "per_neuron_d": list(self.per_neuron_d),
-            "per_factor_c": dict(self.per_factor_c),
-            "neuron_weights": list(self.neuron_weights),
-            "degenerate": self.degenerate,
-        }
-
-
-def dci(
-    imp: ImportanceMatrix, informativeness: Sequence[float] | None = None
-) -> DciResult:
+def dci(imp: ImportanceMatrix, informativeness: Sequence[float] | None = None) -> dict:
     """Disentanglement / completeness from the importance matrix, plus the
     mean of the supplied per-factor informativeness values.
 
@@ -353,19 +262,19 @@ def dci(
     total = float(values.sum())
     if np.any(values < 0):
         raise ValidationError("importance values must be non-negative")
+    info = float(np.mean(informativeness)) if informativeness is not None else None
 
     if total <= 0.0:
-        info = float(np.mean(informativeness)) if informativeness is not None else None
-        return DciResult(
-            disentanglement=0.0,
-            completeness=0.0,
-            informativeness=info,
-            avg_dc=0.0,
-            per_neuron_d=tuple(0.0 for _ in range(m)),
-            per_factor_c={name: 0.0 for name in imp.factor_names},
-            neuron_weights=tuple(0.0 for _ in range(m)),
-            degenerate=True,
-        )
+        return {
+            "disentanglement": 0.0,
+            "completeness": 0.0,
+            "informativeness": info,
+            "avg_dc": 0.0,
+            "per_neuron_d": [0.0] * m,
+            "per_factor_c": dict.fromkeys(imp.factor_names, 0.0),
+            "neuron_weights": [0.0] * m,
+            "degenerate": True,
+        }
 
     col_sums = values.sum(axis=0)
     per_neuron_d = []
@@ -387,18 +296,16 @@ def dci(
         q = values[j] / row_sum
         per_factor_c[name] = 1.0 - _normalized_entropy(q, base=m)
     completeness = float(np.mean(list(per_factor_c.values())))
-
-    info = float(np.mean(informativeness)) if informativeness is not None else None
-    return DciResult(
-        disentanglement=disentanglement,
-        completeness=completeness,
-        informativeness=info,
-        avg_dc=(disentanglement + completeness) / 2.0,
-        per_neuron_d=tuple(float(d) for d in per_neuron_d),
-        per_factor_c=per_factor_c,
-        neuron_weights=tuple(float(w) for w in weights),
-        degenerate=False,
-    )
+    return {
+        "disentanglement": disentanglement,
+        "completeness": completeness,
+        "informativeness": info,
+        "avg_dc": (disentanglement + completeness) / 2.0,
+        "per_neuron_d": [float(d) for d in per_neuron_d],
+        "per_factor_c": per_factor_c,
+        "neuron_weights": weights.tolist(),
+        "degenerate": False,
+    }
 
 
 def _normalized_entropy(p: np.ndarray, base: int) -> float:
@@ -430,6 +337,7 @@ def aggregate(
     names = list(per_factor.keys()) if subset is None else list(subset)
     if not names:
         raise ValidationError("aggregate needs a non-empty factor subset")
+    require_distinct(names, "factor in subset")
     missing = [s for s in names if s not in per_factor]
     if missing:
         raise ValidationError(f"unknown factors in subset: {missing}")
@@ -444,41 +352,6 @@ def aggregate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    factor_names: tuple[str, ...]
-    n_rows: int
-    n_neurons: int
-    config: dict
-    importance: ImportanceMatrix
-    alignment: Alignment
-    snc: SncResult
-    nk: NkResult
-    mig: MigResult
-    sap: SapResult
-    dci: DciResult
-    probe_accuracy: dict
-    aggregates: dict | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "factor_names": list(self.factor_names),
-            "n_rows": self.n_rows,
-            "n_neurons": self.n_neurons,
-            "config": self.config,
-            "importance": self.importance.to_json_dict(),
-            "alignment": self.alignment.to_json_dict(),
-            "snc": self.snc.to_json_dict(),
-            "nk": self.nk.to_json_dict(),
-            "mig": self.mig.to_json_dict(),
-            "sap": self.sap.to_json_dict(),
-            "dci": self.dci.to_json_dict(),
-            "probe_accuracy": self.probe_accuracy,
-            "aggregates": self.aggregates,
-        }
-
-
 def compute_metric_report(
     rep: RepresentationSet,
     align_mode: str = "injective",
@@ -487,8 +360,9 @@ def compute_metric_report(
     config: TrainConfig | None = None,
     subset: Sequence[str] | None = None,
     aggregate_mode: str = PRODUCT,
-) -> MetricReport:
+) -> dict:
     """Run the full pipeline: importance -> alignment -> all five metrics.
+    Returns the metrics payload that `detangle metrics --out` writes.
 
     The probe-based quantities (NK, the linear/MLP accuracy rows, DCI
     informativeness) share one random 80/20 held-out split derived from the
@@ -506,15 +380,29 @@ def compute_metric_report(
     else:
         raise ValidationError(f"unknown align mode {align_mode!r}")
 
-    snc_res = snc(rep, alignment)
-    nk_res = nk(rep, alignment, config=config)
-    mig_res = mig(imp, factor_entropies(rep))
-    sap_res = sap(rep)
-
     split = _nk_split(config.seed)
+    payload = {
+        "schema_version": 1,
+        "factor_names": list(rep.schema.names),
+        "n_rows": rep.n_rows,
+        "n_neurons": rep.n_neurons,
+        "config": {
+            "align_mode": align_mode,
+            "n_bins": n_bins,
+            "strategy": strategy,
+            "probe": asdict(config),
+            "split": split.to_json_dict(),
+        },
+        "importance": imp.to_json_dict(),
+        "alignment": alignment.to_json_dict(),
+        "snc": snc(rep, alignment),
+        "nk": nk(rep, alignment, config=config),
+        "mig": mig(imp, factor_entropies(rep)),
+        "sap": sap(rep),
+    }
+
     train_idx, test_idx = split_indices(rep, split)
     x_train, x_test = rep.latents[train_idx], rep.latents[test_idx]
-
     linear_rows: dict[str, dict] = {}
     for j, name in enumerate(rep.schema.names):
         probe = train_probe(
@@ -528,50 +416,26 @@ def compute_metric_report(
         r = chance_rate(rep.labels[:, j])
         linear_rows[name] = {"raw": acc, "adjusted": adjusted_accuracy(acc, r)}
 
-    mlp_rows = {
-        name: {
-            "raw": detail["accuracy_all"],
-            "adjusted": detail["adjusted_all"],
-        }
-        for name, detail in nk_res.details.items()
+    nk_details = payload["nk"]["details"]
+    payload["dci"] = dci(imp, [nk_details[name]["adjusted_all"] for name in rep.schema.names])
+    payload["probe_accuracy"] = {
+        "linear": linear_rows,
+        "mlp": {
+            name: {"raw": detail["accuracy_all"], "adjusted": detail["adjusted_all"]}
+            for name, detail in nk_details.items()
+        },
     }
-    informativeness = [nk_res.details[name]["adjusted_all"] for name in rep.schema.names]
-    dci_res = dci(imp, informativeness)
-
-    aggregates = None
+    payload["aggregates"] = None
     if subset is not None:
-        aggregates = {
+        payload["aggregates"] = {
             "mode": aggregate_mode,
             "subset": list(subset),
             "values": {
-                "snc": aggregate(snc_res.per_factor, aggregate_mode, subset),
-                "nk": aggregate(nk_res.per_factor, aggregate_mode, subset),
-                "mig": aggregate(mig_res.per_factor, aggregate_mode, subset),
-                "sap": aggregate(sap_res.per_factor, aggregate_mode, subset),
+                metric: aggregate(payload[metric]["per_factor"], aggregate_mode, subset)
+                for metric in ("snc", "nk", "mig", "sap")
             },
         }
-
-    return MetricReport(
-        factor_names=rep.schema.names,
-        n_rows=rep.n_rows,
-        n_neurons=rep.n_neurons,
-        config={
-            "align_mode": align_mode,
-            "n_bins": n_bins,
-            "strategy": strategy,
-            "probe": asdict(config),
-            "split": split.to_json_dict(),
-        },
-        importance=imp,
-        alignment=alignment,
-        snc=snc_res,
-        nk=nk_res,
-        mig=mig_res,
-        sap=sap_res,
-        dci=dci_res,
-        probe_accuracy={"linear": linear_rows, "mlp": mlp_rows},
-        aggregates=aggregates,
-    )
+    return payload
 
 
 def render_metric_table(payload: dict) -> str:

@@ -7,7 +7,7 @@ import os
 import secrets
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -44,6 +44,13 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def atomic_write_json(path: str | Path, payload: object) -> None:
     """Serialize payload as JSON (full-precision floats via repr) atomically."""
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=False) + "\n")
+
+
+def require_distinct(names: Sequence[str], what: str) -> None:
+    """Reject a list of names that holds one name more than once."""
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValidationError(f"repeated {what}: {repeated}")
 
 
 def spawn_seed(base_seed: int, *branch: int) -> int:

@@ -92,12 +92,10 @@ def generator_family_study():
     metric_payloads, cg_payloads = [], []
     for spec in STUDY_SPECS:
         rep = generate(spec)
-        report = compute_metric_report(
+        metric_payloads.append(compute_metric_report(
             rep, config=STUDY_CONFIG, subset=STUDY_SUBSET, aggregate_mode="product"
-        )
-        metric_payloads.append(report.to_json_dict())
-        run = run_cg(rep, STUDY_PAIR, MLP, STUDY_CONFIG)
-        cg_payloads.append(run.to_json_dict())
+        ))
+        cg_payloads.append(run_cg(rep, STUDY_PAIR, MLP, STUDY_CONFIG))
     correlation = correlate_metrics_with_cg(
         metric_payloads,
         cg_payloads,

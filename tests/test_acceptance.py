@@ -88,10 +88,10 @@ def test_criterion_2_metric_shift_between_worked_examples():
     config = TrainConfig(seed=7)
     report_a = compute_metric_report(
         generate(GeneratorSpec(kind=TABLE1_A, samples_per_cell=CELL_COPIES_A)),
-        config=config).to_json_dict()
+        config=config)
     report_b = compute_metric_report(
         generate(GeneratorSpec(kind=TABLE1_B, samples_per_cell=CELL_COPIES_B)),
-        config=config).to_json_dict()
+        config=config)
 
     assert report_a["snc"]["mean"] == pytest.approx(0.25, abs=0.02)
     assert report_b["snc"]["mean"] == pytest.approx(0.45, abs=0.02)
@@ -170,10 +170,10 @@ def test_criterion_4_xor_information_structure():
     redundant = generate(GeneratorSpec(kind=REDUNDANT_XOR, samples_per_cell=256))
     imp = importance_matrix(redundant)
     name = redundant.schema.names[0]
-    mig_score = mig(imp, factor_entropies(redundant)).per_factor[name]
+    mig_score = mig(imp, factor_entropies(redundant))["per_factor"][name]
     assert mig_score > 0.9
     nk_score = nk(redundant, injective_alignment(imp),
-                  config=TrainConfig(seed=7)).per_factor[name]
+                  config=TrainConfig(seed=7))["per_factor"][name]
     assert nk_score < 0.05
 
     print(f"criterion 4: PASS  single-neuron MI {max(single):.2e} < 1e-9, "
@@ -189,7 +189,7 @@ def test_criterion_4_xor_information_structure():
 )
 def test_criterion_4_sap_clause_unattainable():
     redundant = generate(GeneratorSpec(kind=REDUNDANT_XOR, samples_per_cell=256))
-    sap_score = sap(redundant).per_factor[redundant.schema.names[0]]
+    sap_score = sap(redundant)["per_factor"][redundant.schema.names[0]]
     assert sap_score > 0.9
 
 
@@ -259,15 +259,15 @@ def test_criterion_6_chance_adjustment_and_significance():
         return x, target_r * x + math.sqrt(1.0 - target_r**2) * e
 
     big = pearson(*exact_r_vectors(0.85, 18))
-    assert big.t == pytest.approx(6.45, abs=0.01)
-    assert big.p < 1e-5
+    assert big["t"] == pytest.approx(6.45, abs=0.01)
+    assert big["p"] < 1e-5
 
     small = pearson(*exact_r_vectors(0.85, 6))
-    assert small.t == pytest.approx(3.23, abs=0.01)
-    assert small.p < 0.033
+    assert small["t"] == pytest.approx(3.23, abs=0.01)
+    assert small["p"] < 0.033
 
-    print(f"criterion 6: PASS  identities hold; t18={big.t:.4f} (6.45±0.01) "
-          f"p={big.p:.2e} < 1e-5; t6={small.t:.4f} (3.23±0.01) p={small.p:.4f} < 0.033")
+    print(f"criterion 6: PASS  identities hold; t18={big['t']:.4f} (6.45±0.01) "
+          f"p={big['p']:.2e} < 1e-5; t6={small['t']:.4f} (3.23±0.01) p={small['p']:.4f} < 0.033")
 
 
 def test_criterion_7_generalization_harness():
@@ -276,19 +276,19 @@ def test_criterion_7_generalization_harness():
                                        samples_per_cell=STUDY_COPIES,
                                        noise_sigma=0.05, seed=12))
     ideal_run = run_cg(ideal_rep, STUDY_PAIR, MLP, STUDY_CONFIG)
-    assert ideal_run.joint_both["adjusted"] >= 0.95
-    assert ideal_run.audit["leaked_rows"] == 0
-    assert ideal_run.audit["clean"] is True
+    assert ideal_run["joint_both"]["adjusted"] >= 0.95
+    assert ideal_run["audit"]["leaked_rows"] == 0
+    assert ideal_run["audit"]["clean"] is True
 
     code_rep = generate(GeneratorSpec(kind=JOINT_CODE, schema=STUDY_SCHEMA,
                                       samples_per_cell=STUDY_COPIES, seed=18))
     code_run = run_cg(code_rep, STUDY_PAIR, MLP, STUDY_CONFIG)
-    assert code_run.joint_both["adjusted"] <= 0.10
-    assert code_run.audit["leaked_rows"] == 0
+    assert code_run["joint_both"]["adjusted"] <= 0.10
+    assert code_run["audit"]["leaked_rows"] == 0
 
     # The reported random-split control must look like an independently
     # trained random-split evaluation of the same representation.
-    control = ideal_run.control
+    control = ideal_run["control"]
     split = SplitSpec(kind="random",
                       test_fraction=control["split"]["test_fraction"], seed=999)
     train_idx, test_idx = split_indices(ideal_rep, split)
@@ -304,8 +304,8 @@ def test_criterion_7_generalization_harness():
 
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
-    print(f"criterion 7: PASS  ideal joint {ideal_run.joint_both['adjusted']:.3f} >= 0.95, "
-          f"entangled code {code_run.joint_both['adjusted']:.3f} <= 0.10, control "
+    print(f"criterion 7: PASS  ideal joint {ideal_run['joint_both']['adjusted']:.3f} >= 0.95, "
+          f"entangled code {code_run['joint_both']['adjusted']:.3f} <= 0.10, control "
           f"{control['joint_both']['raw']:.3f} vs independent {independent:.3f} "
           f"(|diff| <= 0.03), 0 leaked rows  {elapsed:.1f}s < 300s")
 

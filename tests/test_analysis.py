@@ -10,7 +10,6 @@ import scipy.stats
 
 from detangle.analysis import (
     BASELINE_AGGREGATES,
-    CorrelationResult,
     betainc_regularized,
     correlate_metrics_with_cg,
     pearson,
@@ -82,16 +81,16 @@ class TestPearson:
     def test_reference_values_n18(self):
         # r = 0.85 at n = 18: t = 6.4543 with p below 1e-5.
         result = _correlation_with_r(0.85, 18)
-        assert result.r == pytest.approx(0.85, abs=1e-12)
-        assert result.t == pytest.approx(6.4543, abs=0.01)
-        assert result.p < 1e-5
+        assert result["r"] == pytest.approx(0.85, abs=1e-12)
+        assert result["t"] == pytest.approx(6.4543, abs=0.01)
+        assert result["p"] < 1e-5
 
     def test_reference_values_n6(self):
         # r = 0.85 at n = 6: t = 3.2271 with p below 0.033.
         result = _correlation_with_r(0.85, 6)
-        assert result.r == pytest.approx(0.85, abs=1e-12)
-        assert result.t == pytest.approx(3.2271, abs=0.01)
-        assert result.p < 0.033
+        assert result["r"] == pytest.approx(0.85, abs=1e-12)
+        assert result["t"] == pytest.approx(3.2271, abs=0.01)
+        assert result["p"] < 0.033
 
     def test_matches_scipy_pearsonr(self):
         rng = np.random.default_rng(14)
@@ -101,23 +100,23 @@ class TestPearson:
             y = rng.normal(size=n) + 0.5 * x
             got = pearson(x, y)
             want = scipy.stats.pearsonr(x, y)
-            assert got.r == pytest.approx(float(want.statistic), abs=1e-12)
-            assert got.p == pytest.approx(float(want.pvalue), rel=1e-9, abs=1e-280)
+            assert got["r"] == pytest.approx(float(want.statistic), abs=1e-12)
+            assert got["p"] == pytest.approx(float(want.pvalue), rel=1e-9, abs=1e-280)
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(15)
         x = rng.normal(size=12)
         y = rng.normal(size=12)
-        assert pearson(x, y).r == pearson(y, x).r
+        assert pearson(x, y)["r"] == pearson(y, x)["r"]
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(16)
         x = rng.normal(size=15)
         y = rng.normal(size=15)
-        base = pearson(x, y).r
-        scaled = pearson(3.0 * x - 7.0, 0.25 * y + 2.0).r
+        base = pearson(x, y)["r"]
+        scaled = pearson(3.0 * x - 7.0, 0.25 * y + 2.0)["r"]
         assert scaled == pytest.approx(base, abs=1e-12)
-        flipped = pearson(-x, y).r
+        flipped = pearson(-x, y)["r"]
         assert flipped == pytest.approx(-base, abs=1e-12)
 
     def test_perfect_fit_floors_p(self):
@@ -125,30 +124,29 @@ class TestPearson:
         # exactly +-1 rather than 1 - 1 ulp.
         x = [-2.0, -2.0, 2.0, 2.0]
         result = pearson(x, [0.5 * v + 7.0 for v in x])
-        assert result.r == 1.0
-        assert result.t == math.inf
-        assert result.p == sys.float_info.min
-        assert result.p_floored
+        assert result["r"] == 1.0
+        assert result["t"] == math.inf
+        assert result["p"] == sys.float_info.min
+        assert result["p_floored"]
 
         inverse = pearson(x, [-0.25 * v for v in x])
-        assert inverse.r == -1.0
-        assert inverse.t == -math.inf
-        assert inverse.p_floored
+        assert inverse["r"] == -1.0
+        assert inverse["t"] == -math.inf
+        assert inverse["p_floored"]
 
     def test_near_perfect_fit_is_not_floored(self):
         x = [0.0, 1.0, 2.0, 3.0]
         result = pearson(x, [2.0 * v + 1.0 for v in x])
-        assert abs(result.r) < 1.0
-        assert result.p > 0.0
-        assert not result.p_floored
+        assert abs(result["r"]) < 1.0
+        assert result["p"] > 0.0
+        assert not result["p_floored"]
 
     def test_unfloored_p_flagged_false(self):
         result = _correlation_with_r(0.5, 10)
-        assert not result.p_floored
+        assert not result["p_floored"]
 
     def test_json_payload(self):
-        result = pearson([0.0, 1.0, 2.0], [0.0, 1.0, 2.1])
-        payload = result.to_json_dict()
+        payload = pearson([0.0, 1.0, 2.0], [0.0, 1.0, 2.1])
         assert payload["schema_version"] == 1
         assert set(payload) == {"schema_version", "r", "n", "t", "p", "p_floored"}
         assert payload["n"] == 3

@@ -58,10 +58,15 @@ def test_cli_is_the_command_line_module():
     assert callable(detangle.cli.cli) and callable(detangle.cli.main)
 
 
-def test_benchmark_trace_boundaries_resolve():
+def load_bench_tracing() -> types.ModuleType:
     spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_trace_boundaries_resolve():
+    tracing = load_bench_tracing()
     missing = []
     for path, attr, _name, _attrs in tracing.BOUNDARIES:
         owner = tracing._resolve(path)
@@ -69,3 +74,29 @@ def test_benchmark_trace_boundaries_resolve():
         if not callable(fn):
             missing.append((path, attr))
     assert missing == []
+
+
+def test_benchmark_trace_boundaries_are_called(tmp_path, capsys):
+    """Every traced name is still reached through the namespace the tracer
+    patches: one tiny metrics, align and cg job open a span of every name."""
+    tracing = load_bench_tracing()
+    data = str(tmp_path / "data")
+    assert detangle.cli.cli(["synth", "--kind", "table1_b", "--copies", "5", "--out", data]) == 0
+    tracer = tracing.Tracer(job=0)
+    restore = tracing.install(tracer)
+    try:
+        for argv in (
+            ["metrics", "--data", data, "--epochs", "1"],
+            ["align", "--data", data, "--svg", str(tmp_path / "a.svg"),
+             "--text", str(tmp_path / "a.txt")],
+            ["cg", "--data", data, "--pairs", "colour:0,shape:1", "--epochs", "1"],
+        ):
+            with tracer.span(tracing.ROOT_SPAN):
+                assert detangle.cli.cli([*argv, "--out", str(tmp_path / "out.json")]) == 0
+    finally:
+        restore()
+    capsys.readouterr()
+    expected = {name for _path, _attr, name, _attrs in tracing.BOUNDARIES}
+    # importance_matrix reads MI off its count tables: no CLI path calls the
+    # module-level mutual_information that the benchmark traces as infotheory.mi.
+    assert expected - {span["name"] for span in tracer.spans} <= {"infotheory.mi"}

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import detangle.cgtask as cgtask
 from detangle.cgtask import (
-    CgRunResult,
     ExcludedPair,
     _control_split,
     _exclusion_rows,
@@ -124,9 +123,9 @@ class TestRunCg:
     def test_split_sizes_and_audit(self):
         rep = grid_rep(copies=10)
         result = run_cg(rep, ("size", 2, "shape", 3), LINEAR, FAST)
-        assert result.n_test == 10
-        assert result.n_train == 150
-        assert result.audit == {
+        assert result["n_test"] == 10
+        assert result["n_train"] == 150
+        assert result["audit"] == {
             "leaked_rows": 0,
             "train_rows_matching_pair": 0,
             "test_rows_matching_pair": 10,
@@ -136,33 +135,33 @@ class TestRunCg:
     def test_chance_rates_come_from_full_population(self):
         rep = grid_rep(copies=10)
         result = run_cg(rep, ("size", 2, "shape", 3), LINEAR, FAST)
-        assert result.per_factor["size"]["chance_rate"] == pytest.approx(0.25)
-        assert result.per_factor["shape"]["chance_rate"] == pytest.approx(0.25)
-        assert result.joint_both["chance_rate"] == pytest.approx(1.0 / 16.0)
+        assert result["per_factor"]["size"]["chance_rate"] == pytest.approx(0.25)
+        assert result["per_factor"]["shape"]["chance_rate"] == pytest.approx(0.25)
+        assert result["joint_both"]["chance_rate"] == pytest.approx(1.0 / 16.0)
 
     def test_control_split_matches_test_fraction(self):
         rep = grid_rep(copies=10)
         result = run_cg(rep, ("size", 2, "shape", 3), LINEAR, FAST)
-        assert result.control is not None
-        assert result.control["split"]["kind"] == "random"
-        assert result.control["split"]["test_fraction"] == pytest.approx(10 / 160)
-        assert set(result.control["per_factor"]) == {"size", "shape"}
-        assert set(result.control["joint_both"]) == {"raw", "adjusted", "chance_rate"}
+        assert result["control"] is not None
+        assert result["control"]["split"]["kind"] == "random"
+        assert result["control"]["split"]["test_fraction"] == pytest.approx(10 / 160)
+        assert set(result["control"]["per_factor"]) == {"size", "shape"}
+        assert set(result["control"]["joint_both"]) == {"raw", "adjusted", "chance_rate"}
 
     def test_control_matches_held_out_size_where_the_fraction_rounds_down(self):
         # 47 * (3 / 47) is 2.9999999999999996, so the control used to test on 2 rows.
         rep = held_out_rep(47, 3)
         result = run_cg(rep, ("a", 1, "b", 1), LINEAR, FAST)
-        assert result.n_test == 3
-        assert control_test_rows(rep, result.control) == 3
+        assert result["n_test"] == 3
+        assert control_test_rows(rep, result["control"]) == 3
 
     def test_single_held_out_row_gets_a_one_row_control(self):
         # 49 * (1 / 49) is 0.9999999999999999: the control split used to be empty.
         rep = held_out_rep(49, 1)
         result = run_cg(rep, ("a", 1, "b", 1), LINEAR, FAST)
-        assert control_test_rows(rep, result.control) == 1
+        assert control_test_rows(rep, result["control"]) == 1
         suite = run_cg_suite(rep, [("a", 1, "b", 1)], (LINEAR,), FAST)
-        assert suite.runs[0].to_json_dict() == result.to_json_dict()
+        assert suite["runs"][0] == result
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(2, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))))
@@ -178,17 +177,17 @@ class TestRunCg:
     def test_control_can_be_disabled(self):
         rep = grid_rep(copies=10)
         result = run_cg(rep, ("size", 2, "shape", 3), LINEAR, FAST, control=False)
-        assert result.control is None
+        assert result["control"] is None
 
     def test_deterministic_payload(self):
         rep = grid_rep(copies=10)
-        p1 = run_cg(rep, ("size", 0, "shape", 0), LINEAR, FAST).to_json_dict()
-        p2 = run_cg(rep, ("size", 0, "shape", 0), LINEAR, FAST).to_json_dict()
+        p1 = run_cg(rep, ("size", 0, "shape", 0), LINEAR, FAST)
+        p2 = run_cg(rep, ("size", 0, "shape", 0), LINEAR, FAST)
         assert p1 == p2
 
     def test_payload_structure(self):
         rep = grid_rep(copies=10)
-        payload = run_cg(rep, ("size", 1, "shape", 2), LINEAR, FAST).to_json_dict()
+        payload = run_cg(rep, ("size", 1, "shape", 2), LINEAR, FAST)
         assert payload["schema_version"] == 1
         assert payload["pair"] == {
             "factor_a": "size", "value_a": 1, "factor_b": "shape", "value_b": 2,
@@ -217,12 +216,12 @@ class TestPresplit:
             rep.subset(np.flatnonzero(~held_out)), rep.subset(np.flatnonzero(held_out)),
             pair, LINEAR, FAST
         )
-        assert external.per_factor == internal.per_factor
-        assert external.joint_both == internal.joint_both
-        assert external.audit["leaked_rows"] is None
-        assert external.audit["clean"]
-        assert external.n_train == internal.n_train
-        assert external.n_test == internal.n_test
+        assert external["per_factor"] == internal["per_factor"]
+        assert external["joint_both"] == internal["joint_both"]
+        assert external["audit"]["leaked_rows"] is None
+        assert external["audit"]["clean"]
+        assert external["n_train"] == internal["n_train"]
+        assert external["n_test"] == internal["n_test"]
 
     def test_dirty_train_set_flagged(self):
         rep = grid_rep(copies=5)
@@ -230,8 +229,8 @@ class TestPresplit:
         match = (rep.labels[:, 0] == 2) & (rep.labels[:, 1] == 3)
         test_rep = rep.subset(np.flatnonzero(match))
         result = run_cg_presplit(rep, test_rep, pair, LINEAR, FAST)
-        assert result.audit["train_rows_matching_pair"] == 5
-        assert not result.audit["clean"]
+        assert result["audit"]["train_rows_matching_pair"] == 5
+        assert not result["audit"]["clean"]
 
     def test_value_out_of_range_rejected(self):
         rep = grid_rep(copies=5)
@@ -251,12 +250,12 @@ class TestSuite:
         rep = grid_rep(copies=10)
         pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1)]
         suite = run_cg_suite(rep, pairs, (LINEAR,), FAST)
-        assert len(suite.runs) == 2
-        avg = suite.averages["linear"]
-        expected = np.mean([r.joint_both["adjusted"] for r in suite.runs])
+        assert len(suite["runs"]) == 2
+        avg = suite["averages"]["linear"]
+        expected = np.mean([r["joint_both"]["adjusted"] for r in suite["runs"]])
         assert avg["joint_both_adjusted"] == pytest.approx(expected, abs=1e-15)
         expected_a = np.mean(
-            [r.per_factor[r.pair.factor_a]["adjusted"] for r in suite.runs]
+            [r["per_factor"][r["pair"]["factor_a"]]["adjusted"] for r in suite["runs"]]
         )
         assert avg["excluded_a_adjusted"] == pytest.approx(expected_a, abs=1e-15)
         assert "control_joint_both_adjusted" in avg
@@ -264,7 +263,7 @@ class TestSuite:
     def test_control_averages_omitted_without_control(self):
         rep = grid_rep(copies=10)
         suite = run_cg_suite(rep, [("size", 0, "shape", 0)], (LINEAR,), FAST, control=False)
-        assert "control_joint_both_adjusted" not in suite.averages["linear"]
+        assert "control_joint_both_adjusted" not in suite["averages"]["linear"]
 
     def test_empty_pairs_rejected(self):
         rep = grid_rep(copies=5)
@@ -281,17 +280,16 @@ class TestSuite:
 
     def test_suite_payload_round_trip(self):
         rep = grid_rep(copies=10)
-        suite = run_cg_suite(rep, [("size", 0, "shape", 0)], (LINEAR,), FAST)
-        payload = suite.to_json_dict()
+        payload = run_cg_suite(rep, [("size", 0, "shape", 0)], (LINEAR,), FAST)
+        assert list(payload) == ["schema_version", "runs", "averages"]
         assert payload["schema_version"] == 1
         assert len(payload["runs"]) == 1
-        assert payload["averages"] == suite.averages
 
     def test_suite_averages_helper_matches(self):
         rep = grid_rep(copies=10)
         suite = run_cg_suite(rep, [("size", 0, "shape", 0)], (LINEAR,), FAST)
-        assert suite_averages(list(suite.runs), (LINEAR,)) == suite.averages
-        assert suite_averages(list(suite.runs), ("mlp",)) == {}
+        assert suite_averages(suite["runs"], (LINEAR,)) == suite["averages"]
+        assert suite_averages(suite["runs"], ("mlp",)) == {}
 
 
 class TestSuiteSharesControls:
@@ -300,14 +298,14 @@ class TestSuiteSharesControls:
 
     def assert_matches_standalone(self, rep, pairs, kinds):
         suite = run_cg_suite(rep, pairs, kinds, FAST)
-        expected = [run_cg(rep, pair, kind, FAST).to_json_dict() for pair in pairs for kind in kinds]
-        assert [run.to_json_dict() for run in suite.runs] == expected
+        expected = [run_cg(rep, pair, kind, FAST) for pair in pairs for kind in kinds]
+        assert suite["runs"] == expected
         return suite
 
     def test_exact_grid_matches_standalone_runs(self):
         pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1), ("shape", 2, "size", 1)]
         suite = self.assert_matches_standalone(grid_rep(copies=10), pairs, (LINEAR, MLP))
-        assert {run.n_test for run in suite.runs} == {10}
+        assert {run["n_test"] for run in suite["runs"]} == {10}
 
     def test_unequal_sizes_and_repeated_pair_match_standalone_runs(self):
         full = grid_rep(copies=12)
@@ -315,7 +313,7 @@ class TestSuiteSharesControls:
         pairs = sample_pairs(rep, "size", "shape", 4, seed=2)
         pairs.append(pairs[0])
         suite = self.assert_matches_standalone(rep, pairs, (LINEAR,))
-        sizes = [run.n_test for run in suite.runs]
+        sizes = [run["n_test"] for run in suite["runs"]]
         assert 1 < len(set(sizes)) < len(sizes)
 
     def count_probes(self, monkeypatch):
@@ -344,7 +342,7 @@ class TestSuiteSharesControls:
         pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1), ("size", 1, "shape", 2),
                  ("size", 2, "shape", 2)]
         suite = run_cg_suite(rep, pairs, (LINEAR,), FAST)
-        assert [run.n_test for run in suite.runs] == [10, 10, 10, 7]
+        assert [run["n_test"] for run in suite["runs"]] == [10, 10, 10, 7]
         assert len(calls) == (4 + 2) * rep.n_factors
 
 
@@ -404,7 +402,7 @@ class TestSamplePairs:
 class TestRenderTable:
     def test_single_run_layout(self):
         rep = grid_rep(copies=10)
-        payload = run_cg(rep, ("size", 2, "shape", 3), LINEAR, FAST).to_json_dict()
+        payload = run_cg(rep, ("size", 2, "shape", 3), LINEAR, FAST)
         text = render_cg_table(payload)
         lines = text.strip().split("\n")
         assert lines[0] == "excluded pair: size=2, shape=3"
@@ -415,14 +413,14 @@ class TestRenderTable:
 
     def test_single_run_without_control(self):
         rep = grid_rep(copies=10)
-        payload = run_cg(rep, ("size", 2, "shape", 3), LINEAR, FAST, control=False).to_json_dict()
+        payload = run_cg(rep, ("size", 2, "shape", 3), LINEAR, FAST, control=False)
         lines = render_cg_table(payload).strip().split("\n")
         assert len(lines) == 3
 
     def test_suite_layout(self):
         rep = grid_rep(copies=10)
         suite = run_cg_suite(rep, [("size", 0, "shape", 0)], (LINEAR,), FAST)
-        lines = render_cg_table(suite.to_json_dict()).strip().split("\n")
+        lines = render_cg_table(suite).strip().split("\n")
         assert lines[0].split() == ["setting", "factor_a", "factor_b", "both"]
         assert lines[1].startswith("cg (linear)")
         assert lines[2].startswith("random split (linear)")

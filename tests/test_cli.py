@@ -18,6 +18,7 @@ import pytest
 
 import detangle
 import detangle.cgtask as cgtask
+import detangle.metrics as metrics_module
 from detangle.cli import build_parser, cli
 from detangle.util import payload_kind
 
@@ -202,6 +203,16 @@ class TestMetrics:
 
     def test_empty_subset_exits_1(self, workspace):
         assert cli(["metrics", "--data", str(workspace / "a"), "--subset", ","]) == 1
+
+    def test_repeated_subset_name_exits_1_before_any_probe_trains(self, workspace,
+                                                                  monkeypatch, capsys):
+        # A repeated name would count twice: the product would square its score.
+        calls = []
+        monkeypatch.setattr(metrics_module, "train_probe", lambda *args, **kwargs: calls.append(1))
+        assert cli(["metrics", "--data", str(workspace / "b"), "--epochs", "2",
+                    "--subset", "colour,colour"]) == 1
+        assert calls == []
+        assert capsys.readouterr().err == "error: repeated factor in subset: ['colour']\n"
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_diverged_training_exits_3(self, workspace, capsys):
@@ -430,6 +441,22 @@ class TestCorrelate:
         out = capsys.readouterr().out
         assert "snc" in out
         assert "mig" not in out
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--subset", "size,size"], "repeated factor in subset: ['size']"),
+        (["--subset", "size,size", "--columns", "mig"], "repeated factor in subset: ['size']"),
+        (["--subset", "size,shape", "--columns", ","], "correlate needs at least one metric column"),
+        (["--subset", "size,shape", "--columns", "snc,snc"], "repeated metric column: ['snc']"),
+    ])
+    def test_empty_or_repeated_names_exit_1(self, workspace, capsys, flags, message):
+        models = ("ideal", "rotated", "code")
+        assert cli(["correlate",
+                    "--metrics", ",".join(str(workspace / f"{m}_metrics.json") for m in models),
+                    "--cg", ",".join(str(workspace / f"{m}_cg.json") for m in models),
+                    *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_length_mismatch_exits_1(self, workspace, capsys):
         assert cli(["correlate",

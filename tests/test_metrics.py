@@ -75,34 +75,34 @@ class TestSnc:
     def test_worked_example_a(self, variant_a_rep):
         imp = importance_matrix(variant_a_rep)
         result = snc(variant_a_rep, injective_alignment(imp))
-        assert result.per_factor["colour"] == pytest.approx(0.5, abs=1e-12)
-        assert result.per_factor["shape"] == 0.0
-        assert result.mean == pytest.approx(0.25, abs=1e-12)
-        assert result.details["colour"]["neuron"] == 0
-        assert result.details["colour"]["agreement"] == pytest.approx(0.75)
-        assert result.details["colour"]["chance_rate"] == 0.5
-        assert result.details["shape"]["neuron"] == 1
+        assert result["per_factor"]["colour"] == pytest.approx(0.5, abs=1e-12)
+        assert result["per_factor"]["shape"] == 0.0
+        assert result["mean"] == pytest.approx(0.25, abs=1e-12)
+        assert result["details"]["colour"]["neuron"] == 0
+        assert result["details"]["colour"]["agreement"] == pytest.approx(0.75)
+        assert result["details"]["colour"]["chance_rate"] == 0.5
+        assert result["details"]["shape"]["neuron"] == 1
 
     def test_worked_example_b(self, variant_b_rep):
         imp = importance_matrix(variant_b_rep)
         result = snc(variant_b_rep, injective_alignment(imp))
-        assert result.per_factor["colour"] == pytest.approx(0.5, abs=1e-12)
-        assert result.per_factor["shape"] == pytest.approx(0.4, abs=1e-12)
-        assert result.mean == pytest.approx(0.45, abs=1e-12)
+        assert result["per_factor"]["colour"] == pytest.approx(0.5, abs=1e-12)
+        assert result["per_factor"]["shape"] == pytest.approx(0.4, abs=1e-12)
+        assert result["mean"] == pytest.approx(0.45, abs=1e-12)
 
     def test_greedy_alignment_shares_the_informative_neuron(self, variant_b_rep):
         imp = importance_matrix(variant_b_rep)
         result = snc(variant_b_rep, greedy_alignment(imp))
-        assert result.details["colour"]["neuron"] == 0
-        assert result.details["shape"]["neuron"] == 0
-        assert result.per_factor["shape"] == pytest.approx(0.5, abs=1e-12)
+        assert result["details"]["colour"]["neuron"] == 0
+        assert result["details"]["shape"]["neuron"] == 0
+        assert result["per_factor"]["shape"] == pytest.approx(0.5, abs=1e-12)
 
     def test_perfect_representation_scores_one(self):
         schema = FactorSchema(("a", "b"), (3, 4))
         rep = generate(GeneratorSpec(kind="ideal", schema=schema, samples_per_cell=10))
         imp = importance_matrix(rep)
         result = snc(rep, injective_alignment(imp))
-        assert result.per_factor == {"a": 1.0, "b": 1.0}
+        assert result["per_factor"] == {"a": 1.0, "b": 1.0}
 
     def test_alignment_length_checked(self, variant_a_rep):
         bad = Alignment(mode="greedy", assignment=(0,), objective_value=0.0)
@@ -128,17 +128,17 @@ class TestSnc:
 
 class TestNk:
     def test_worked_example_a_scores(self, variant_a_report):
-        result = variant_a_report.nk
-        assert result.per_factor["colour"] == pytest.approx(0.25, abs=0.05)
-        assert result.per_factor["shape"] == 0.0
-        assert result.split["test_fraction"] == 0.2
-        assert result.split["kind"] == "random"
+        result = variant_a_report["nk"]
+        assert result["per_factor"]["colour"] == pytest.approx(0.25, abs=0.05)
+        assert result["per_factor"]["shape"] == 0.0
+        assert result["split"]["test_fraction"] == 0.2
+        assert result["split"]["kind"] == "random"
 
     def test_score_is_raw_accuracy_drop(self, variant_a_report):
-        result = variant_a_report.nk
-        for name, detail in result.details.items():
+        result = variant_a_report["nk"]
+        for name, detail in result["details"].items():
             expected = max(0.0, detail["accuracy_all"] - detail["accuracy_without"])
-            assert result.per_factor[name] == pytest.approx(expected, abs=1e-12)
+            assert result["per_factor"][name] == pytest.approx(expected, abs=1e-12)
             assert 0.0 <= detail["adjusted_all"] <= 1.0
             assert 0.0 <= detail["adjusted_without"] <= 1.0
             assert detail["chance_rate"] == 0.5
@@ -159,17 +159,17 @@ class TestMig:
     def test_hand_matrix(self):
         imp = make_importance([[0.8, 0.2], [0.5, 0.5]])
         result = mig(imp, [1.0, 1.0])
-        assert result.per_factor["f0"] == pytest.approx(0.6, abs=1e-12)
-        assert result.per_factor["f1"] == 0.0
-        assert result.mean == pytest.approx(0.3, abs=1e-12)
+        assert result["per_factor"]["f0"] == pytest.approx(0.6, abs=1e-12)
+        assert result["per_factor"]["f1"] == 0.0
+        assert result["mean"] == pytest.approx(0.3, abs=1e-12)
 
     def test_gap_normalized_by_entropy(self):
         imp = make_importance([[0.8, 0.2]])
-        assert mig(imp, [2.0]).per_factor["f0"] == pytest.approx(0.3, abs=1e-12)
+        assert mig(imp, [2.0])["per_factor"]["f0"] == pytest.approx(0.3, abs=1e-12)
 
     def test_clipped_at_one(self):
         imp = make_importance([[2.0, 0.1]])
-        assert mig(imp, [1.0]).per_factor["f0"] == 1.0
+        assert mig(imp, [1.0])["per_factor"]["f0"] == 1.0
 
     def test_zero_entropy_factor_rejected(self):
         imp = make_importance([[0.5, 0.1]])
@@ -190,30 +190,28 @@ class TestMig:
         imp = importance_matrix(variant_a_rep)
         result = mig(imp, factor_entropies(variant_a_rep))
         expected = imp.values[0, 0]  # z1 carries zero MI, entropy is 1 bit
-        assert result.per_factor["colour"] == pytest.approx(expected, abs=1e-12)
-        assert result.per_factor["shape"] == pytest.approx(expected, abs=1e-12)
+        assert result["per_factor"]["colour"] == pytest.approx(expected, abs=1e-12)
+        assert result["per_factor"]["shape"] == pytest.approx(expected, abs=1e-12)
 
 
 class TestSap:
     def test_worked_example_a(self, variant_a_rep):
         result = sap(variant_a_rep)
-        assert result.per_factor["colour"] == pytest.approx(0.25, abs=1e-12)
-        assert result.per_factor["shape"] == pytest.approx(0.25, abs=1e-12)
-        assert result.mean == pytest.approx(0.25, abs=1e-12)
-        assert result.details["colour"]["top_neuron"] == 0
-        assert result.details["colour"]["top_accuracy"] == pytest.approx(0.75)
-        assert result.details["colour"]["second_accuracy"] == pytest.approx(0.5)
+        assert result["per_factor"]["colour"] == pytest.approx(0.25, abs=1e-12)
+        assert result["per_factor"]["shape"] == pytest.approx(0.25, abs=1e-12)
+        assert result["mean"] == pytest.approx(0.25, abs=1e-12)
+        assert result["details"]["colour"]["top_neuron"] == 0
+        assert result["details"]["colour"]["top_accuracy"] == pytest.approx(0.75)
+        assert result["details"]["colour"]["second_accuracy"] == pytest.approx(0.5)
 
     def test_accuracy_matrix_shape_and_immutability(self, variant_a_rep):
         result = sap(variant_a_rep)
-        assert result.accuracy_matrix.shape == (2, 2)
-        with pytest.raises(ValueError):
-            result.accuracy_matrix[0, 0] = 0.0
+        assert np.shape(result["accuracy_matrix"]) == (2, 2)
 
     def test_gap_is_unadjusted_difference(self, variant_b_rep):
         result = sap(variant_b_rep)
-        for name, detail in result.details.items():
-            assert result.per_factor[name] == pytest.approx(
+        for name, detail in result["details"].items():
+            assert result["per_factor"][name] == pytest.approx(
                 detail["top_accuracy"] - detail["second_accuracy"], abs=1e-12
             )
 
@@ -241,28 +239,28 @@ class TestSap:
             [bin_match_accuracy(latents[:, i], labels[:, j], k) for i in range(6)]
             for j, k in enumerate(cards)
         ])
-        assert np.array_equal(sap(rep).accuracy_matrix, expected)
+        assert np.array_equal(sap(rep)["accuracy_matrix"], expected)
 
 
 class TestDci:
     def test_one_hot_matrix_is_fully_disentangled(self):
         imp = make_importance([[1.0, 0.0], [0.0, 1.0]])
         result = dci(imp)
-        assert result.disentanglement == 1.0
-        assert result.completeness == 1.0
-        assert result.avg_dc == 1.0
-        assert not result.degenerate
+        assert result["disentanglement"] == 1.0
+        assert result["completeness"] == 1.0
+        assert result["avg_dc"] == 1.0
+        assert not result["degenerate"]
 
     def test_shared_neuron_matrix(self):
         # Both factors load only on neuron 0: D = 0 (uniform over factors),
         # C = 1 (each factor concentrated on one neuron).
         imp = make_importance([[0.6, 0.0], [0.6, 0.0]])
         result = dci(imp)
-        assert result.disentanglement == 0.0
-        assert result.completeness == 1.0
-        assert result.avg_dc == 0.5
-        assert result.neuron_weights == (1.0, 0.0)
-        assert result.per_neuron_d == (0.0, 0.0)
+        assert result["disentanglement"] == 0.0
+        assert result["completeness"] == 1.0
+        assert result["avg_dc"] == 0.5
+        assert result["neuron_weights"] == [1.0, 0.0]
+        assert result["per_neuron_d"] == [0.0, 0.0]
 
     def test_matches_entropy_formulas(self):
         rng = np.random.default_rng(3)
@@ -282,23 +280,23 @@ class TestDci:
         expected_c = np.mean(
             [1.0 - norm_entropy(values[j] / values[j].sum(), 4) for j in range(3)]
         )
-        assert result.disentanglement == pytest.approx(expected_d, abs=1e-12)
-        assert result.completeness == pytest.approx(expected_c, abs=1e-12)
-        assert result.avg_dc == pytest.approx((expected_d + expected_c) / 2, abs=1e-12)
+        assert result["disentanglement"] == pytest.approx(expected_d, abs=1e-12)
+        assert result["completeness"] == pytest.approx(expected_c, abs=1e-12)
+        assert result["avg_dc"] == pytest.approx((expected_d + expected_c) / 2, abs=1e-12)
 
     def test_informativeness_mean_recorded(self):
         imp = make_importance([[1.0, 0.0], [0.0, 1.0]])
         result = dci(imp, informativeness=[0.8, 0.6])
-        assert result.informativeness == pytest.approx(0.7)
-        assert dci(imp).informativeness is None
+        assert result["informativeness"] == pytest.approx(0.7)
+        assert dci(imp)["informativeness"] is None
 
     def test_all_zero_matrix_is_degenerate(self):
         imp = make_importance([[0.0, 0.0], [0.0, 0.0]])
         result = dci(imp, informativeness=[0.2, 0.4])
-        assert result.degenerate
-        assert result.disentanglement == 0.0
-        assert result.completeness == 0.0
-        assert result.informativeness == pytest.approx(0.3)
+        assert result["degenerate"]
+        assert result["disentanglement"] == 0.0
+        assert result["completeness"] == 0.0
+        assert result["informativeness"] == pytest.approx(0.3)
 
     def test_negative_importance_rejected(self):
         imp = make_importance([[0.5, -0.1], [0.2, 0.3]])
@@ -312,14 +310,14 @@ class TestDci:
 
     def test_worked_example_goldens(self, variant_a_rep, variant_b_rep):
         result_a = dci(importance_matrix(variant_a_rep))
-        assert result_a.disentanglement == 0.0
-        assert result_a.completeness == 1.0
-        assert result_a.avg_dc == 0.5
+        assert result_a["disentanglement"] == 0.0
+        assert result_a["completeness"] == 1.0
+        assert result_a["avg_dc"] == 0.5
 
         result_b = dci(importance_matrix(variant_b_rep))
-        assert result_b.disentanglement == pytest.approx(0.23925913219369577, abs=1e-12)
-        assert result_b.completeness == pytest.approx(0.5188708364752683, abs=1e-12)
-        assert result_b.avg_dc == pytest.approx(0.37906498433448205, abs=1e-12)
+        assert result_b["disentanglement"] == pytest.approx(0.23925913219369577, abs=1e-12)
+        assert result_b["completeness"] == pytest.approx(0.5188708364752683, abs=1e-12)
+        assert result_b["avg_dc"] == pytest.approx(0.37906498433448205, abs=1e-12)
 
 
 class TestAggregate:
@@ -348,7 +346,7 @@ class TestAggregate:
 
 class TestMetricReport:
     def test_payload_structure(self, variant_a_report):
-        payload = variant_a_report.to_json_dict()
+        payload = variant_a_report
         assert payload["schema_version"] == 1
         assert payload["factor_names"] == ["colour", "shape"]
         assert payload["n_rows"] == 3200
@@ -364,7 +362,7 @@ class TestMetricReport:
                 assert set(cell) == {"raw", "adjusted"}
 
     def test_mlp_rows_reuse_knockout_probes(self, variant_a_report):
-        payload = variant_a_report.to_json_dict()
+        payload = variant_a_report
         for name in payload["factor_names"]:
             assert (
                 payload["probe_accuracy"]["mlp"][name]["raw"]
@@ -378,15 +376,16 @@ class TestMetricReport:
             subset=("colour",),
             aggregate_mode="mean",
         )
-        agg = report.aggregates
+        agg = report["aggregates"]
         assert agg["mode"] == "mean"
         assert agg["subset"] == ["colour"]
-        assert agg["values"]["snc"] == pytest.approx(report.snc.per_factor["colour"])
+        assert agg["values"]["snc"] == pytest.approx(report["snc"]["per_factor"]["colour"])
         assert set(agg["values"]) == {"snc", "nk", "mig", "sap"}
 
     @pytest.mark.parametrize("subset, mode", [(("colour", "nope"), "product"),
                                               ((), "product"),
-                                              (("colour",), "median")])
+                                              (("colour",), "median"),
+                                              (("colour", "colour"), "product")])
     def test_bad_subset_rejected_before_any_probe(self, variant_b_rep, monkeypatch,
                                                   subset, mode):
         calls = []
@@ -401,7 +400,7 @@ class TestMetricReport:
             compute_metric_report(variant_a_rep, align_mode="hungarian")
 
     def test_render_table(self, variant_a_report):
-        text = render_metric_table(variant_a_report.to_json_dict())
+        text = render_metric_table(variant_a_report)
         lines = text.strip().split("\n")
         assert len(lines) == 5
         assert lines[0].split() == ["metric", "colour", "shape", "mean"]
