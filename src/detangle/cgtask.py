@@ -98,21 +98,16 @@ def measure_probes(
     config: TrainConfig,
     seed_salt: int = 0,
 ) -> list[np.ndarray]:
-    """Train one probe per factor on train_rep; return each probe's
-    predictions on test_latents, in schema order."""
+    """Train one probe per factor on train_rep, as one stack; return each
+    probe's predictions on test_latents, in schema order."""
     if probe_kind not in PROBE_KINDS:
         raise ValidationError(f"unknown probe kind {probe_kind!r}")
     schema = train_rep.schema
-    return [
-        train_probe(
-            train_rep.latents,
-            train_rep.labels[:, j],
-            probe_kind,
-            config.with_seed(spawn_seed(config.seed, seed_salt, j)),
-            n_classes=schema.cardinalities[j],
-        ).predict(test_latents)
-        for j in range(schema.n_factors)
-    ]
+    seeds = [spawn_seed(config.seed, seed_salt, j) for j in range(schema.n_factors)]
+    probes = train_probe(
+        train_rep.latents, train_rep.labels, probe_kind, config, schema.cardinalities, seeds
+    )
+    return [probe.predict(test_latents) for probe in probes]
 
 
 def _score(

@@ -2,7 +2,7 @@
 layer ReLU MLP, trained with Adam on softmax cross-entropy.
 
 Training is bit-deterministic for a fixed config: parameter init and batch
-shuffling come from one seeded generator, and no early stopping or
+shuffling come from one seeded generator per probe, and no early stopping or
 learning-rate schedule is applied. Inputs are standardized in float64 with
 statistics of the training split, which the fitted model carries; training
 and prediction run in float32.
@@ -10,6 +10,7 @@ and prediction run in float32.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -37,12 +38,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValidationError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name, value in (("learning_rate", self.learning_rate), ("epsilon", self.epsilon)):
+            if not 0 < value < math.inf:  # NaN fails this too
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValidationError("beta1 and beta2 must lie in [0, 1)")
-        if self.epsilon <= 0:
-            raise ValidationError("epsilon must be positive")
         if self.epochs < 1 or self.hidden_units < 1 or self.batch_size < 1:
             raise ValidationError("epochs, hidden_units, and batch_size must be >= 1")
 
@@ -88,16 +88,23 @@ def train_probe(
     labels: Sequence[int] | np.ndarray,
     kind: str = MLP,
     config: TrainConfig | None = None,
-    n_classes: int | None = None,
-) -> ProbeModel:
+    n_classes: int | Sequence[int] | None = None,
+    seeds: Sequence[int] | None = None,
+) -> ProbeModel | list[ProbeModel]:
     """Fit a probe of the given kind; deterministic for a fixed config.
+
+    An N x P label matrix with P seeds fits P probes in lock step and returns
+    them in column order, each bit-identical to its column fitted alone with
+    config.with_seed(seeds[p]).
 
     Args:
         features: N x d float matrix (finite).
-        labels: N integer class ids in [0, n_classes).
+        labels: N integer class ids in [0, n_classes), or an N x P matrix.
         kind: "linear" or "mlp".
         config: optimizer settings; defaults to TrainConfig().
-        n_classes: output size; inferred as max(labels) + 1 when omitted.
+        n_classes: output size, one per column for a matrix; inferred as
+            max(labels) + 1 when omitted.
+        seeds: one per label column; only with a label matrix.
 
     Raises:
         ValidationError: bad shapes, non-finite features, fewer than two
@@ -109,25 +116,30 @@ def train_probe(
     if kind not in PROBE_KINDS:
         raise ValidationError(f"unknown probe kind {kind!r}, expected one of {PROBE_KINDS}")
     X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
+    Y = np.asarray(labels)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValidationError("features must be a non-empty N x d matrix")
     if not np.all(np.isfinite(X)):
         raise ValidationError("features must be finite")
-    if y.ndim != 1 or y.shape[0] != X.shape[0]:
-        raise ValidationError("labels must be 1-D and match the feature rows")
-    as_int = y.astype(np.int64)
-    if not np.array_equal(as_int, y):
+    if Y.ndim not in (1, 2) or Y.shape[0] != X.shape[0] or Y.size == 0:
+        raise ValidationError("labels must be 1-D or N x P (P >= 1) and match the feature rows")
+    if (Y.ndim == 2) != (seeds is not None) or (seeds is not None and len(seeds) != Y.shape[1]):
+        raise ValidationError("seeds must give one seed per column of an N x P label matrix")
+    as_int = Y.astype(np.int64)
+    if not np.array_equal(as_int, Y):
         raise ValidationError("labels must be integers")
-    y = as_int
-    if y.min() < 0:
+    Y = as_int.reshape(X.shape[0], -1)
+    if Y.min() < 0:
         raise ValidationError("labels must be non-negative")
-    present = np.unique(y)
-    if present.size < 2:
-        raise ValidationError(f"need at least two classes present in labels, got {present.size}")
-    k = int(y.max()) + 1 if n_classes is None else int(n_classes)
-    if k < int(y.max()) + 1:
-        raise ValidationError(f"n_classes={k} too small for max label {int(y.max())}")
+    tops = Y.max(axis=0) + 1
+    ks = tops if n_classes is None else np.ravel(n_classes).astype(np.int64)
+    if ks.shape != tops.shape:
+        raise ValidationError(f"n_classes must give one size per label column, got {n_classes!r}")
+    for column, k, top in zip(Y.T, ks, tops):
+        if np.unique(column).size < 2:
+            raise ValidationError("need at least two classes present in labels, got 1")
+        if k < top:
+            raise ValidationError(f"n_classes={k} too small for max label {top - 1}")
 
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
@@ -135,52 +147,78 @@ def train_probe(
     Xs = X - mu
     Xs /= sigma
     Xs = Xs.astype(np.float32)
+    for array in (mu, sigma):
+        array.setflags(write=False)
 
-    rng = np.random.default_rng(config.seed)
-    init = _init_weights(kind, X.shape[1], k, config.hidden_units, rng)
-    # Every parameter lives in one flat float32 vector, so Adam updates all
-    # of them with one pass of ufuncs; weights and grads are views into it.
-    theta = np.concatenate([w.ravel() for w in init.values()]).astype(np.float32)
-    g, m, v, s1, s2 = (np.zeros_like(theta) for _ in range(5))
+    configs = [config] if seeds is None else [config.with_seed(s) for s in seeds]
+    models: list[ProbeModel] = [None] * len(configs)
+    # Probes with the same class count share parameter shapes: one stack each.
+    for k in dict.fromkeys(ks.tolist()):
+        cols = np.flatnonzero(ks == k)
+        fitted = _train_stack(Xs, Y[:, cols], kind, k, [configs[p] for p in cols])
+        for p, weights in zip(cols, fitted):
+            models[p] = ProbeModel(kind, k, mu, sigma, weights, configs[p])
+    return models if seeds is not None else models[0]
+
+
+def _train_stack(
+    Xs: np.ndarray, Y: np.ndarray, kind: str, k: int, configs: list[TrainConfig]
+) -> list[dict[str, np.ndarray]]:
+    """Adam on one probe per column of Y at once; configs differ only in seed."""
+    config, P, (n, d) = configs[0], len(configs), Xs.shape
+    rngs = [np.random.default_rng(c.seed) for c in configs]
+    inits = [_init_weights(kind, d, k, config.hidden_units, rng) for rng in rngs]
+    # Each probe's parameters live in one float32 row of theta, so Adam
+    # updates the whole stack with one pass of ufuncs; weights and grads are
+    # (P, ...) views into it.
+    theta = np.array([np.concatenate([w.ravel() for w in i.values()]) for i in inits], np.float32)
+    g, m, v, s = (np.zeros_like(theta) for _ in range(4))
     weights, grads, start = {}, {}, 0
-    for key, w in init.items():
-        weights[key], grads[key] = (a[start : start + w.size].reshape(w.shape) for a in (theta, g))
+    for key, w in inits[0].items():
+        shape = (P, *w.shape)
+        weights[key], grads[key] = (a[:, start : start + w.size].reshape(shape) for a in (theta, g))
         start += w.size
 
-    n = X.shape[0]
+    batch = min(config.batch_size, n)
+    # The P x batch x hidden arrays are written into these for every step
+    # (leading slices for a short last batch) rather than allocated afresh.
+    shape = (P, batch, config.hidden_units)
+    scratch = (np.empty(shape, np.float32), np.empty(shape, bool)) if kind == MLP else None
     step = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        X_epoch, y_epoch = Xs[order], y[order]
-        for start in range(0, n, config.batch_size):
-            batch = slice(start, start + config.batch_size)
-            loss, _ = probe_loss_and_gradients(weights, kind, X_epoch[batch], y_epoch[batch], grads)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, float(loss))
-            step += 1
-            bc1 = 1.0 - config.beta1**step
-            bc2 = 1.0 - config.beta2**step
-            # In place, but each element sees the same operations in the same
-            # order as m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-            # w = w - (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
-            np.multiply(m, config.beta1, out=m)
-            np.multiply(g, 1.0 - config.beta1, out=s1)
-            np.add(m, s1, out=m)
-            np.multiply(v, config.beta2, out=v)
-            np.multiply(g, 1.0 - config.beta2, out=s1)
-            np.multiply(s1, g, out=s1)
-            np.add(v, s1, out=v)
-            np.divide(v, bc2, out=s1)
-            np.sqrt(s1, out=s1)
-            np.add(s1, config.epsilon, out=s1)
-            np.divide(m, bc1, out=s2)
-            np.multiply(s2, config.learning_rate, out=s2)
-            np.divide(s2, s1, out=s2)
-            np.subtract(theta, s2, out=theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            orders = np.array([rng.permutation(n) for rng in rngs])
+            y_epoch = np.take_along_axis(Y.T, orders, axis=1)
+            for start in range(0, n, batch):
+                rows, y = orders[:, start : start + batch], y_epoch[:, start : start + batch]
+                views = scratch and tuple(a[:, : rows.shape[1]] for a in scratch)
+                loss, _ = probe_loss_and_gradients(weights, kind, Xs[rows], y, grads, views)
+                if not np.all(np.isfinite(loss)):
+                    raise TrainingDivergedError(epoch, float(loss[~np.isfinite(loss)][0]))
+                step += 1
+                bc1 = 1.0 - config.beta1**step
+                bc2 = 1.0 - config.beta2**step
+                # In place, but each element sees the same operations in the
+                # same order as m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+                # w = w - (lr*(m/bc1)) / (sqrt(v/bc2) + eps); spent g holds the step.
+                np.multiply(m, config.beta1, out=m)
+                np.multiply(g, 1.0 - config.beta1, out=s)
+                np.add(m, s, out=m)
+                np.multiply(v, config.beta2, out=v)
+                np.multiply(g, 1.0 - config.beta2, out=s)
+                np.multiply(s, g, out=s)
+                np.add(v, s, out=v)
+                np.divide(v, bc2, out=s)
+                np.sqrt(s, out=s)
+                np.add(s, config.epsilon, out=s)
+                np.divide(m, bc1, out=g)
+                np.multiply(g, config.learning_rate, out=g)
+                np.divide(g, s, out=g)
+                np.subtract(theta, g, out=theta)
 
-    for array in (mu, sigma, theta, *weights.values()):
-        array.setflags(write=False)
-    return ProbeModel(kind=kind, n_classes=k, mu=mu, sigma=sigma, weights=weights, config=config)
+    for w in weights.values():
+        w.setflags(write=False)
+    return [{key: w[p] for key, w in weights.items()} for p in range(P)]
 
 
 def probe_loss_and_gradients(
@@ -189,39 +227,46 @@ def probe_loss_and_gradients(
     X: np.ndarray,
     y: np.ndarray,
     out: dict[str, np.ndarray] | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[float | np.ndarray, dict[str, np.ndarray]]:
     """Mean cross-entropy over the batch and its analytic gradients.
 
+    X is B x d, or P x B x d for a stack of P probes: weights then have a
+    leading probe axis and the loss has one entry per probe.
     Computes in the dtype of X and weights, and writes the gradients into out
-    (arrays shaped like weights) or, without it, into fresh arrays. Exposed
-    so gradient-check tests can compare against finite differences.
+    (arrays shaped like weights) or fresh arrays, and an MLP's hidden layer
+    and ReLU mask into scratch if given. Exposed so gradient-check tests can
+    compare against finite differences.
     """
-    log_probs, hidden = _forward(weights, kind, X)
-    b = X.shape[0]
-    rows = np.arange(b)
-    log_probs -= log_probs.max(axis=1, keepdims=True)
-    log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
-    loss = float(-log_probs[rows, y].mean())
+    hidden_out, mask = scratch or (None, None)
+    log_probs, hidden = _forward(weights, kind, X, hidden_out)
+    b = X.shape[-2]
+    picked = (*np.indices(y.shape, sparse=True), y)
+    log_probs -= log_probs.max(axis=-1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=-1, keepdims=True))
+    loss = -log_probs[picked].mean(axis=-1)
 
     delta = np.exp(log_probs)
-    delta[rows, y] -= 1.0
+    delta[picked] -= 1.0
     delta /= b
 
     grads = {key: np.empty_like(w) for key, w in weights.items()} if out is None else out
     if kind == LINEAR:
-        np.matmul(X.T, delta, out=grads["W"])
-        delta.sum(axis=0, out=grads["b"])
+        np.matmul(X.swapaxes(-1, -2), delta, out=grads["W"])
+        delta.sum(axis=-2, out=grads["b"])
     else:
-        np.matmul(hidden.T, delta, out=grads["W2"])
-        delta.sum(axis=0, out=grads["b2"])
-        dhidden = delta @ weights["W2"].T
+        np.matmul(hidden.swapaxes(-1, -2), delta, out=grads["W2"])
+        delta.sum(axis=-2, out=grads["b2"])
+        mask = np.greater(hidden, 0, out=mask)
+        # The hidden layer is spent: its buffer takes the backward signal.
+        dhidden = np.matmul(delta, weights["W2"].swapaxes(-1, -2), out=hidden)
         # Multiplying by the mask is branch-free, unlike a boolean scatter. It
         # leaves -0.0 where a scatter would write +0.0, so a gradient differs
         # at most in the sign of an exact zero; Adam's b1*m + (1-b1)*g gives
         # the same m for either zero, so the trained weights do not change.
-        dhidden *= hidden > 0
-        np.matmul(X.T, dhidden, out=grads["W1"])
-        dhidden.sum(axis=0, out=grads["b1"])
+        dhidden *= mask
+        np.matmul(X.swapaxes(-1, -2), dhidden, out=grads["W1"])
+        dhidden.sum(axis=-2, out=grads["b1"])
     return loss, grads
 
 
@@ -291,16 +336,17 @@ def _init_weights(
 
 
 def _forward(
-    weights: dict[str, np.ndarray], kind: str, X: np.ndarray
+    weights: dict[str, np.ndarray], kind: str, X: np.ndarray, hidden: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Return fresh (logits, hidden) arrays; hidden is None for the linear head."""
+    """Return (logits, hidden), for one probe or a stack; hidden is written
+    into the given array, else a fresh one, and is None for the linear head."""
     if kind == LINEAR:
         logits = X @ weights["W"]
-        logits += weights["b"]
+        logits += weights["b"][..., None, :]
         return logits, None
-    hidden = X @ weights["W1"]
-    hidden += weights["b1"]
+    hidden = np.matmul(X, weights["W1"], out=hidden)
+    hidden += weights["b1"][..., None, :]
     np.maximum(hidden, 0.0, out=hidden)
     logits = hidden @ weights["W2"]
-    logits += weights["b2"]
+    logits += weights["b2"][..., None, :]
     return logits, hidden

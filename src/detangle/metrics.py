@@ -21,7 +21,6 @@ from .align import Alignment, greedy_alignment, injective_alignment, max_weight_
 from .classify import (
     MLP,
     LINEAR,
-    ProbeModel,
     TrainConfig,
     accuracy,
     adjusted_accuracy,
@@ -145,22 +144,16 @@ def nk(
 
     per_factor: dict[str, float] = {}
     details: dict[str, dict] = {}
+    seeds = [spawn_seed(config.seed, j, 0) for j in range(rep.n_factors)]
+    cards = rep.schema.cardinalities
+    probes_all = train_probe(x_train, rep.labels[train_idx], MLP, config, cards, seeds)
     for j, name in enumerate(rep.schema.names):
-        k = rep.schema.cardinalities[j]
         y_train, y_test = rep.labels[train_idx, j], rep.labels[test_idx, j]
         neuron = alignment.assignment[j]
         keep = np.delete(np.arange(rep.n_neurons), neuron)
-        probe_all = train_probe(
-            x_train, y_train, MLP, config.with_seed(spawn_seed(config.seed, j, 0)), n_classes=k
-        )
-        probe_without = train_probe(
-            x_train[:, keep],
-            y_train,
-            MLP,
-            config.with_seed(spawn_seed(config.seed, j, 1)),
-            n_classes=k,
-        )
-        acc_all = accuracy(probe_all, x_test, y_test)
+        config_without = config.with_seed(spawn_seed(config.seed, j, 1))
+        probe_without = train_probe(x_train[:, keep], y_train, MLP, config_without, cards[j])
+        acc_all = accuracy(probes_all[j], x_test, y_test)
         acc_without = accuracy(probe_without, x_test[:, keep], y_test)
         r = chance_rate(rep.labels[:, j])
         per_factor[name] = max(0.0, acc_all - acc_without)
@@ -404,15 +397,11 @@ def compute_metric_report(
     train_idx, test_idx = split_indices(rep, split)
     x_train, x_test = rep.latents[train_idx], rep.latents[test_idx]
     linear_rows: dict[str, dict] = {}
+    seeds = [spawn_seed(config.seed, j, 2) for j in range(rep.n_factors)]
+    cards = rep.schema.cardinalities
+    probes = train_probe(x_train, rep.labels[train_idx], LINEAR, config, cards, seeds)
     for j, name in enumerate(rep.schema.names):
-        probe = train_probe(
-            x_train,
-            rep.labels[train_idx, j],
-            LINEAR,
-            config.with_seed(spawn_seed(config.seed, j, 2)),
-            n_classes=rep.schema.cardinalities[j],
-        )
-        acc = accuracy(probe, x_test, rep.labels[test_idx, j])
+        acc = accuracy(probes[j], x_test, rep.labels[test_idx, j])
         r = chance_rate(rep.labels[:, j])
         linear_rows[name] = {"raw": acc, "adjusted": adjusted_accuracy(acc, r)}
 

@@ -317,12 +317,13 @@ class TestSuiteSharesControls:
         assert 1 < len(set(sizes)) < len(sizes)
 
     def count_probes(self, monkeypatch):
+        """One entry per probe trained: a stacked call adds one per label column."""
         calls = []
         train_probe = cgtask.train_probe
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return train_probe(*args, **kwargs)
+        def counted(features, labels, *args, **kwargs):
+            calls.extend([1] * np.asarray(labels).reshape(len(features), -1).shape[1])
+            return train_probe(features, labels, *args, **kwargs)
 
         monkeypatch.setattr(cgtask, "train_probe", counted)
         return calls

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detangle.classify import (
@@ -410,6 +410,89 @@ class TestReferenceEngine:
         assert_matches_reference(X, y, MLP, config, 3)
 
 
+class TestStackedTraining:
+    """A label matrix with one seed per column trains the probes in lock
+    step; each must equal its column trained alone, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 90),
+        d=st.integers(1, 6),
+        ks=st.lists(st.integers(2, 5), min_size=1, max_size=5),
+        hidden=st.integers(1, 24),
+        batch=st.integers(1, 64),
+        epochs=st.integers(1, 3),
+        kind=st.sampled_from([LINEAR, MLP]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # n below batch_size, and n not a multiple of it: the clipped batch and
+    # the short last batch use leading slices of the stack's buffers.
+    @example(n=10, d=3, ks=[2, 3, 2], hidden=8, batch=64, epochs=2, kind=MLP, seed=1)
+    @example(n=70, d=3, ks=[4, 4, 2, 5, 4], hidden=8, batch=32, epochs=2, kind=MLP, seed=2)
+    def test_each_stacked_probe_equals_its_solo_probe(
+        self, n, d, ks, hidden, batch, epochs, kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        Y = np.stack([rng.integers(0, k, size=n) for k in ks], axis=1)
+        Y[:2] = [[0] * len(ks), [1] * len(ks)]
+        seeds = rng.integers(0, 2**32, size=len(ks)).tolist()
+        config = TrainConfig(learning_rate=0.02, epochs=epochs, hidden_units=hidden,
+                             batch_size=batch, seed=seed)
+        models = train_probe(X, Y, kind, config, n_classes=ks, seeds=seeds)
+        assert len(models) == len(ks)
+        for p, model in enumerate(models):
+            solo = train_probe(X, Y[:, p], kind, config.with_seed(seeds[p]), n_classes=ks[p])
+            assert model.config == solo.config and model.n_classes == ks[p]
+            assert model.weights.keys() == solo.weights.keys()
+            for key, w in model.weights.items():
+                assert w.shape == solo.weights[key].shape, key
+                assert not w.flags.writeable, key
+                assert w.tobytes() == solo.weights[key].tobytes(), key
+            assert model.logits(X).tobytes() == solo.logits(X).tobytes()
+
+    def test_class_counts_are_inferred_per_column(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 3))
+        Y = np.stack([np.arange(40) % 2, np.arange(40) % 5, np.arange(40) % 3], axis=1)
+        models = train_probe(X, Y, LINEAR, TrainConfig(epochs=1), seeds=[1, 2, 3])
+        assert [m.n_classes for m in models] == [2, 5, 3]
+        assert [m.config.seed for m in models] == [1, 2, 3]
+
+    def test_diverging_stack_raises(self):
+        X, y = xor_features_labels(copies=32)
+        Y = np.stack([y, 1 - y], axis=1)
+        config = TrainConfig(seed=5, learning_rate=1e300, epochs=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError) as exc:
+                train_probe(X, Y, MLP, config, seeds=[5, 6])
+        assert exc.value.epoch in (0, 1)
+        assert f"epoch {exc.value.epoch}" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "labels,kwargs,match",
+        [
+            ("matrix", {"seeds": [1]}, "one seed per column"),
+            ("matrix", {"seeds": [1, 2, 3]}, "one seed per column"),
+            ("matrix", {}, "one seed per column"),
+            ("vector", {"seeds": [1]}, "one seed per column"),
+            ("matrix", {"seeds": [1, 2], "n_classes": [2]}, "one size per label column"),
+            ("matrix", {"seeds": [1, 2], "n_classes": [2, 2, 2]}, "one size per label column"),
+            ("matrix", {"seeds": [1, 2], "n_classes": [2, 1]}, "n_classes=1 too small"),
+            ("empty", {"seeds": []}, "P >= 1"),
+            ("one_class_column", {"seeds": [1, 2]}, "two classes"),
+        ],
+    )
+    def test_bad_stacked_arguments_rejected(self, labels, kwargs, match):
+        X, y = xor_features_labels(copies=8)
+        Y = {"matrix": np.stack([y, 1 - y], axis=1), "vector": y,
+             "empty": np.empty((len(y), 0), dtype=np.int64),
+             "one_class_column": np.stack([y, np.zeros_like(y)], axis=1)}[labels]
+        with pytest.raises(ValidationError, match=match):
+            train_probe(X, Y, LINEAR, TrainConfig(epochs=1), **kwargs)
+
+
 class TestProbeModel:
     def test_predict_proba_rows_sum_to_one(self):
         X, y = xor_features_labels(copies=32)
@@ -474,9 +557,15 @@ class TestTrainConfig:
         [
             {"learning_rate": 0.0},
             {"learning_rate": -1.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"learning_rate": float("-inf")},
             {"beta1": 1.0},
             {"beta2": -0.1},
+            {"beta1": float("nan")},
             {"epsilon": 0.0},
+            {"epsilon": float("nan")},
+            {"epsilon": float("inf")},
             {"epochs": 0},
             {"hidden_units": 0},
             {"batch_size": 0},

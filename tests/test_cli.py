@@ -222,6 +222,22 @@ class TestMetrics:
         assert err.startswith("error: training diverged at epoch ")
         assert err.count("\n") == 1
 
+    def test_diverged_training_prints_only_the_error_line(self, workspace):
+        # In a fresh interpreter with Python's default warning filters, as a
+        # user runs it: no numpy overflow warnings precede the error line.
+        proc = run_python("-m", "detangle", "metrics", "--data", str(workspace / "b"),
+                          "--epochs", "3", "--learning-rate", "1e30")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "error: training diverged at epoch 1: loss=nan\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_learning_rate_exits_1(self, workspace, capsys, value):
+        assert cli(["metrics", "--data", str(workspace / "b"), "--epochs", "1",
+                    f"--learning-rate={value}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: learning_rate must be positive and finite, got {float(value)}\n")
+
 
 class TestAlign:
     def test_greedy_doubles_up_on_strongest_neuron(self, workspace, tmp_path):
@@ -291,6 +307,18 @@ class TestAlign:
 
 
 class TestCg:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_1_before_any_probe_trains(
+        self, workspace, monkeypatch, capsys, value
+    ):
+        calls = []
+        monkeypatch.setattr(cgtask, "train_probe", lambda *args, **kwargs: calls.append(1))
+        assert cli(["cg", "--data", str(workspace / "b"), "--pairs", "colour:0,shape:1",
+                    f"--learning-rate={value}"]) == 1
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"error: learning_rate must be positive and finite, got {float(value)}\n")
+
     def test_single_run_payload(self, workspace):
         payload = read_json(workspace / "ideal_cg.json")
         assert payload["pair"] == {"factor_a": "size", "value_a": 2,

@@ -119,7 +119,8 @@ def test_blas_thread_count_never_changes_metrics_payload(tmp_path):
 
 
 # Big enough batches (512 x 32 features, 256 hidden units) that OpenBLAS
-# splits the probe's matrix products across threads when it may.
+# splits the probe's matrix products across threads when it may. The
+# 3-probe stack runs the same products as batched 3-D matmuls.
 PROBE_BYTES_SCRIPT = """
 import hashlib
 import numpy as np
@@ -127,19 +128,25 @@ from detangle.classify import TrainConfig, train_probe
 rng = np.random.default_rng(8)
 y = rng.integers(0, 6, size=4000)
 X = rng.normal(size=(6, 32))[y] + rng.normal(size=(4000, 32))
+Y = np.stack([y, (y + 1) % 6, (5 * y + 2) % 6], axis=1)
 for kind in ("mlp", "linear"):
     config = TrainConfig(seed=1, epochs=2, batch_size=512)
-    model = train_probe(X, y, kind, config, n_classes=6)
-    digest = hashlib.sha256()
-    for key in sorted(model.weights):
-        digest.update(model.weights[key].tobytes())
-    digest.update(model.logits(X).tobytes())
-    print(kind, digest.hexdigest())
+    models = [train_probe(X, y, kind, config, n_classes=6)]
+    models += train_probe(X, Y, kind, config, n_classes=[6] * 3, seeds=[1, 2, 3])
+    for model in models:
+        digest = hashlib.sha256()
+        for key in sorted(model.weights):
+            digest.update(model.weights[key].tobytes())
+        digest.update(model.logits(X).tobytes())
+        print(kind, digest.hexdigest())
 """
 
 
 def test_blas_thread_count_never_changes_probe_weights():
     outputs = [run_python({"OPENBLAS_NUM_THREADS": threads}, "-c", PROBE_BYTES_SCRIPT)
                for threads in ("1", "2")]
-    assert len(outputs[0].split()) == 4
+    assert len(outputs[0].split()) == 2 * 2 * (1 + 3)
+    # The stacked probe seeded 1 is the solo probe.
+    lines = outputs[0].splitlines()
+    assert lines[0] == lines[1] and lines[4] == lines[5]
     assert outputs[0] == outputs[1]
