@@ -8,6 +8,10 @@ simultaneously. A matched-size random split of the same data serves as the
 control. All chance adjustments use label frequencies of the full set, so
 the constant test labels of an exclusion split cannot degenerate them.
 
+A pair is given as an (a, va, b, vb) tuple, each factor by name or index;
+resolve_pair checks it and returns its payload block {"factor_a", "value_a",
+"factor_b", "value_b"} with the factors by name.
+
 The control depends only on the held-out size and the seed, not on the
 pair. The pairs of one run_cg_suite call that hold out the same number of
 rows therefore share one control per probe kind: it is trained for the first
@@ -18,7 +22,6 @@ separate run_cg calls report.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,59 +34,49 @@ from .classify import (
     chance_rate,
     train_probe,
 )
-from .dataset import FactorSchema, RepresentationSet, SplitSpec, split_indices
+from .dataset import FactorSchema, RepresentationSet, split_indices
 from .errors import SplitError, ValidationError
 from .util import payload_kind, spawn_seed
 
 
-@dataclass(frozen=True)
-class ExcludedPair:
-    """The held-out combination: factor_a == value_a and factor_b == value_b."""
-
-    factor_a: str
-    value_a: int
-    factor_b: str
-    value_b: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def _named_pair(schema: FactorSchema, pair: ExcludedPair | tuple) -> ExcludedPair:
-    """The pair with its factors given by name; they must be two distinct
-    factors of schema."""
-    a, va, b, vb = astuple(pair) if isinstance(pair, ExcludedPair) else pair
+def _named_pair(schema: FactorSchema, pair: tuple) -> dict:
+    """The payload block of an (a, va, b, vb) pair, its factors by name; they
+    must be two distinct factors of schema."""
+    a, va, b, vb = pair
     ia, ib = schema.index_of(a), schema.index_of(b)
     if ia == ib:
         raise SplitError("excluded pair needs two distinct factors")
-    return ExcludedPair(schema.names[ia], int(va), schema.names[ib], int(vb))
+    return {"factor_a": schema.names[ia], "value_a": int(va),
+            "factor_b": schema.names[ib], "value_b": int(vb)}
 
 
-def resolve_pair(rep: RepresentationSet, pair: ExcludedPair | tuple) -> ExcludedPair:
-    """Normalize a pair given as an ExcludedPair or (a, va, b, vb) tuple and
-    check it against rep's schema: two distinct known factors, each value
-    below its factor's cardinality. The only check of a pair."""
+def resolve_pair(rep: RepresentationSet, pair: tuple) -> dict:
+    """The payload block of an (a, va, b, vb) pair, checked against rep's
+    schema: two distinct known factors, each value below its factor's
+    cardinality. The only check of a pair."""
     schema = rep.schema
     pair = _named_pair(schema, pair)
-    for tag, name, value in (
-        ("value_a", pair.factor_a, pair.value_a),
-        ("value_b", pair.factor_b, pair.value_b),
-    ):
+    for tag, name in (("value_a", pair["factor_a"]), ("value_b", pair["factor_b"])):
         k = schema.cardinalities[schema.index_of(name)]
-        if not 0 <= value < k:
-            raise SplitError(f"{tag}={value} out of range for factor {name!r} (cardinality {k})")
+        if not 0 <= pair[tag] < k:
+            raise SplitError(
+                f"{tag}={pair[tag]} out of range for factor {name!r} (cardinality {k})"
+            )
     return pair
 
 
-def _exclusion_rows(rep: RepresentationSet, pair: ExcludedPair) -> tuple[np.ndarray, np.ndarray]:
+def _matches(pair: dict, schema: FactorSchema, labels: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a label matrix that match pair."""
+    ia, ib = schema.index_of(pair["factor_a"]), schema.index_of(pair["factor_b"])
+    return (labels[:, ia] == pair["value_a"]) & (labels[:, ib] == pair["value_b"])
+
+
+def _exclusion_rows(rep: RepresentationSet, pair: dict) -> tuple[np.ndarray, np.ndarray]:
     """(train, test) row indices, both ascending: the test rows are exactly
     those matching pair. Neither side may be empty."""
-    ia, ib = rep.schema.index_of(pair.factor_a), rep.schema.index_of(pair.factor_b)
-    mask = (rep.labels[:, ia] == pair.value_a) & (rep.labels[:, ib] == pair.value_b)
+    mask = _matches(pair, rep.schema, rep.labels)
     test, train = np.flatnonzero(mask), np.flatnonzero(~mask)
-    described = (
-        f"cg_exclusion pair ({pair.factor_a}={pair.value_a}, {pair.factor_b}={pair.value_b})"
-    )
+    described = "cg_exclusion pair ({factor_a}={value_a}, {factor_b}={value_b})".format(**pair)
     if test.size == 0:
         raise SplitError(f"{described} matches no rows")
     if train.size == 0:
@@ -111,7 +104,7 @@ def measure_probes(
 
 
 def _score(
-    pair: ExcludedPair,
+    pair: dict,
     schema: FactorSchema,
     preds: Sequence[np.ndarray],
     test_labels: np.ndarray,
@@ -127,7 +120,7 @@ def _score(
         r = chance_rate(full_labels[:, j])
         per_factor[name] = {"raw": raw, "adjusted": adjusted_accuracy(raw, r), "chance_rate": r}
 
-    ia, ib = schema.index_of(pair.factor_a), schema.index_of(pair.factor_b)
+    ia, ib = schema.index_of(pair["factor_a"]), schema.index_of(pair["factor_b"])
     both_correct = (preds[ia] == test_labels[:, ia]) & (preds[ib] == test_labels[:, ib])
     raw_both = float(np.mean(both_correct))
     paired = full_labels[:, ia].astype(np.int64) * int(
@@ -142,8 +135,9 @@ def _score(
     return per_factor, joint_both
 
 
-def _control_split(n_rows: int, n_test: int, seed: int) -> SplitSpec:
-    """The random split matched to n_test held-out rows of n_rows.
+def _control_split(n_rows: int, n_test: int, seed: int) -> dict:
+    """The payload block of the random split matched to n_test held-out rows
+    of n_rows.
 
     split_indices tests on floor(n_rows * test_fraction) rows, and
     n_test / n_rows can round to just below the exact quotient, so the
@@ -152,19 +146,17 @@ def _control_split(n_rows: int, n_test: int, seed: int) -> SplitSpec:
     test_fraction = n_test / n_rows
     if math.floor(n_rows * test_fraction) < n_test:
         test_fraction = math.nextafter(test_fraction, 1.0)
-    return SplitSpec(kind="random", test_fraction=test_fraction, seed=spawn_seed(seed, 4242))
+    return {"kind": "random", "test_fraction": test_fraction, "seed": spawn_seed(seed, 4242)}
 
 
 def _split_audit(
-    pair: ExcludedPair, schema: FactorSchema, train: np.ndarray, test: np.ndarray, leaked: int | None
+    pair: dict, schema: FactorSchema, train: np.ndarray, test: np.ndarray, leaked: int | None
 ) -> dict:
     """Audit of an exclusion split given its train and test label matrices:
     no training row and every test row match the pair. leaked_rows counts row
     ids on both sides (None for externally split sets)."""
-    ia, ib = schema.index_of(pair.factor_a), schema.index_of(pair.factor_b)
     train_match, test_match = (
-        int(np.sum((labels[:, ia] == pair.value_a) & (labels[:, ib] == pair.value_b)))
-        for labels in (train, test)
+        int(np.sum(_matches(pair, schema, labels))) for labels in (train, test)
     )
     return {
         "leaked_rows": leaked,
@@ -175,7 +167,7 @@ def _split_audit(
 
 
 def _held_out_run(
-    pair: ExcludedPair,
+    pair: dict,
     train_rep: RepresentationSet,
     test_rep: RepresentationSet,
     probe_kind: str,
@@ -192,7 +184,7 @@ def _held_out_run(
     per_factor, joint_both = _score(pair, schema, preds, test_rep.labels, full_labels)
     return {
         "schema_version": 1,
-        "pair": pair.to_json_dict(),
+        "pair": pair,
         "probe_kind": probe_kind,
         "per_factor": per_factor,
         "joint_both": joint_both,
@@ -206,7 +198,7 @@ def _held_out_run(
 
 def run_cg(
     rep: RepresentationSet,
-    pair: ExcludedPair | tuple,
+    pair: tuple,
     probe_kind: str = MLP,
     config: TrainConfig | None = None,
     control: bool = True,
@@ -218,9 +210,10 @@ def run_cg(
     The audit records that train and test row ids are disjoint, that no
     training row matches the excluded combination, and that every test row
     does. With control=True a matched-size random split of the same data is
-    probed identically. _controls, when given, maps (probe kind, control
-    split) to that control's test predictions and test labels; a missing
-    entry is trained and stored, a present one is scored without training.
+    probed identically. _controls, when given, maps (probe kind, held-out
+    size) to that control's test predictions and test labels, for one rep and
+    seed; a missing entry is trained and stored, a present one is scored
+    without training.
     """
     config = config or TrainConfig()
     pair = resolve_pair(rep, pair)
@@ -234,9 +227,11 @@ def run_cg(
 
     control_split = _control_split(rep.n_rows, test_idx.size, config.seed)
     controls = {} if _controls is None else _controls
-    key = (probe_kind, control_split)
+    key = (probe_kind, test_idx.size)
     if key not in controls:
-        ctr_train_idx, ctr_test_idx = split_indices(rep, control_split)
+        ctr_train_idx, ctr_test_idx = split_indices(
+            rep.n_rows, control_split["test_fraction"], control_split["seed"]
+        )
         ctr_test = rep.subset(ctr_test_idx)
         controls[key] = (
             measure_probes(
@@ -246,7 +241,7 @@ def run_cg(
         )
     ctr_per_factor, ctr_joint = _score(pair, rep.schema, *controls[key], rep.labels)
     result["control"] = {
-        "split": control_split.to_json_dict(),
+        "split": control_split,
         "per_factor": ctr_per_factor,
         "joint_both": ctr_joint,
     }
@@ -256,7 +251,7 @@ def run_cg(
 def run_cg_presplit(
     train_rep: RepresentationSet,
     test_rep: RepresentationSet,
-    pair: ExcludedPair | tuple,
+    pair: tuple,
     probe_kind: str = MLP,
     config: TrainConfig | None = None,
 ) -> dict:
@@ -271,7 +266,7 @@ def run_cg_presplit(
 
 def run_cg_suite(
     rep: RepresentationSet,
-    pairs: Sequence[ExcludedPair | tuple],
+    pairs: Sequence[tuple],
     probe_kinds: Sequence[str] = (MLP,),
     config: TrainConfig | None = None,
     control: bool = True,
@@ -291,9 +286,7 @@ def run_cg_suite(
             _exclusion_rows(rep, resolve_pair(rep, pair))
         except SplitError as exc:
             named = _named_pair(rep.schema, pair)
-            raise SplitError(
-                f"degenerate exclusion split for pair {named.to_json_dict()}: {exc}"
-            ) from exc
+            raise SplitError(f"degenerate exclusion split for pair {named}: {exc}") from exc
     controls: dict = {}
     runs = [run_cg(rep, pair, kind, config, control=control, _controls=controls)
             for pair in pairs for kind in probe_kinds]
@@ -349,8 +342,9 @@ def sample_pairs(
     factor_b: int | str,
     count: int,
     seed: int = 0,
-) -> list[ExcludedPair]:
-    """Sample distinct (value_a, value_b) combinations present in the data."""
+) -> list[tuple]:
+    """Sample distinct (value_a, value_b) combinations present in the data, as
+    (a, va, b, vb) pairs with the factors by name."""
     ia = rep.schema.index_of(factor_a)
     ib = rep.schema.index_of(factor_b)
     if ia == ib:
@@ -365,10 +359,8 @@ def sample_pairs(
     rng = np.random.default_rng(seed)
     chosen = rng.choice(combos.size, size=count, replace=False)
     values_a, values_b = np.unravel_index(combos[np.sort(chosen)], dims)
-    return [
-        ExcludedPair(rep.schema.names[ia], int(va), rep.schema.names[ib], int(vb))
-        for va, vb in zip(values_a, values_b)
-    ]
+    a, b = rep.schema.names[ia], rep.schema.names[ib]
+    return [(a, int(va), b, int(vb)) for va, vb in zip(values_a, values_b)]
 
 
 # Per table column, the key of a suite average; the control's add "control_".

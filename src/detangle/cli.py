@@ -102,13 +102,9 @@ def _parse_factor_list(text: str) -> FactorSchema:
     return FactorSchema(tuple(names), tuple(cards))
 
 
-def _factor_token(token: str) -> int | str:
-    token = token.strip()
-    return int(token) if token.lstrip("-").isdigit() else token
-
-
 def _parse_pairs(text: str) -> list[tuple]:
-    """Parse 'a:va,b:vb;a:va,b:vb' into (factor, value, factor, value) tuples."""
+    """Parse 'a:va,b:vb;a:va,b:vb' into (factor, value, factor, value) tuples;
+    each factor token is resolved later by FactorSchema.index_of."""
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -125,7 +121,7 @@ def _parse_pairs(text: str) -> list[tuple]:
                 raise ValidationError(f"term {side!r} must look like factor:value")
             factor, _, value = side.partition(":")
             try:
-                parsed.extend([_factor_token(factor), int(value)])
+                parsed.extend([factor.strip(), int(value)])
             except ValueError:
                 raise ValidationError(f"term {side!r}: value {value!r} is not an integer")
         pairs.append(tuple(parsed))
@@ -295,16 +291,14 @@ def _cg_payload(args) -> dict:
         runs = [
             cgtask.run_cg_presplit(train_rep, test_rep, pairs[0], kind, config) for kind in kinds
         ]
-    elif not args.data:
+        return cgtask.cg_payload(runs, kinds)
+    if not args.data:
         raise ValidationError("cg needs --data, or --train-data with --test-data")
-    else:
-        rep = _load_rep(args.data, args.schema)
-        control = not args.no_control
-        if len(pairs) == 1 and len(kinds) == 1:
-            runs = [cgtask.run_cg(rep, pairs[0], kinds[0], config, control=control)]
-        else:
-            runs = cgtask.run_cg_suite(rep, pairs, kinds, config, control=control)["runs"]
-    return cgtask.cg_payload(runs, kinds)
+    rep = _load_rep(args.data, args.schema)
+    control = not args.no_control
+    if len(pairs) == 1 and len(kinds) == 1:
+        return cgtask.run_cg(rep, pairs[0], kinds[0], config, control=control)
+    return cgtask.run_cg_suite(rep, pairs, kinds, config, control=control)
 
 
 def _correlate_payload(args) -> dict:

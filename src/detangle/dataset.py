@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -67,12 +67,12 @@ class FactorSchema:
         return len(self.names)
 
     def index_of(self, factor: int | str) -> int:
-        """Resolve a factor given by name or index to its index."""
-        if isinstance(factor, str):
-            try:
-                return self.names.index(factor)
-            except ValueError:
-                raise SchemaError(f"unknown factor name {factor!r}") from None
+        """Resolve a factor to its index: by name first, else as an index given
+        as an int or a string of digits (so a factor named "10" is a name)."""
+        if factor in self.names:
+            return self.names.index(factor)
+        if isinstance(factor, str) and not factor.removeprefix("-").isdecimal():
+            raise SchemaError(f"unknown factor name {factor!r}")
         idx = int(factor)
         if not 0 <= idx < self.n_factors:
             raise SchemaError(f"factor index {idx} out of range for {self.n_factors} factors")
@@ -216,31 +216,6 @@ class DiscretizedNeuron:
         return len(self.boundaries) + 1
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Declarative seeded random train/test split.
-
-    The test set is floor(N * test_fraction) rows drawn by the seeded RNG;
-    kind is always "random". The held-out-combination split of the cg
-    harness is not a SplitSpec: cgtask builds it from its ExcludedPair.
-    """
-
-    kind: str
-    test_fraction: float | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.kind != "random":
-            raise SplitError(f"unknown split kind {self.kind!r}")
-        if self.test_fraction is None or not (0.0 < float(self.test_fraction) < 1.0):
-            raise SplitError(f"random split needs test_fraction in (0, 1), got {self.test_fraction!r}")
-        if self.seed is None:
-            raise SplitError("random split needs a seed")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
 def load_schema(schema_path: str | Path) -> FactorSchema:
     """Read a factor schema JSON sidecar; a leading UTF-8 byte-order mark is accepted."""
     schema_path = Path(schema_path)
@@ -289,18 +264,19 @@ def _parse_header(header: list[str], n_factors: int, data_path: Path) -> int:
 def load_representation_set(data_path: str | Path, schema_path: str | Path) -> RepresentationSet:
     """Load a CSV + schema sidecar pair into a validated RepresentationSet.
 
-    Both files may start with a UTF-8 byte-order mark. Errors name the data
-    file, line and column. Parse errors (header, ragged row, unparseable
-    field) come first, then RepresentationSet's non-finite latent and
-    out-of-range label checks, each at the first offending row.
+    Both files may start with a UTF-8 byte-order mark. The data file is
+    opened before the schema is read, so a missing one is reported as such.
+    Errors name the data file, line and column. Parse errors (header, ragged
+    row, unparseable field) come first, then RepresentationSet's non-finite
+    latent and out-of-range label checks, each at the first offending row.
     """
-    schema = load_schema(schema_path)
     data_path = Path(data_path)
     latents = array("d")
     labels: list[int] = []
     lines = array("q")  # file line of each data row; blank lines are skipped
     try:
         with open(data_path, encoding="utf-8-sig", newline="") as fh:
+            schema = load_schema(schema_path)
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -454,25 +430,25 @@ def discretize_neuron(
     )
 
 
-def split_indices(rep: RepresentationSet, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Return (train_indices, test_indices) for the random split, both sorted
-    ascending.
+def split_indices(n_rows: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) row indices of the seeded random split of n_rows rows,
+    both ascending: the test side is floor(n_rows * test_fraction) rows drawn
+    by the seeded RNG. Its payload block is {"kind": "random",
+    "test_fraction": test_fraction, "seed": seed}.
 
     The two index arrays are disjoint, neither is empty, and their union is
-    exactly range(N).
+    exactly range(n_rows).
     """
-    n = rep.n_rows
-    n_test = int(math.floor(n * float(spec.test_fraction)))
-    if n_test < 1 or n_test >= n:
+    if not 0.0 < test_fraction < 1.0:
+        raise SplitError(f"random split needs test_fraction in (0, 1), got {test_fraction!r}")
+    n_test = math.floor(n_rows * test_fraction)
+    if n_test < 1 or n_test >= n_rows:
         raise SplitError(
-            f"random split with test_fraction={spec.test_fraction} on N={n} rows "
+            f"random split with test_fraction={test_fraction} on N={n_rows} rows "
             f"leaves an empty side (test={n_test})"
         )
-    rng = np.random.default_rng(spec.seed)
-    perm = rng.permutation(n)
-    test = np.sort(perm[:n_test])
-    train = np.sort(perm[n_test:])
-    return train, test
+    perm = np.random.default_rng(seed).permutation(n_rows)
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from .dataset import (
     DEFAULT_BINS,
     QUANTILE,
     RepresentationSet,
-    SplitSpec,
     discretize_neuron,
     split_indices,
 )
@@ -115,10 +114,10 @@ def snc(rep: RepresentationSet, alignment: Alignment) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _nk_split(seed: int) -> SplitSpec:
-    """NK's held-out split, which the report's other probes share: a random
-    20%, seeded from the train config."""
-    return SplitSpec(kind="random", test_fraction=0.2, seed=spawn_seed(seed, 8080))
+def _nk_split(seed: int) -> dict:
+    """The payload block of NK's held-out split, which the report's other
+    probes share: a random 20%, seeded from the train config."""
+    return {"kind": "random", "test_fraction": 0.2, "seed": spawn_seed(seed, 8080)}
 
 
 def nk(
@@ -139,7 +138,7 @@ def nk(
         raise ValidationError("knockout needs at least two neurons")
     config = config or TrainConfig()
     split = _nk_split(config.seed)
-    train_idx, test_idx = split_indices(rep, split)
+    train_idx, test_idx = split_indices(rep.n_rows, split["test_fraction"], split["seed"])
     x_train, x_test = rep.latents[train_idx], rep.latents[test_idx]
 
     per_factor: dict[str, float] = {}
@@ -166,7 +165,7 @@ def nk(
             "chance_rate": r,
         }
 
-    return _per_factor_block(per_factor, details=details, split=split.to_json_dict())
+    return _per_factor_block(per_factor, details=details, split=split)
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +256,6 @@ def dci(imp: ImportanceMatrix, informativeness: Sequence[float] | None = None) -
         raise ValidationError("importance values must be non-negative")
     info = float(np.mean(informativeness)) if informativeness is not None else None
 
-    if total <= 0.0:
-        return {
-            "disentanglement": 0.0,
-            "completeness": 0.0,
-            "informativeness": info,
-            "avg_dc": 0.0,
-            "per_neuron_d": [0.0] * m,
-            "per_factor_c": dict.fromkeys(imp.factor_names, 0.0),
-            "neuron_weights": [0.0] * m,
-            "degenerate": True,
-        }
-
     col_sums = values.sum(axis=0)
     per_neuron_d = []
     for i in range(m):
@@ -277,7 +264,7 @@ def dci(imp: ImportanceMatrix, informativeness: Sequence[float] | None = None) -
             continue
         p = values[:, i] / col_sums[i]
         per_neuron_d.append(1.0 - _normalized_entropy(p, base=n))
-    weights = col_sums / total
+    weights = np.zeros(m) if total <= 0.0 else col_sums / total
     disentanglement = float(np.dot(weights, per_neuron_d))
 
     per_factor_c: dict[str, float] = {}
@@ -297,7 +284,7 @@ def dci(imp: ImportanceMatrix, informativeness: Sequence[float] | None = None) -
         "per_neuron_d": [float(d) for d in per_neuron_d],
         "per_factor_c": per_factor_c,
         "neuron_weights": weights.tolist(),
-        "degenerate": False,
+        "degenerate": total <= 0.0,
     }
 
 
@@ -384,7 +371,7 @@ def compute_metric_report(
             "n_bins": n_bins,
             "strategy": strategy,
             "probe": asdict(config),
-            "split": split.to_json_dict(),
+            "split": split,
         },
         "importance": imp.to_json_dict(),
         "alignment": alignment.to_json_dict(),
@@ -394,7 +381,7 @@ def compute_metric_report(
         "sap": sap(rep),
     }
 
-    train_idx, test_idx = split_indices(rep, split)
+    train_idx, test_idx = split_indices(rep.n_rows, split["test_fraction"], split["seed"])
     x_train, x_test = rep.latents[train_idx], rep.latents[test_idx]
     linear_rows: dict[str, dict] = {}
     seeds = [spawn_seed(config.seed, j, 2) for j in range(rep.n_factors)]

@@ -65,11 +65,13 @@ class GeneratorSpec:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
         if self.samples_per_cell < 1:
             raise ValidationError("samples_per_cell must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:  # NaN fails this too
+            raise ValidationError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if self.kind == ROTATED:
             if self.angle is None:
                 raise ValidationError("rotated generator needs an angle (radians)")
+            if not math.isfinite(self.angle):
+                raise ValidationError(f"angle must be finite, got {self.angle}")
         elif self.angle is not None:
             raise ValidationError(f"angle is only valid for the rotated kind, not {self.kind!r}")
 

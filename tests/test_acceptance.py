@@ -30,7 +30,7 @@ from detangle.classify import (
     probe_loss_and_gradients,
     train_probe,
 )
-from detangle.dataset import SplitSpec, split_indices
+from detangle.dataset import split_indices
 from detangle.infotheory import (
     entropy_from_probs,
     importance_matrix,
@@ -289,9 +289,7 @@ def test_criterion_7_generalization_harness():
     # The reported random-split control must look like an independently
     # trained random-split evaluation of the same representation.
     control = ideal_run["control"]
-    split = SplitSpec(kind="random",
-                      test_fraction=control["split"]["test_fraction"], seed=999)
-    train_idx, test_idx = split_indices(ideal_rep, split)
+    train_idx, test_idx = split_indices(ideal_rep.n_rows, control["split"]["test_fraction"], 999)
     train, test = ideal_rep.subset(train_idx), ideal_rep.subset(test_idx)
     hits = []
     for j, name in enumerate(ideal_rep.schema.names):

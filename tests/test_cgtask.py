@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import detangle.cgtask as cgtask
 from detangle.cgtask import (
-    ExcludedPair,
     _control_split,
     _exclusion_rows,
     render_cg_table,
@@ -21,7 +20,7 @@ from detangle.cgtask import (
     suite_averages,
 )
 from detangle.classify import LINEAR, MLP, TrainConfig
-from detangle.dataset import FactorSchema, RepresentationSet, SplitSpec, split_indices
+from detangle.dataset import FactorSchema, RepresentationSet, split_indices
 from detangle.errors import SplitError, ValidationError
 from detangle.synth import GeneratorSpec, generate
 
@@ -49,18 +48,19 @@ def held_out_rep(n_rows, n_held_out, seed=0):
 def control_test_rows(rep, control):
     """Test-side size of the split a payload's control block records."""
     split = control["split"]
-    spec = SplitSpec(split["kind"], test_fraction=split["test_fraction"], seed=split["seed"])
-    return split_indices(rep, spec)[1].size
+    return split_indices(rep.n_rows, split["test_fraction"], split["seed"])[1].size
 
 
 class TestResolvePair:
     def test_tuple_normalized(self, variant_a_rep):
-        pair = resolve_pair(variant_a_rep, ("colour", 1, "shape", 0))
-        assert pair == ExcludedPair("colour", 1, "shape", 0)
+        pair = resolve_pair(variant_a_rep, ("colour", np.int64(1), "shape", 0))
+        assert pair == {"factor_a": "colour", "value_a": 1, "factor_b": "shape", "value_b": 0}
+        assert [type(value) for value in pair.values()] == [str, int, str, int]
 
     def test_indices_resolve_to_names(self, variant_a_rep):
         pair = resolve_pair(variant_a_rep, (1, 0, 0, 1))
-        assert pair == ExcludedPair("shape", 0, "colour", 1)
+        assert pair == {"factor_a": "shape", "value_a": 0, "factor_b": "colour", "value_b": 1}
+        assert resolve_pair(variant_a_rep, ("1", 0, "0", 1)) == pair
 
     def test_same_factor_rejected(self, variant_a_rep):
         with pytest.raises(SplitError, match="distinct"):
@@ -79,15 +79,6 @@ class TestResolvePair:
             resolve_pair(variant_a_rep, pair)
         assert str(info.value) == message
 
-    def test_json_payload(self):
-        pair = ExcludedPair("size", 2, "shape", 3)
-        assert pair.to_json_dict() == {
-            "factor_a": "size",
-            "value_a": 2,
-            "factor_b": "shape",
-            "value_b": 3,
-        }
-
 
 class TestExclusionSplit:
     @settings(max_examples=100, deadline=None)
@@ -100,7 +91,8 @@ class TestExclusionSplit:
                                 FactorSchema(("colour", "shape"), (2, 3)))
         mask = (labels[:, 0] == value_a) & (labels[:, 1] == value_b)
         assume(0 < mask.sum() < n)
-        train, test = _exclusion_rows(rep, ExcludedPair("colour", value_a, "shape", value_b))
+        pair = resolve_pair(rep, ("colour", value_a, "shape", value_b))
+        train, test = _exclusion_rows(rep, pair)
         assert np.array_equal(test, np.flatnonzero(mask))
         assert np.array_equal(train, np.flatnonzero(~mask))
 
@@ -109,11 +101,11 @@ class TestExclusionSplit:
         latents = np.random.default_rng(0).normal(size=(30, 2))
         rep = RepresentationSet(latents, np.array([[0, 0], [0, 1], [1, 0]] * 10), schema)
         with pytest.raises(SplitError) as info:
-            _exclusion_rows(rep, ExcludedPair("a", 1, "b", 1))
+            _exclusion_rows(rep, resolve_pair(rep, ("a", 1, "b", 1)))
         assert str(info.value) == "cg_exclusion pair (a=1, b=1) matches no rows"
         only_one = RepresentationSet(latents, np.zeros((30, 2), dtype=np.int64), schema)
         with pytest.raises(SplitError) as info:
-            _exclusion_rows(only_one, ExcludedPair("a", 0, "b", 0))
+            _exclusion_rows(only_one, resolve_pair(only_one, ("a", 0, "b", 0)))
         assert str(info.value) == (
             "cg_exclusion pair (a=0, b=0) matches every row; nothing left to train on"
         )
@@ -167,12 +159,10 @@ class TestRunCg:
     @given(st.integers(2, 5000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))))
     def test_control_split_tests_on_exactly_the_held_out_size(self, sizes):
         n_rows, n_test = sizes
-        rep = RepresentationSet(np.zeros((n_rows, 1)), np.zeros((n_rows, 1), dtype=np.int64),
-                                FactorSchema(("f",), (2,)))
-        spec = _control_split(n_rows, n_test, seed=5)
-        assert split_indices(rep, spec)[1].size == n_test
+        split = _control_split(n_rows, n_test, seed=5)
+        assert split_indices(n_rows, split["test_fraction"], split["seed"])[1].size == n_test
         if math.floor(n_rows * (n_test / n_rows)) == n_test:
-            assert spec.test_fraction == n_test / n_rows
+            assert split["test_fraction"] == n_test / n_rows
 
     def test_control_can_be_disabled(self):
         rep = grid_rep(copies=10)
@@ -225,10 +215,9 @@ class TestPresplit:
 
     def test_dirty_train_set_flagged(self):
         rep = grid_rep(copies=5)
-        pair = resolve_pair(rep, ("size", 2, "shape", 3))
         match = (rep.labels[:, 0] == 2) & (rep.labels[:, 1] == 3)
         test_rep = rep.subset(np.flatnonzero(match))
-        result = run_cg_presplit(rep, test_rep, pair, LINEAR, FAST)
+        result = run_cg_presplit(rep, test_rep, ("size", 2, "shape", 3), LINEAR, FAST)
         assert result["audit"]["train_rows_matching_pair"] == 5
         assert not result["audit"]["clean"]
 
@@ -382,10 +371,11 @@ class TestSamplePairs:
         p2 = sample_pairs(rep, "size", "shape", count=4, seed=9)
         assert p1 == p2
         assert len(p1) == 4
-        assert len(set((p.value_a, p.value_b) for p in p1)) == 4
+        assert {(a, b) for a, _, b, _ in p1} == {("size", "shape")}
+        assert len({(va, vb) for _, va, _, vb in p1}) == 4
         combos = {tuple(row) for row in rep.labels}
-        for pair in p1:
-            assert (pair.value_a, pair.value_b) in combos
+        for _, va, _, vb in p1:
+            assert (va, vb) in combos
 
     def test_count_bounds(self):
         rep = grid_rep(copies=2)

@@ -127,6 +127,19 @@ class TestSynth:
     def test_unknown_kind_exits_1(self, tmp_path):
         assert cli(["synth", "--kind", "nope", "--out", str(tmp_path / "set")]) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--kind", "ideal", "--sigma", "nan"], "noise_sigma must be >= 0 and finite, got nan"),
+        (["--kind", "ideal", "--sigma", "inf"], "noise_sigma must be >= 0 and finite, got inf"),
+        (["--kind", "rotated", "--angle", "inf"], "angle must be finite, got inf"),
+        (["--kind", "rotated", "--angle", "nan"], "angle must be finite, got nan"),
+    ])
+    def test_non_finite_sigma_or_angle_exits_1_without_writing(self, tmp_path, capsys,
+                                                               flags, message):
+        out = tmp_path / "set"
+        assert cli(["synth", *flags, "--factors", "a:2,b:2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_required_flag_exits_1(self):
         assert cli(["synth", "--kind", "table1_a"]) == 1
 
@@ -174,6 +187,14 @@ class TestMetrics:
     def test_missing_data_exits_2(self, tmp_path, capsys):
         assert cli(["metrics", "--data", str(tmp_path / "nowhere")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_data_file_is_named_not_the_schema(self, tmp_path, capsys):
+        # No schema.json sits next to the missing path either.
+        missing = tmp_path / "nope"
+        assert cli(["metrics", "--data", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read data file {missing}: ")
+        assert err.count("\n") == 1
 
     def test_malformed_csv_exits_1(self, tmp_path, workspace):
         shutil.copy(workspace / "a" / "schema.json", tmp_path / "schema.json")
@@ -425,6 +446,30 @@ class TestCg:
                                        "size:2,shape:1,extra:0", ";"])
     def test_bad_pair_syntax_exits_1(self, workspace, pairs):
         assert cli(["cg", "--data", str(workspace / "ideal"), "--pairs", pairs]) == 1
+
+    def test_index_pairs_name_the_same_factors(self, workspace, tmp_path):
+        runs = {}
+        for pairs in ("colour:0,shape:1", "0:0,1:1"):
+            out = tmp_path / f"{pairs}.json"
+            assert cli(["cg", "--data", str(workspace / "b"), "--pairs", pairs,
+                        "--probe", "linear", "--epochs", "2", "--out", str(out)]) == 0
+            runs[pairs] = read_json(out)
+        assert runs["0:0,1:1"]["pair"] == {"factor_a": "colour", "value_a": 0,
+                                           "factor_b": "shape", "value_b": 1}
+        assert runs["0:0,1:1"] == runs["colour:0,shape:1"]
+
+    def test_all_digit_factor_names_resolve_as_names(self, tmp_path, capsys):
+        data = tmp_path / "digits"
+        assert cli(["synth", "--kind", "ideal", "--factors", "10:2,20:2", "--copies", "5",
+                    "--out", str(data)]) == 0
+        out = tmp_path / "cg.json"
+        assert cli(["cg", "--data", str(data), "--pairs", "10:0,20:1", "--probe", "linear",
+                    "--epochs", "2", "--out", str(out)]) == 0
+        assert read_json(out)["pair"] == {"factor_a": "10", "value_a": 0,
+                                          "factor_b": "20", "value_b": 1}
+        capsys.readouterr()
+        assert cli(["cg", "--data", str(data), "--pairs", "1:0,30:1"]) == 1
+        assert capsys.readouterr().err == "error: factor index 30 out of range for 2 factors\n"
 
     def test_unknown_factor_exits_1(self, workspace, capsys):
         assert cli(["cg", "--data", str(workspace / "ideal"),

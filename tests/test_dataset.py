@@ -16,7 +16,6 @@ from detangle.dataset import (
     FactorSchema,
     QUANTILE,
     RepresentationSet,
-    SplitSpec,
     discretize_neuron,
     expected_header,
     load_representation_set,
@@ -74,6 +73,19 @@ class TestFactorSchema:
             SCHEMA.index_of("size")
         with pytest.raises(SchemaError):
             SCHEMA.index_of(2)
+
+    def test_index_of_tries_a_name_before_an_index(self):
+        digits = FactorSchema(("10", "0"), (2, 2))
+        assert digits.index_of("10") == 0
+        assert digits.index_of("0") == 1
+        assert digits.index_of(0) == 0
+        assert digits.index_of("1") == 1
+        assert SCHEMA.index_of("1") == 1
+        with pytest.raises(SchemaError, match="factor index 10 out of range for 2 factors"):
+            SCHEMA.index_of("10")
+        for token in ("--1", "²", " 1"):
+            with pytest.raises(SchemaError, match="unknown factor name"):
+                SCHEMA.index_of(token)
 
     @pytest.mark.parametrize(
         "names,cards",
@@ -340,30 +352,19 @@ class TestSplits:
     def test_random_split_partition(self, n, fraction, seed):
         n_test = math.floor(n * fraction)
         assume(1 <= n_test < n)
-        rep = small_rep(n=n)
-        spec = SplitSpec(kind="random", test_fraction=fraction, seed=seed)
-        train, test = split_indices(rep, spec)
+        train, test = split_indices(n, fraction, seed)
         assert test.size == n_test
         assert_partition(train, test, n)
-        train2, test2 = split_indices(rep, spec)
+        train2, test2 = split_indices(n, fraction, seed)
         assert np.array_equal(train, train2) and np.array_equal(test, test2)
 
     def test_random_split_depends_on_seed(self):
-        rep = small_rep(n=50)
-        _, test = split_indices(rep, SplitSpec(kind="random", test_fraction=0.2, seed=9))
-        _, test2 = split_indices(rep, SplitSpec(kind="random", test_fraction=0.2, seed=10))
+        _, test = split_indices(50, 0.2, seed=9)
+        _, test2 = split_indices(50, 0.2, seed=10)
         assert not np.array_equal(test, test2)
 
     def test_random_split_fraction_bounds(self):
-        rep = small_rep(n=4)
-        with pytest.raises(SplitError):
-            split_indices(rep, SplitSpec(kind="random", test_fraction=0.1, seed=1))
-        with pytest.raises(SplitError):
-            SplitSpec(kind="random", test_fraction=1.5, seed=1)
-        with pytest.raises(SplitError):
-            SplitSpec(kind="random", test_fraction=0.5)
-
-    @pytest.mark.parametrize("kind", ["upside_down", "cg_exclusion"])
-    def test_unknown_kind_rejected(self, kind):
-        with pytest.raises(SplitError, match="unknown split kind"):
-            SplitSpec(kind=kind, test_fraction=0.5, seed=1)
+        with pytest.raises(SplitError, match="empty side"):
+            split_indices(4, 0.1, seed=1)
+        with pytest.raises(SplitError, match="in \\(0, 1\\)"):
+            split_indices(4, 1.5, seed=1)

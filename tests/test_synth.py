@@ -88,6 +88,18 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="sigma"):
             GeneratorSpec(kind="ideal", schema=schema, noise_sigma=-0.5)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        schema = FactorSchema(("a", "b"), (2, 2))
+        with pytest.raises(ValidationError, match=f"must be >= 0 and finite, got {sigma}"):
+            GeneratorSpec(kind="ideal", schema=schema, noise_sigma=sigma)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        schema = FactorSchema(("a", "b"), (2, 2))
+        with pytest.raises(ValidationError, match=f"angle must be finite, got {angle}"):
+            GeneratorSpec(kind="rotated", schema=schema, angle=angle)
+
     def test_samples_per_cell_must_be_positive(self):
         with pytest.raises(ValidationError):
             GeneratorSpec(kind="xor", samples_per_cell=0)
