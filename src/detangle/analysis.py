@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import aggregate
+from .metrics import PER_FACTOR_METRICS, aggregate
 from .util import payload_kind, require_distinct
 
 _BETA_EPS = 3e-14
@@ -146,8 +146,6 @@ BASELINE_AGGREGATES = (MEAN_ALL, MEAN_SUBSET, PRODUCT_SUBSET)
 # baseline metrics default to their usual mean over all factors but can be
 # restricted the same way for a like-for-like comparison.
 SUBSET_METRICS = ("snc", "nk")
-# The metrics whose payload blocks carry per-factor scores.
-PER_FACTOR_METRICS = ("snc", "nk", "mig", "sap")
 
 
 def _aggregate_from_payload(
@@ -192,7 +190,7 @@ def correlate_metrics_with_cg(
     metric_payloads: Sequence[dict],
     cg_payloads: Sequence[dict],
     subset: Sequence[str],
-    metrics: Sequence[str] = ("snc", "nk", "mig", "sap"),
+    metrics: Sequence[str] = PER_FACTOR_METRICS,
     aggregate_mode: str = "product",
     baseline_aggregate: str = MEAN_ALL,
 ) -> dict:

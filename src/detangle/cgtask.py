@@ -22,6 +22,7 @@ separate run_cg calls report.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -41,11 +42,14 @@ from .util import payload_kind, spawn_seed
 
 def _named_pair(schema: FactorSchema, pair: tuple) -> dict:
     """The payload block of an (a, va, b, vb) pair, its factors by name; they
-    must be two distinct factors of schema."""
+    must be two distinct factors of schema, and each value an integer."""
     a, va, b, vb = pair
     ia, ib = schema.index_of(a), schema.index_of(b)
     if ia == ib:
         raise SplitError("excluded pair needs two distinct factors")
+    for tag, value in (("value_a", va), ("value_b", vb)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise SplitError(f"{tag}={value!r} is not an integer")
     return {"factor_a": schema.names[ia], "value_a": int(va),
             "factor_b": schema.names[ib], "value_b": int(vb)}
 
@@ -93,8 +97,6 @@ def measure_probes(
 ) -> list[np.ndarray]:
     """Train one probe per factor on train_rep, as one stack; return each
     probe's predictions on test_latents, in schema order."""
-    if probe_kind not in PROBE_KINDS:
-        raise ValidationError(f"unknown probe kind {probe_kind!r}")
     schema = train_rep.schema
     seeds = [spawn_seed(config.seed, seed_salt, j) for j in range(schema.n_factors)]
     probes = train_probe(
@@ -274,18 +276,21 @@ def run_cg_suite(
     """Cross product of pairs x probe kinds: the suite payload of their runs
     and per-kind averages.
 
-    Checks every pair before any probe trains, and fails naming the first
-    pair whose exclusion split is degenerate.
+    Checks every probe kind and pair before any probe trains, and fails
+    naming the first pair whose exclusion split is degenerate.
     Pairs with the same held-out size share one control per probe kind.
     """
     config = config or TrainConfig()
     if not pairs:
         raise ValidationError("run_cg_suite needs at least one excluded pair")
+    for kind in probe_kinds:
+        if kind not in PROBE_KINDS:
+            raise ValidationError(f"unknown probe kind {kind!r}")
     for pair in pairs:
+        named = _named_pair(rep.schema, pair)
         try:
             _exclusion_rows(rep, resolve_pair(rep, pair))
         except SplitError as exc:
-            named = _named_pair(rep.schema, pair)
             raise SplitError(f"degenerate exclusion split for pair {named}: {exc}") from exc
     controls: dict = {}
     runs = [run_cg(rep, pair, kind, config, control=control, _controls=controls)

@@ -34,7 +34,6 @@ from .classify import LINEAR, MLP, TrainConfig
 from .dataset import (
     DEFAULT_BINS,
     FactorSchema,
-    QUANTILE,
     load_representation_set,
     write_representation_set,
 )
@@ -82,13 +81,15 @@ def _read_json(path: str) -> dict:
     return payload
 
 
+def _items(text: str, sep: str = ",") -> list[str]:
+    """The items of a sep-separated list flag, stripped, empty ones dropped."""
+    return [item.strip() for item in text.split(sep) if item.strip()]
+
+
 def _parse_factor_list(text: str) -> FactorSchema:
     """Parse 'name:K,name:K,...' into a schema."""
     names, cards = [], []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in _items(text):
         if ":" not in token:
             raise ValidationError(f"factor token {token!r} must look like name:cardinality")
         name, _, card = token.partition(":")
@@ -106,10 +107,7 @@ def _parse_pairs(text: str) -> list[tuple]:
     """Parse 'a:va,b:vb;a:va,b:vb' into (factor, value, factor, value) tuples;
     each factor token is resolved later by FactorSchema.index_of."""
     pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _items(text, ";"):
         sides = chunk.split(",")
         if len(sides) != 2:
             raise ValidationError(
@@ -131,18 +129,13 @@ def _parse_pairs(text: str) -> list[tuple]:
 
 
 def _train_config(args) -> TrainConfig:
-    kwargs = {"seed": args.seed}
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    if args.learning_rate is not None:
-        kwargs["learning_rate"] = args.learning_rate
-    return TrainConfig(**kwargs)
+    return TrainConfig(seed=args.seed, epochs=args.epochs, learning_rate=args.learning_rate)
 
 
 def _parse_subset(text: str | None) -> list[str] | None:
     if text is None:
         return None
-    names = [tok.strip() for tok in text.split(",") if tok.strip()]
+    names = _items(text)
     if not names:
         raise ValidationError("--subset must name at least one factor")
     return names
@@ -158,8 +151,10 @@ def build_parser() -> _Parser:
 
     def add_train_flags(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--epochs", type=int, help="probe training epochs (default 75)")
-        p.add_argument("--learning-rate", type=float, help="probe Adam step size (default 0.001)")
+        p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                       help="probe training epochs (default %(default)s)")
+        p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate,
+                       help="probe Adam step size (default %(default)s)")
 
     p = sub.add_parser("synth", help="generate a synthetic representation set",
                        description="Generate a synthetic representation set.")
@@ -212,7 +207,8 @@ def build_parser() -> _Parser:
     p.add_argument("--metrics", required=True, help="comma-separated metric report JSON paths")
     p.add_argument("--cg", required=True, help="comma-separated generalization JSON paths")
     p.add_argument("--subset", required=True, help="factor names the scores aggregate over")
-    p.add_argument("--columns", default="snc,nk,mig,sap", help="metric columns to correlate")
+    p.add_argument("--columns", default=",".join(metrics.PER_FACTOR_METRICS),
+                   help="metric columns to correlate")
     p.add_argument("--aggregate", choices=metrics.AGGREGATE_MODES, default=metrics.PRODUCT)
     p.add_argument("--baseline-aggregate", choices=analysis.BASELINE_AGGREGATES,
                    default=analysis.MEAN_ALL)
@@ -256,7 +252,6 @@ def _metrics_payload(args) -> dict:
         rep,
         align_mode=args.align,
         n_bins=args.bins,
-        strategy=QUANTILE,
         config=_train_config(args),
         subset=_parse_subset(args.subset),
         aggregate_mode=args.aggregate,
@@ -302,14 +297,11 @@ def _cg_payload(args) -> dict:
 
 
 def _correlate_payload(args) -> dict:
-    metric_payloads = [_read_payload(p)[0] for p in args.metrics.split(",") if p.strip()]
-    cg_payloads = [_read_payload(p)[0] for p in args.cg.split(",") if p.strip()]
-    columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     return analysis.correlate_metrics_with_cg(
-        metric_payloads,
-        cg_payloads,
+        [_read_payload(p)[0] for p in _items(args.metrics)],
+        [_read_payload(p)[0] for p in _items(args.cg)],
         subset=_parse_subset(args.subset),
-        metrics=columns,
+        metrics=_items(args.columns),
         aggregate_mode=args.aggregate,
         baseline_aggregate=args.baseline_aggregate,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,8 +30,6 @@ from .errors import (
     ValidationError,
 )
 from .util import atomic_open, atomic_write_text
-
-SCHEMA_VERSION = 1
 
 QUANTILE = "quantile"
 EQUAL_WIDTH = "equal_width"
@@ -68,11 +67,15 @@ class FactorSchema:
 
     def index_of(self, factor: int | str) -> int:
         """Resolve a factor to its index: by name first, else as an index given
-        as an int or a string of digits (so a factor named "10" is a name)."""
+        as an integer (not a bool) or a string of digits (so a factor named
+        "10" is a name)."""
         if factor in self.names:
             return self.names.index(factor)
-        if isinstance(factor, str) and not factor.removeprefix("-").isdecimal():
-            raise SchemaError(f"unknown factor name {factor!r}")
+        if isinstance(factor, str):
+            if not factor.removeprefix("-").isdecimal():
+                raise SchemaError(f"unknown factor name {factor!r}")
+        elif isinstance(factor, bool) or not isinstance(factor, numbers.Integral):
+            raise SchemaError(f"factor {factor!r} is neither a name nor an integer index")
         idx = int(factor)
         if not 0 <= idx < self.n_factors:
             raise SchemaError(f"factor index {idx} out of range for {self.n_factors} factors")
@@ -389,44 +392,26 @@ def discretize_neuron(
         raise ValidationError(f"unknown binning strategy {strategy!r}, expected one of {BIN_STRATEGIES}")
 
     levels = np.unique(values)
-    if levels.size == 1:
-        bins = np.zeros(values.shape, dtype=np.int64)
-        return DiscretizedNeuron(
-            bins=_frozen(bins),
-            boundaries=_frozen(np.empty(0, dtype=np.float64)),
-            strategy=strategy,
-            requested_bins=n_bins,
-            degenerate=n_bins > 1,
-            level_mapped=True,
-        )
-
-    if levels.size <= n_bins:
+    level_mapped = levels.size <= n_bins
+    if level_mapped:
         # Already-discrete values: sorted level k becomes bin k exactly.
         boundaries = (levels[:-1] + levels[1:]) / 2.0
         bins = np.searchsorted(levels, values)
-        return DiscretizedNeuron(
-            bins=_frozen(bins.astype(np.int64)),
-            boundaries=_frozen(boundaries),
-            strategy=strategy,
-            requested_bins=n_bins,
-            level_mapped=True,
-        )
-
-    if strategy == QUANTILE:
-        qs = np.arange(1, n_bins) / n_bins
-        boundaries = np.quantile(values, qs)
     else:
-        lo, hi = float(levels[0]), float(levels[-1])
-        boundaries = lo + (hi - lo) * np.arange(1, n_bins) / n_bins
-
-    boundaries = np.asarray(boundaries, dtype=np.float64)
-    # A value equal to a boundary belongs to the lower bin.
-    bins = np.searchsorted(boundaries, values, side="left").astype(np.int64)
+        if strategy == QUANTILE:
+            boundaries = np.quantile(values, np.arange(1, n_bins) / n_bins)
+        else:
+            lo, hi = float(levels[0]), float(levels[-1])
+            boundaries = lo + (hi - lo) * np.arange(1, n_bins) / n_bins
+        # A value equal to a boundary belongs to the lower bin.
+        bins = np.searchsorted(boundaries, values, side="left")
     return DiscretizedNeuron(
-        bins=_frozen(bins),
-        boundaries=_frozen(boundaries),
+        bins=_frozen(bins.astype(np.int64)),
+        boundaries=_frozen(np.asarray(boundaries, dtype=np.float64)),
         strategy=strategy,
         requested_bins=n_bins,
+        degenerate=levels.size == 1 and n_bins > 1,
+        level_mapped=level_mapped,
     )
 
 

@@ -42,6 +42,9 @@ MEAN = "mean"
 PRODUCT = "product"
 AGGREGATE_MODES = (MEAN, PRODUCT)
 
+# The metrics whose payload blocks carry per-factor scores.
+PER_FACTOR_METRICS = ("snc", "nk", "mig", "sap")
+
 
 # ---------------------------------------------------------------------------
 # shared helper: single-neuron bin-to-class agreement
@@ -336,7 +339,6 @@ def compute_metric_report(
     rep: RepresentationSet,
     align_mode: str = "injective",
     n_bins: int = DEFAULT_BINS,
-    strategy: str = QUANTILE,
     config: TrainConfig | None = None,
     subset: Sequence[str] | None = None,
     aggregate_mode: str = PRODUCT,
@@ -352,7 +354,7 @@ def compute_metric_report(
     if subset is not None:
         # Reject a bad subset or aggregate mode before any probe trains.
         aggregate(dict.fromkeys(rep.schema.names, 0.0), aggregate_mode, subset)
-    imp = importance_matrix(rep, n_bins=n_bins, strategy=strategy)
+    imp = importance_matrix(rep, n_bins=n_bins)
     if align_mode == "injective":
         alignment = injective_alignment(imp)
     elif align_mode == "greedy":
@@ -369,7 +371,7 @@ def compute_metric_report(
         "config": {
             "align_mode": align_mode,
             "n_bins": n_bins,
-            "strategy": strategy,
+            "strategy": QUANTILE,
             "probe": asdict(config),
             "split": split,
         },
@@ -408,7 +410,7 @@ def compute_metric_report(
             "subset": list(subset),
             "values": {
                 metric: aggregate(payload[metric]["per_factor"], aggregate_mode, subset)
-                for metric in ("snc", "nk", "mig", "sap")
+                for metric in PER_FACTOR_METRICS
             },
         }
     return payload
@@ -421,29 +423,19 @@ def render_metric_table(payload: dict) -> str:
     carries chance-adjusted values.
     """
     names = payload["factor_names"]
-    rows = [
-        ("SNC", [payload["snc"]["per_factor"][n] for n in names], payload["snc"]["mean"]),
-        (
-            "linear",
-            [payload["probe_accuracy"]["linear"][n]["raw"] for n in names],
-            float(np.mean([payload["probe_accuracy"]["linear"][n]["raw"] for n in names])),
-        ),
-        (
-            "MLP",
-            [payload["probe_accuracy"]["mlp"][n]["raw"] for n in names],
-            float(np.mean([payload["probe_accuracy"]["mlp"][n]["raw"] for n in names])),
-        ),
-        ("NK", [payload["nk"]["per_factor"][n] for n in names], payload["nk"]["mean"]),
-    ]
+    accuracy_rows = payload["probe_accuracy"]
+    rows = {
+        "SNC": [payload["snc"]["per_factor"][n] for n in names],
+        "linear": [accuracy_rows["linear"][n]["raw"] for n in names],
+        "MLP": [accuracy_rows["mlp"][n]["raw"] for n in names],
+        "NK": [payload["nk"]["per_factor"][n] for n in names],
+    }
     width = max(8, *(len(n) for n in names)) + 2
-    header = f"{'metric':<8}" + "".join(f"{n:>{width}}" for n in names) + f"{'mean':>{width}}"
-    lines = [header]
-    for label, values, mean_v in rows:
-        lines.append(
-            f"{label:<8}"
-            + "".join(f"{v:>{width}.4f}" for v in values)
-            + f"{mean_v:>{width}.4f}"
-        )
+    lines = [f"{'metric':<8}" + "".join(f"{n:>{width}}" for n in [*names, "mean"])]
+    lines += [
+        f"{label:<8}" + "".join(f"{v:>{width}.4f}" for v in [*values, np.mean(values)])
+        for label, values in rows.items()
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -32,6 +32,13 @@ DEFAULT_MAX_ROWS = 10_000_000
 
 _TABLE1_SCHEMA = FactorSchema(("colour", "shape"), (2, 2))
 _XOR_SCHEMA = FactorSchema(("parity",), (2,))
+# Per fixed-schema kind: its default schema, and the structure a given schema needs.
+_FIXED_SCHEMAS = {
+    TABLE1_A: (_TABLE1_SCHEMA, "two binary factors"),
+    TABLE1_B: (_TABLE1_SCHEMA, "two binary factors"),
+    XOR: (_XOR_SCHEMA, "a single binary factor"),
+    REDUNDANT_XOR: (_XOR_SCHEMA, "a single binary factor"),
+}
 
 
 @dataclass(frozen=True)
@@ -75,12 +82,10 @@ class GeneratorSpec:
         elif self.angle is not None:
             raise ValidationError(f"angle is only valid for the rotated kind, not {self.kind!r}")
 
-        if self.kind in (TABLE1_A, TABLE1_B):
-            if self.schema is not None and tuple(self.schema.cardinalities) != (2, 2):
-                raise ValidationError(f"{self.kind} needs two binary factors")
-        elif self.kind in (XOR, REDUNDANT_XOR):
-            if self.schema is not None and tuple(self.schema.cardinalities) != (2,):
-                raise ValidationError(f"{self.kind} needs a single binary factor")
+        if self.kind in _FIXED_SCHEMAS:
+            default, needs = _FIXED_SCHEMAS[self.kind]
+            if self.schema is not None and tuple(self.schema.cardinalities) != default.cardinalities:
+                raise ValidationError(f"{self.kind} needs {needs}")
         elif self.kind == ROTATED:
             if self.schema is None or self.schema.n_factors != 2:
                 raise ValidationError("rotated generator needs a schema with exactly 2 factors")
@@ -92,13 +97,7 @@ class GeneratorSpec:
                 raise ValidationError(f"{self.kind} generator needs a schema")
 
     def resolved_schema(self) -> FactorSchema:
-        if self.schema is not None:
-            return self.schema
-        if self.kind in (TABLE1_A, TABLE1_B):
-            return _TABLE1_SCHEMA
-        if self.kind in (XOR, REDUNDANT_XOR):
-            return _XOR_SCHEMA
-        raise ValidationError(f"{self.kind} generator needs a schema")
+        return self.schema if self.schema is not None else _FIXED_SCHEMAS[self.kind][0]
 
 
 def factor_grid(schema: FactorSchema, copies: int = 1, max_rows: int = DEFAULT_MAX_ROWS) -> np.ndarray:

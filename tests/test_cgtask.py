@@ -21,7 +21,7 @@ from detangle.cgtask import (
 )
 from detangle.classify import LINEAR, MLP, TrainConfig
 from detangle.dataset import FactorSchema, RepresentationSet, split_indices
-from detangle.errors import SplitError, ValidationError
+from detangle.errors import SchemaError, SplitError, ValidationError
 from detangle.synth import GeneratorSpec, generate
 
 FAST = TrainConfig(seed=5, epochs=10, learning_rate=0.01)
@@ -61,6 +61,7 @@ class TestResolvePair:
         pair = resolve_pair(variant_a_rep, (1, 0, 0, 1))
         assert pair == {"factor_a": "shape", "value_a": 0, "factor_b": "colour", "value_b": 1}
         assert resolve_pair(variant_a_rep, ("1", 0, "0", 1)) == pair
+        assert resolve_pair(variant_a_rep, (np.int64(1), 0, np.int64(0), 1)) == pair
 
     def test_same_factor_rejected(self, variant_a_rep):
         with pytest.raises(SplitError, match="distinct"):
@@ -70,9 +71,24 @@ class TestResolvePair:
         with pytest.raises(ValidationError):
             resolve_pair(variant_a_rep, ("texture", 0, "shape", 1))
 
+    @pytest.mark.parametrize("pair", [
+        (1.7, 1, 0, True),
+        ("colour", 0, 1.0, 1),
+        (True, 0, "shape", 1),
+        (np.float64(0.0), 0, "shape", 1),
+    ])
+    def test_non_integer_factor_rejected(self, variant_a_rep, pair):
+        with pytest.raises(SchemaError, match="is neither a name nor an integer index"):
+            resolve_pair(variant_a_rep, pair)
+
     @pytest.mark.parametrize("pair, message", [
         (("colour", 2, "shape", 0), "value_a=2 out of range for factor 'colour' (cardinality 2)"),
         (("colour", 0, "shape", -1), "value_b=-1 out of range for factor 'shape' (cardinality 2)"),
+        (("colour", 0.9, "shape", 1), "value_a=0.9 is not an integer"),
+        (("colour", 1.0, "shape", 1), "value_a=1.0 is not an integer"),
+        (("colour", True, "shape", 1), "value_a=True is not an integer"),
+        (("colour", 0, "shape", "1"), "value_b='1' is not an integer"),
+        (("colour", 0, "shape", np.float64(1.0)), f"value_b={np.float64(1.0)!r} is not an integer"),
     ])
     def test_value_out_of_range_rejected(self, variant_a_rep, pair, message):
         with pytest.raises(SplitError) as info:
@@ -258,6 +274,20 @@ class TestSuite:
         rep = grid_rep(copies=5)
         with pytest.raises(ValidationError, match="at least one"):
             run_cg_suite(rep, [], (LINEAR,), FAST)
+
+    @pytest.mark.parametrize("pairs, kinds, error, message", [
+        ([("size", 0, "shape", 0)], (LINEAR, "bogus"), ValidationError, "unknown probe kind 'bogus'"),
+        ([("size", 0, "shape", 0), ("size", 0.5, "shape", 1)], (LINEAR,), SplitError,
+         "value_a=0.5 is not an integer"),
+    ], ids=["unknown_kind", "non_integer_value"])
+    def test_bad_kind_or_pair_rejected_before_any_probe_trains(
+        self, monkeypatch, pairs, kinds, error, message
+    ):
+        calls = []
+        monkeypatch.setattr(cgtask, "train_probe", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(error, match=message):
+            run_cg_suite(grid_rep(copies=5), pairs, kinds, FAST)
+        assert calls == []
 
     def test_degenerate_pair_named_in_error(self):
         schema = FactorSchema(("a", "b"), (2, 2))

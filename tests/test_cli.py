@@ -504,6 +504,19 @@ class TestCorrelate:
         assert "models: 3" in stdout
         assert "snc" in stdout
 
+    def test_spaces_around_list_commas_are_ignored(self, workspace, tmp_path, capsys):
+        models = ("ideal", "rotated", "code")
+        results = []
+        for sep in (",", ", "):
+            out = tmp_path / f"corr{len(results)}.json"
+            assert cli(["correlate",
+                        "--metrics", sep.join(str(workspace / f"{m}_metrics.json") for m in models),
+                        "--cg", sep.join(str(workspace / f"{m}_cg.json") for m in models),
+                        "--subset", f"size{sep}shape", "--columns", f"snc{sep}mig",
+                        "--out", str(out)]) == 0
+            results.append((out.read_bytes(), capsys.readouterr().out))
+        assert results[0] == results[1]
+
     def test_column_selection(self, workspace, capsys):
         models = ("ideal", "rotated", "code")
         assert cli(["correlate",

@@ -69,6 +69,7 @@ class TestFactorSchema:
     def test_index_of_name_and_int(self):
         assert SCHEMA.index_of("shape") == 1
         assert SCHEMA.index_of(0) == 0
+        assert SCHEMA.index_of(np.int64(1)) == 1
         with pytest.raises(SchemaError):
             SCHEMA.index_of("size")
         with pytest.raises(SchemaError):
@@ -86,6 +87,11 @@ class TestFactorSchema:
         for token in ("--1", "²", " 1"):
             with pytest.raises(SchemaError, match="unknown factor name"):
                 SCHEMA.index_of(token)
+
+    @pytest.mark.parametrize("token", [0.5, 1.7, 1.0, np.float64(0.0), True, False, None])
+    def test_index_of_rejects_non_integer_tokens(self, token):
+        with pytest.raises(SchemaError, match="is neither a name nor an integer index"):
+            SCHEMA.index_of(token)
 
     @pytest.mark.parametrize(
         "names,cards",
