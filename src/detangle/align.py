@@ -56,13 +56,13 @@ def assignment_objective(values: np.ndarray, assignment: Sequence[int]) -> float
     return total
 
 
-def greedy_alignment(imp: ImportanceMatrix | np.ndarray) -> Alignment:
+def greedy_alignment(imp: ImportanceMatrix) -> Alignment:
     """Per-factor argmax neuron; ties go to the lowest index.
 
     Several factors may map to the same neuron. This reproduces the common
     shortcut whose failure on shared neurons motivates the injective mode.
     """
-    values = _importance_values(imp)
+    values = imp.values
     assignment = tuple(int(i) for i in np.argmax(values, axis=1))
     return Alignment(
         assignment=assignment,
@@ -72,7 +72,7 @@ def greedy_alignment(imp: ImportanceMatrix | np.ndarray) -> Alignment:
     )
 
 
-def injective_alignment(imp: ImportanceMatrix | np.ndarray) -> Alignment:
+def injective_alignment(imp: ImportanceMatrix) -> Alignment:
     """Optimal one-to-one factor-to-neuron assignment (max total importance).
 
     Requires n_factors <= n_neurons. Among assignments with equal objective
@@ -81,7 +81,7 @@ def injective_alignment(imp: ImportanceMatrix | np.ndarray) -> Alignment:
     optimal completion. An all-zero matrix yields the identity prefix
     (0, 1, ..., n-1) flagged degenerate.
     """
-    values = _importance_values(imp)
+    values = imp.values
     assignment, objective = max_weight_assignment(values, lexicographic=True)
     return Alignment(
         assignment=assignment,
@@ -201,15 +201,14 @@ _LABEL_W = 110
 _HEADER_H = 24
 
 
-def hinton_svg(imp: ImportanceMatrix | np.ndarray, alignment: Alignment | None = None) -> str:
+def hinton_svg(imp: ImportanceMatrix, alignment: Alignment | None = None) -> str:
     """SVG Hinton diagram: one filled square per nonzero entry.
 
     Square side is proportional to the entry divided by the matrix maximum;
     cells named by an alignment get an outline. Output bytes are a pure
     function of the inputs.
     """
-    values = _importance_values(imp)
-    names = _factor_names(imp, values.shape[0])
+    values = imp.values
     n, m = values.shape
     vmax = float(values.max()) if values.size else 0.0
     width = _LABEL_W + m * _CELL + 10
@@ -229,7 +228,7 @@ def hinton_svg(imp: ImportanceMatrix | np.ndarray, alignment: Alignment | None =
         y = _HEADER_H + j * _CELL + _CELL / 2 + 4
         parts.append(
             f'<text x="{_LABEL_W - 8}" y="{_fmt(y)}" font-family="monospace" '
-            f'font-size="12" text-anchor="end">{_escape(names[j])}</text>'
+            f'font-size="12" text-anchor="end">{_escape(imp.factor_names[j])}</text>'
         )
     for j in range(n):
         for i in range(m):
@@ -254,13 +253,12 @@ def hinton_svg(imp: ImportanceMatrix | np.ndarray, alignment: Alignment | None =
     return "\n".join(parts) + "\n"
 
 
-def hinton_text(imp: ImportanceMatrix | np.ndarray, alignment: Alignment | None = None) -> str:
+def hinton_text(imp: ImportanceMatrix, alignment: Alignment | None = None) -> str:
     """Plain-text Hinton rendering: runs of '#' scaled 0-8 per cell.
 
     Aligned cells are wrapped in brackets.
     """
-    values = _importance_values(imp)
-    names = _factor_names(imp, values.shape[0])
+    values, names = imp.values, imp.factor_names
     n, m = values.shape
     vmax = float(values.max()) if values.size else 0.0
     label_w = max(len(s) for s in names)
@@ -277,35 +275,16 @@ def hinton_text(imp: ImportanceMatrix | np.ndarray, alignment: Alignment | None 
 
 
 def export_hinton(
-    imp: ImportanceMatrix | np.ndarray,
+    imp: ImportanceMatrix,
     alignment: Alignment | None = None,
     svg_path: str | Path | None = None,
     text_path: str | Path | None = None,
-) -> dict:
-    """Write the SVG and/or text diagram atomically; returns written paths."""
-    written: dict[str, str | None] = {"svg": None, "text": None}
+) -> None:
+    """Write the SVG and/or text diagram atomically."""
     if svg_path is not None:
         atomic_write_text(svg_path, hinton_svg(imp, alignment))
-        written["svg"] = str(svg_path)
     if text_path is not None:
         atomic_write_text(text_path, hinton_text(imp, alignment))
-        written["text"] = str(text_path)
-    return written
-
-
-def _importance_values(imp: ImportanceMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(imp, ImportanceMatrix):
-        return imp.values
-    values = np.asarray(imp, dtype=np.float64)
-    if values.ndim != 2 or values.size == 0:
-        raise ValidationError("importance matrix must be a non-empty 2-D array")
-    return values
-
-
-def _factor_names(imp, n: int) -> list[str]:
-    if isinstance(imp, ImportanceMatrix):
-        return list(imp.factor_names)
-    return [f"f{j}" for j in range(n)]
 
 
 def _fmt(x: float) -> str:

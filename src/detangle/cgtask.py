@@ -277,7 +277,8 @@ def run_cg_suite(
     and per-kind averages.
 
     Checks every probe kind and pair before any probe trains, and fails
-    naming the first pair whose exclusion split is degenerate.
+    naming the first pair whose exclusion split is degenerate or holds out
+    the same rows as an earlier pair (the same pair, in either term order).
     Pairs with the same held-out size share one control per probe kind.
     """
     config = config or TrainConfig()
@@ -286,12 +287,16 @@ def run_cg_suite(
     for kind in probe_kinds:
         if kind not in PROBE_KINDS:
             raise ValidationError(f"unknown probe kind {kind!r}")
+    held_out = set()
     for pair in pairs:
         named = _named_pair(rep.schema, pair)
         try:
-            _exclusion_rows(rep, resolve_pair(rep, pair))
+            test_rows = _exclusion_rows(rep, resolve_pair(rep, pair))[1].tobytes()
         except SplitError as exc:
             raise SplitError(f"degenerate exclusion split for pair {named}: {exc}") from exc
+        if test_rows in held_out:
+            raise SplitError(f"pair {named} holds out the same rows as an earlier pair")
+        held_out.add(test_rows)
     controls: dict = {}
     runs = [run_cg(rep, pair, kind, config, control=control, _controls=controls)
             for pair in pairs for kind in probe_kinds]
@@ -377,38 +382,21 @@ def _table_row(setting: str, cells: Sequence, spec: str = "10.4f") -> str:
 
 
 def render_cg_table(payload: dict) -> str:
-    """Aligned text table: one row per evaluation setting, columns for each
-    excluded factor and for both jointly (all chance-adjusted)."""
+    """Aligned text table: a row per setting and probe kind, columns for each excluded
+    factor and both jointly (chance-adjusted). A run's table follows its pair line."""
     if payload_kind(payload) == "cg_suite":
-        averages = payload["averages"].items()
-        lines = [_table_row("setting", ("factor_a", "factor_b", "both"), ">10")]
+        lines, columns = [], ("factor_a", "factor_b")
+        rows = list(payload["averages"].items())
+    else:
+        pair = payload["pair"]
+        lines = ["excluded pair: {factor_a}={value_a}, {factor_b}={value_b}".format(**pair)]
+        columns = (pair["factor_a"], pair["factor_b"])
+        rows = [(payload["probe_kind"], _run_scores(payload))]
+    lines.append(_table_row("setting", (*columns, "both"), ">10"))
+    for setting, prefix in (("cg", ""), ("random split", "control_")):
         lines += [
-            _table_row("cg (" + kind + ")", [avg[key] for key in _AVERAGE_KEYS])
-            for kind, avg in averages
+            _table_row(setting + " (" + kind + ")", [scores[prefix + key] for key in _AVERAGE_KEYS])
+            for kind, scores in rows
+            if prefix + "joint_both_adjusted" in scores
         ]
-        lines += [
-            _table_row(
-                "random split (" + kind + ")", [avg["control_" + key] for key in _AVERAGE_KEYS]
-            )
-            for kind, avg in averages
-            if "control_joint_both_adjusted" in avg
-        ]
-        return "\n".join(lines) + "\n"
-    pair = payload["pair"]
-    name_a, name_b = pair["factor_a"], pair["factor_b"]
-    kind = payload["probe_kind"]
-    lines = [
-        f"excluded pair: {name_a}={pair['value_a']}, {name_b}={pair['value_b']}",
-        _table_row("setting", (name_a, name_b, "both"), ">10"),
-    ]
-    settings = (("cg (" + kind + ")", payload), ("random split (" + kind + ")", payload.get("control")))
-    lines += [
-        _table_row(
-            setting,
-            [block["per_factor"][name]["adjusted"] for name in (name_a, name_b)]
-            + [block["joint_both"]["adjusted"]],
-        )
-        for setting, block in settings
-        if block
-    ]
     return "\n".join(lines) + "\n"

@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TrainingDivergedError, ValidationError
+from .util import require_int
 
 LINEAR = "linear"
 MLP = "mlp"
@@ -38,6 +39,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "hidden_units", "batch_size", "seed"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         for name, value in (("learning_rate", self.learning_rate), ("epsilon", self.epsilon)):
             if not 0 < value < math.inf:  # NaN fails this too
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
@@ -47,7 +50,7 @@ class TrainConfig:
             raise ValidationError("epochs, hidden_units, and batch_size must be >= 1")
 
     def with_seed(self, seed: int) -> "TrainConfig":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)

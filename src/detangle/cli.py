@@ -18,8 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, cgtask, metrics, synth
 from .align import (
     Alignment,
@@ -318,7 +316,7 @@ def render(payload: dict) -> str:
         return analysis.render_correlation_table(payload)
     imp_block = payload["importance"]
     imp = ImportanceMatrix(
-        values=np.asarray(imp_block["bits"], dtype=np.float64),
+        values=imp_block["bits"],
         factor_names=tuple(imp_block["factor_names"]),
         n_bins=imp_block["n_bins"],
         strategy=imp_block["strategy"],

@@ -29,7 +29,7 @@ from .errors import (
     SplitError,
     ValidationError,
 )
-from .util import atomic_open, atomic_write_text
+from .util import atomic_open, atomic_write_json
 
 QUANTILE = "quantile"
 EQUAL_WIDTH = "equal_width"
@@ -96,16 +96,10 @@ class FactorSchema:
         factors = payload["factors"]
         if not isinstance(factors, list) or not factors:
             raise SchemaError('"factors" must be a non-empty list')
-        names, cards = [], []
         for i, entry in enumerate(factors):
             if not isinstance(entry, dict) or "name" not in entry or "cardinality" not in entry:
                 raise SchemaError(f'factor {i}: each entry needs "name" and "cardinality"')
-            names.append(str(entry["name"]))
-            card = entry["cardinality"]
-            if not isinstance(card, int) or isinstance(card, bool):
-                raise SchemaError(f"factor {entry['name']!r}: cardinality must be an integer")
-            cards.append(card)
-        return cls(tuple(names), tuple(cards))
+        return cls(tuple(str(e["name"]) for e in factors), tuple(e["cardinality"] for e in factors))
 
 
 @dataclass(frozen=True)
@@ -236,7 +230,7 @@ def load_schema(schema_path: str | Path) -> FactorSchema:
 
 
 def write_schema(schema: FactorSchema, schema_path: str | Path) -> None:
-    atomic_write_text(Path(schema_path), json.dumps(schema.to_json_dict(), indent=2) + "\n")
+    atomic_write_json(schema_path, schema.to_json_dict())
 
 
 def expected_header(n_neurons: int, n_factors: int) -> list[str]:

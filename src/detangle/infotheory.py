@@ -112,14 +112,12 @@ def mutual_information(x: Sequence[int] | np.ndarray, y: Sequence[int] | np.ndar
     return ContingencyTable.from_vectors(_dense_codes(x), _dense_codes(y)).mutual_information()
 
 
-def joint_mutual_information(
-    xs: Sequence[np.ndarray], y: Sequence[int] | np.ndarray, cell_cap: int = JOINT_CELL_CAP
-) -> float:
+def joint_mutual_information(xs: Sequence[np.ndarray], y: Sequence[int] | np.ndarray) -> float:
     """MI between the tuple (x_1, ..., x_k) and y, in bits.
 
     The tuple is treated as one discrete variable over the product alphabet.
     Raises AlphabetOverflowError when the product of the per-variable
-    alphabet sizes exceeds cell_cap (default 10^6).
+    alphabet sizes exceeds JOINT_CELL_CAP.
     """
     if len(xs) == 0:
         raise ValidationError("joint_mutual_information needs at least one x variable")
@@ -131,8 +129,10 @@ def joint_mutual_information(
     codes = [_dense_codes(col) for col in cols]
     sizes = [int(code.max()) + 1 for code in codes]
     cells = math.prod(sizes)
-    if cells > cell_cap:
-        raise AlphabetOverflowError(f"product alphabet exceeds cap: {cells} > {cell_cap} cells")
+    if cells > JOINT_CELL_CAP:
+        raise AlphabetOverflowError(
+            f"product alphabet exceeds cap: {cells} > {JOINT_CELL_CAP} cells"
+        )
     return mutual_information(np.ravel_multi_index(codes, sizes), y)
 
 
@@ -176,26 +176,22 @@ class ImportanceMatrix:
         }
 
 
-def bin_matrix(
-    latents: np.ndarray, n_bins: int = DEFAULT_BINS, strategy: str = QUANTILE
-) -> np.ndarray:
-    """Bin every neuron once: the N x m int64 matrix of bin indices, column-major
-    so that each neuron's bins are contiguous."""
+def bin_matrix(latents: np.ndarray, n_bins: int = DEFAULT_BINS) -> np.ndarray:
+    """Quantile-bin every neuron once: the N x m int64 matrix of bin indices,
+    column-major so that each neuron's bins are contiguous."""
     bins = np.empty(latents.shape, dtype=np.int64, order="F")
     for i in range(latents.shape[1]):
-        bins[:, i] = discretize_neuron(latents[:, i], n_bins=n_bins, strategy=strategy).bins
+        bins[:, i] = discretize_neuron(latents[:, i], n_bins=n_bins).bins
     return bins
 
 
-def importance_matrix(
-    rep: RepresentationSet, n_bins: int = DEFAULT_BINS, strategy: str = QUANTILE
-) -> ImportanceMatrix:
+def importance_matrix(rep: RepresentationSet, n_bins: int = DEFAULT_BINS) -> ImportanceMatrix:
     """MI in bits between every factor and every neuron after binning.
 
-    Each neuron is discretized once (n_bins, strategy); each factor/neuron
-    pair is one count table of the neuron's bins against the factor's labels.
+    Each neuron is quantile-binned once (n_bins); each factor/neuron pair
+    is one count table of the neuron's bins against the factor's labels.
     """
-    bins = bin_matrix(rep.latents, n_bins=n_bins, strategy=strategy)
+    bins = bin_matrix(rep.latents, n_bins=n_bins)
     values = np.zeros((rep.n_factors, rep.n_neurons), dtype=np.float64)
     for j in range(rep.n_factors):
         labels = rep.labels[:, j]
@@ -206,7 +202,7 @@ def importance_matrix(
         values=values,
         factor_names=rep.schema.names,
         n_bins=n_bins,
-        strategy=strategy,
+        strategy=QUANTILE,
     )
 
 

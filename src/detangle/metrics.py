@@ -260,24 +260,13 @@ def dci(imp: ImportanceMatrix, informativeness: Sequence[float] | None = None) -
     info = float(np.mean(informativeness)) if informativeness is not None else None
 
     col_sums = values.sum(axis=0)
-    per_neuron_d = []
-    for i in range(m):
-        if col_sums[i] <= 0.0:
-            per_neuron_d.append(0.0)
-            continue
-        p = values[:, i] / col_sums[i]
-        per_neuron_d.append(1.0 - _normalized_entropy(p, base=n))
+    per_neuron_d = [_concentration(values[:, i], col_sums[i], base=n) for i in range(m)]
     weights = np.zeros(m) if total <= 0.0 else col_sums / total
     disentanglement = float(np.dot(weights, per_neuron_d))
-
-    per_factor_c: dict[str, float] = {}
-    for j, name in enumerate(imp.factor_names):
-        row_sum = float(values[j].sum())
-        if row_sum <= 0.0:
-            per_factor_c[name] = 0.0
-            continue
-        q = values[j] / row_sum
-        per_factor_c[name] = 1.0 - _normalized_entropy(q, base=m)
+    per_factor_c = {
+        name: _concentration(values[j], float(values[j].sum()), base=m)
+        for j, name in enumerate(imp.factor_names)
+    }
     completeness = float(np.mean(list(per_factor_c.values())))
     return {
         "disentanglement": disentanglement,
@@ -291,13 +280,15 @@ def dci(imp: ImportanceMatrix, informativeness: Sequence[float] | None = None) -
     }
 
 
-def _normalized_entropy(p: np.ndarray, base: int) -> float:
-    """Entropy of p normalized to [0, 1] by log2(base); 0 when base < 2."""
-    if base < 2:
+def _concentration(weights: np.ndarray, total: float, base: int) -> float:
+    """1 - entropy of weights / total in log base `base`; 0.0 for a zero total, 1.0 for base < 2."""
+    if total <= 0.0:
         return 0.0
+    if base < 2:
+        return 1.0
+    p = weights / total
     p = p[p > 0]
-    bits = float(-(p * np.log2(p)).sum())
-    return bits / np.log2(base)
+    return 1.0 - float(-(p * np.log2(p)).sum()) / np.log2(base)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset import FactorSchema, RepresentationSet
 from .errors import ValidationError
+from .util import require_int
 
 TABLE1_A = "table1_a"
 TABLE1_B = "table1_b"
@@ -28,7 +29,7 @@ JOINT_CODE = "joint_code"
 NOISE = "noise"
 GENERATOR_KINDS = (TABLE1_A, TABLE1_B, XOR, REDUNDANT_XOR, IDEAL, ROTATED, JOINT_CODE, NOISE)
 
-DEFAULT_MAX_ROWS = 10_000_000
+DEFAULT_MAX_ROWS = 10_000_000  # the most rows factor_grid and generate emit
 
 _TABLE1_SCHEMA = FactorSchema(("colour", "shape"), (2, 2))
 _XOR_SCHEMA = FactorSchema(("parity",), (2,))
@@ -55,7 +56,6 @@ class GeneratorSpec:
         noise_sigma: gaussian sigma for ideal/rotated latents.
         angle: rotation in radians, rotated kind only.
         seed: RNG seed for sampling, noise, and the joint-code shuffle.
-        max_rows: generation cap; exceeding it raises.
     """
 
     kind: str
@@ -65,11 +65,12 @@ class GeneratorSpec:
     noise_sigma: float = 0.0
     angle: float | None = None
     seed: int = 0
-    max_rows: int = DEFAULT_MAX_ROWS
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ValidationError(f"unknown generator kind {self.kind!r}")
+        for name in ("samples_per_cell", "seed"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.samples_per_cell < 1:
             raise ValidationError("samples_per_cell must be >= 1")
         if not 0 <= self.noise_sigma < math.inf:  # NaN fails this too
@@ -100,16 +101,16 @@ class GeneratorSpec:
         return self.schema if self.schema is not None else _FIXED_SCHEMAS[self.kind][0]
 
 
-def factor_grid(schema: FactorSchema, copies: int = 1, max_rows: int = DEFAULT_MAX_ROWS) -> np.ndarray:
+def factor_grid(schema: FactorSchema, copies: int = 1) -> np.ndarray:
     """Full cartesian product of factor values in lexicographic order
     (factor 0 varies slowest), each combination repeated `copies` times
-    consecutively."""
+    consecutively; at most DEFAULT_MAX_ROWS rows, checked before allocating."""
     if copies < 1:
         raise ValidationError("copies must be >= 1")
     cells = math.prod(schema.cardinalities)
     total = cells * copies
-    if total > max_rows:
-        raise ValidationError(f"grid of {total} rows exceeds the cap of {max_rows}")
+    if total > DEFAULT_MAX_ROWS:
+        raise ValidationError(f"grid of {total} rows exceeds the cap of {DEFAULT_MAX_ROWS}")
     mesh = np.meshgrid(*[np.arange(k) for k in schema.cardinalities], indexing="ij")
     grid = np.stack(mesh, axis=-1).reshape(-1, schema.n_factors).astype(np.int64)
     return np.repeat(grid, copies, axis=0)
@@ -130,9 +131,9 @@ def generate(spec: GeneratorSpec) -> RepresentationSet:
         NOISE: _gen_noise,
     }[spec.kind]
     latents, labels = builder(spec, schema, rng)
-    if labels.shape[0] > spec.max_rows:
+    if labels.shape[0] > DEFAULT_MAX_ROWS:
         raise ValidationError(
-            f"generated {labels.shape[0]} rows, exceeding the cap of {spec.max_rows}"
+            f"generated {labels.shape[0]} rows, exceeding the cap of {DEFAULT_MAX_ROWS}"
         )
     return RepresentationSet(latents, labels, schema)
 
@@ -165,7 +166,7 @@ def _gen_table1_a(spec, schema, rng):
         base = np.array(rows, dtype=np.float64)
         data = np.repeat(base, spec.samples_per_cell, axis=0)
         return data[:, :2].copy(), data[:, 2:].astype(np.int64)
-    labels = factor_grid(schema, spec.samples_per_cell, spec.max_rows)
+    labels = factor_grid(schema, spec.samples_per_cell)
     z0 = _table1_informative_neuron(labels, rng)
     z1 = rng.integers(0, 2, size=labels.shape[0]).astype(np.float64)
     return np.column_stack([z0, z1]), labels
@@ -184,7 +185,7 @@ def _gen_table1_b(spec, schema, rng):
         base = np.array(rows, dtype=np.float64)
         data = np.repeat(base, spec.samples_per_cell, axis=0)
         return data[:, :2].copy(), data[:, 2:].astype(np.int64)
-    labels = factor_grid(schema, spec.samples_per_cell, spec.max_rows)
+    labels = factor_grid(schema, spec.samples_per_cell)
     z0 = _table1_informative_neuron(labels, rng)
     shape_col = labels[:, 1]
     agree = rng.random(labels.shape[0]) < 0.7
@@ -232,7 +233,7 @@ def _xor_bits(spec, rng):
 
 
 def _gen_ideal(spec, schema, rng):
-    labels = factor_grid(schema, spec.samples_per_cell, spec.max_rows)
+    labels = factor_grid(schema, spec.samples_per_cell)
     latents = labels.astype(np.float64)
     if spec.noise_sigma > 0:
         latents = latents + spec.noise_sigma * rng.standard_normal(latents.shape)
@@ -253,7 +254,7 @@ def _gen_joint_code(spec, schema, rng):
     to [0, 1] so that no single factor stays recoverable from contiguous
     ranges of the code, then the remaining n-1 neurons are unit gaussians.
     """
-    labels = factor_grid(schema, spec.samples_per_cell, spec.max_rows)
+    labels = factor_grid(schema, spec.samples_per_cell)
     n_cells = math.prod(schema.cardinalities)
     index = np.ravel_multi_index(labels.T, schema.cardinalities)
     shuffle = rng.permutation(n_cells)
@@ -263,7 +264,7 @@ def _gen_joint_code(spec, schema, rng):
 
 
 def _gen_noise(spec, schema, rng):
-    labels = factor_grid(schema, spec.samples_per_cell, spec.max_rows)
+    labels = factor_grid(schema, spec.samples_per_cell)
     sigma = spec.noise_sigma if spec.noise_sigma > 0 else 1.0
     latents = sigma * rng.standard_normal((labels.shape[0], schema.n_factors))
     return latents, labels

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import secrets
 from contextlib import contextmanager
@@ -51,6 +52,13 @@ def require_distinct(names: Sequence[str], what: str) -> None:
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ValidationError(f"repeated {what}: {repeated}")
+
+
+def require_int(value: object, name: str) -> int:
+    """An int or numpy integer (not a bool) as an int; anything else raises, naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def spawn_seed(base_seed: int, *branch: int) -> int:

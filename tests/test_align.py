@@ -27,6 +27,13 @@ from detangle.errors import ValidationError
 from detangle.infotheory import ImportanceMatrix
 
 
+def as_imp(values):
+    """An ImportanceMatrix over values, its factors named f0, f1, ..."""
+    values = np.asarray(values, dtype=np.float64)
+    names = tuple(f"f{j}" for j in range(values.shape[0]))
+    return ImportanceMatrix(values=values, factor_names=names, n_bins=20, strategy="quantile")
+
+
 def brute_force(values):
     """First maximal permutation in lexicographic order (exact comparison)."""
     n, m = values.shape
@@ -121,17 +128,17 @@ class TestMaxWeightAssignment:
 class TestAlignmentModes:
     def test_greedy_allows_shared_neuron(self):
         values = np.array([[0.5, 0.4], [0.9, 0.1]])
-        got = greedy_alignment(values)
+        got = greedy_alignment(as_imp(values))
         assert got.mode == GREEDY
         assert got.assignment == (0, 0)
         assert got.objective_value == 1.4
 
     def test_greedy_tie_takes_lowest_index(self):
-        assert greedy_alignment(np.array([[0.3, 0.3, 0.1]])).assignment == (0,)
+        assert greedy_alignment(as_imp([[0.3, 0.3, 0.1]])).assignment == (0,)
 
     def test_injective_forces_distinct_neurons(self):
         values = np.array([[0.5, 0.4], [0.9, 0.1]])
-        got = injective_alignment(values)
+        got = injective_alignment(as_imp(values))
         assert got.mode == INJECTIVE
         assert got.assignment == (1, 0)
         assert got.objective_value == pytest.approx(1.3)
@@ -146,13 +153,14 @@ class TestAlignmentModes:
             cols = rng.permutation(m)[:n]
             for j, c in enumerate(cols):
                 values[j, c] = 10.0 + j
-            assert greedy_alignment(values).assignment == injective_alignment(values).assignment
+            imp = as_imp(values)
+            assert greedy_alignment(imp).assignment == injective_alignment(imp).assignment
 
     def test_all_zero_matrix_degenerate(self):
-        values = np.zeros((2, 4))
-        inj = injective_alignment(values)
+        imp = as_imp(np.zeros((2, 4)))
+        inj = injective_alignment(imp)
         assert inj.degenerate and inj.assignment == (0, 1) and inj.objective_value == 0.0
-        gre = greedy_alignment(values)
+        gre = greedy_alignment(imp)
         assert gre.degenerate and gre.assignment == (0, 0)
 
     def test_accepts_importance_matrix(self):
@@ -166,7 +174,7 @@ class TestAlignmentModes:
         assert got.assignment == (1, 0)
 
     def test_json_payload(self):
-        payload = injective_alignment(np.array([[1.0, 0.0], [0.0, 1.0]])).to_json_dict()
+        payload = injective_alignment(as_imp([[1.0, 0.0], [0.0, 1.0]])).to_json_dict()
         assert payload == {
             "schema_version": 1,
             "mode": "injective",
@@ -191,13 +199,13 @@ class TestHintonExport:
         assert svg.count('class="aligned"') == 0
 
     def test_svg_marks_aligned_cells(self):
-        alignment = injective_alignment(self.VALUES)
+        alignment = injective_alignment(self.imp())
         svg = hinton_svg(self.imp(), alignment)
         assert svg.count('class="aligned"') == 2
         assert "#d62728" in svg
 
     def test_svg_is_valid_xml_with_labels(self):
-        svg = hinton_svg(self.imp(), injective_alignment(self.VALUES))
+        svg = hinton_svg(self.imp(), injective_alignment(self.imp()))
         root = ET.fromstring(svg)
         texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert texts == ["z0", "z1", "colour", "shape"]
@@ -211,17 +219,17 @@ class TestHintonExport:
         ET.fromstring(svg)
 
     def test_svg_bytes_deterministic(self):
-        a = hinton_svg(self.imp(), injective_alignment(self.VALUES))
-        b = hinton_svg(self.imp(), injective_alignment(self.VALUES.copy()))
+        a = hinton_svg(self.imp(), injective_alignment(self.imp()))
+        b = hinton_svg(self.imp(), injective_alignment(as_imp(self.VALUES.copy())))
         assert a == b
 
     def test_largest_cell_spans_full_scale(self):
-        svg = hinton_svg(np.array([[1.0, 0.5]]))
+        svg = hinton_svg(as_imp([[1.0, 0.5]]))
         assert 'width="22.00"' in svg  # cell size 26 minus 4 padding
         assert 'width="11.00"' in svg
 
     def test_text_rendering_brackets_aligned(self):
-        alignment = injective_alignment(self.VALUES)
+        alignment = injective_alignment(self.imp())
         text = hinton_text(self.imp(), alignment)
         lines = text.splitlines()
         assert lines[0].split() == ["z0", "z1"]
@@ -232,8 +240,7 @@ class TestHintonExport:
     def test_export_writes_both_files(self, tmp_path):
         svg_path = tmp_path / "imp.svg"
         text_path = tmp_path / "imp.txt"
-        written = export_hinton(self.imp(), injective_alignment(self.VALUES),
-                                svg_path=svg_path, text_path=text_path)
-        assert written == {"svg": str(svg_path), "text": str(text_path)}
-        assert svg_path.read_text() == hinton_svg(self.imp(), injective_alignment(self.VALUES))
-        assert text_path.read_text() == hinton_text(self.imp(), injective_alignment(self.VALUES))
+        export_hinton(self.imp(), injective_alignment(self.imp()),
+                      svg_path=svg_path, text_path=text_path)
+        assert svg_path.read_text() == hinton_svg(self.imp(), injective_alignment(self.imp()))
+        assert text_path.read_text() == hinton_text(self.imp(), injective_alignment(self.imp()))

@@ -279,7 +279,9 @@ class TestSuite:
         ([("size", 0, "shape", 0)], (LINEAR, "bogus"), ValidationError, "unknown probe kind 'bogus'"),
         ([("size", 0, "shape", 0), ("size", 0.5, "shape", 1)], (LINEAR,), SplitError,
          "value_a=0.5 is not an integer"),
-    ], ids=["unknown_kind", "non_integer_value"])
+        ([("size", 0, "shape", 1), ("shape", 1, "size", 0), ("size", 0, "shape", 1)], (LINEAR,),
+         SplitError, "'factor_b': 'size', 'value_b': 0} holds out the same rows as an earlier pair"),
+    ], ids=["unknown_kind", "non_integer_value", "repeated_pair"])
     def test_bad_kind_or_pair_rejected_before_any_probe_trains(
         self, monkeypatch, pairs, kinds, error, message
     ):
@@ -326,11 +328,10 @@ class TestSuiteSharesControls:
         suite = self.assert_matches_standalone(grid_rep(copies=10), pairs, (LINEAR, MLP))
         assert {run["n_test"] for run in suite["runs"]} == {10}
 
-    def test_unequal_sizes_and_repeated_pair_match_standalone_runs(self):
+    def test_unequal_and_repeated_sizes_match_standalone_runs(self):
         full = grid_rep(copies=12)
         rep = full.subset(np.sort(np.random.default_rng(1).permutation(full.n_rows)[:150]))
         pairs = sample_pairs(rep, "size", "shape", 4, seed=2)
-        pairs.append(pairs[0])
         suite = self.assert_matches_standalone(rep, pairs, (LINEAR,))
         sizes = [run["n_test"] for run in suite["runs"]]
         assert 1 < len(set(sizes)) < len(sizes)

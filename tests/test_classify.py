@@ -1,7 +1,9 @@
 """Tests for probe training: gradients, determinism, capacity, adjustment."""
 
 import hashlib
+import json
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -574,6 +576,18 @@ class TestTrainConfig:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, None])
+    @pytest.mark.parametrize("field", ["epochs", "hidden_units", "batch_size", "seed"])
+    def test_non_integer_count_or_seed_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["epochs", "hidden_units", "batch_size", "seed"])
+    def test_numpy_integer_stored_as_int(self, field):
+        config = TrainConfig(**{field: np.int64(3)})
+        assert type(getattr(config, field)) is int and getattr(config, field) == 3
+        assert json.loads(json.dumps(asdict(config)))[field] == 3
 
 
 class TestChanceAndAdjustment:

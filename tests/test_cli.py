@@ -442,6 +442,16 @@ class TestCg:
         assert capsys.readouterr().err.startswith(
             "error: degenerate exclusion split for pair {'factor_a': 'colour', 'value_a': 5,")
 
+    def test_repeated_pair_exits_1_before_any_probe_trains(self, workspace, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cgtask, "train_probe", lambda *args, **kwargs: calls.append(1))
+        assert cli(["cg", "--data", str(workspace / "b"), "--probe", "both",
+                    "--pairs", "colour:0,shape:1;shape:1,colour:0"]) == 1
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "error: pair {'factor_a': 'shape', 'value_a': 1, 'factor_b': 'colour', 'value_b': 0}"
+            " holds out the same rows as an earlier pair\n")
+
     @pytest.mark.parametrize("pairs", ["size:2", "size:2,shape:x", "size,shape",
                                        "size:2,shape:1,extra:0", ";"])
     def test_bad_pair_syntax_exits_1(self, workspace, pairs):

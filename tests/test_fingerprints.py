@@ -6,7 +6,10 @@ by repr). A refactor that keeps every number bit-identical keeps every
 hash; a change that alters numerics must say so and re-pin them. A second
 hash pins the raw bytes `--out` writes, so a change of key order or
 indentation fails too. The correlation payload of the shared
-generator-family study is pinned the same two ways.
+generator-family study is pinned the same two ways. What a user sees is
+pinned as well: each job's stdout, which `report --in` must reprint from
+the stored payload, and the `--svg` and `--text` Hinton files of the
+`align` jobs.
 
 Inputs: the exact `table1_b` population with 40 copies per cell (as in the
 acceptance suite), whose neurons are already discrete, its split into the
@@ -16,7 +19,9 @@ quantile binning and whose two cardinalities give SAP two bin widths. Probe
 budgets are small: the hashes pin the numbers, not probe quality.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -46,6 +51,30 @@ RAW_FINGERPRINTS = {
     "cg_suite_table1_b": "e44f508814fe738c4ea9616b7a87676a2e21968a37078cb74651dea17f65c8ad",
     "metrics_rotated": "91f864914d05c45417f6947d426a0adcf7112ffb915317b6915c60ce245d6b50",
     "align_rotated": "92549680563f628d48f0912d925d0968e819357bccc03d7429e5103d045bd01c",
+}
+
+# sha256 of each job's stdout; `report --in` on its payload prints the same.
+STDOUT_FINGERPRINTS = {
+    "align_rotated": "d86c8727ff9c0c46dfe22663dee7af68c5f6709746dd5b0b8e123e223bfc7cdb",
+    "align_table1_b": "0af564d20fcaea7208ffe8f14a7d0faf41bac0a5ea00538ce004be5899985722",
+    "cg_control_table1_b": "9df7c2168ce58c8bcda87f11b8dcaf802adf0f42b7f5088d11909cda1c868282",
+    "cg_external_table1_b": "9e24ead8979a260f45d90c223bc7bfb6ac16d839263925ddac30f63f0bdf55a5",
+    "cg_no_control_table1_b": "8bd4bd7b944a69c72edf781dfa3d2395db126adfbdb6ea99e9836046a7bd5bc0",
+    "cg_suite_table1_b": "8d771b31a030b78bec7f46ff27eb83ddfc018d635d3ee7fe3d1b51522c7fff3a",
+    "metrics_rotated": "10bd4f2eab983a26f1141848783aa643bf8732f1b775ec5491e49921b9659fd8",
+    "metrics_table1_b": "b95a05c49e938d0ff0e8922fa2854396d0df2691cdefbcb94f724e219ed2a1d2",
+}
+
+# sha256 of the Hinton files each align job writes with --svg and --text.
+HINTON_FINGERPRINTS = {
+    "align_rotated": {
+        "svg": "7b5ef97deab31836ea7a31d6977bbfa55e0b8206c1e8b524a7da03dfd2d78e7f",
+        "text": "d86c8727ff9c0c46dfe22663dee7af68c5f6709746dd5b0b8e123e223bfc7cdb",
+    },
+    "align_table1_b": {
+        "svg": "f306efe4cf1dabfb3662a5e33eab979ef09a74f3ff34d5ea5959712ba7eaec46",
+        "text": "0af564d20fcaea7208ffe8f14a7d0faf41bac0a5ea00538ce004be5899985722",
+    },
 }
 
 CORRELATION_FINGERPRINT = "fbf312091db09f9d1a656eb551632b5c34063f86f887f3acb5503d0c4a4b14ac"
@@ -94,15 +123,61 @@ JOBS = {
 }
 
 
+def run_cli(argv) -> bytes:
+    """Run one CLI command; return its stdout as bytes."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli(argv) == 0
+    return stdout.getvalue().encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def outputs(inputs, tmp_path_factory):
+    """Each job run once with --out (and --svg/--text for align jobs): its
+    payload bytes, stdout, `report --in` stdout and Hinton files."""
+    done = {}
+
+    def run(job):
+        if job not in done:
+            root = tmp_path_factory.mktemp(job)
+            payload = root / "payload.json"
+            hinton = {"svg": root / "hinton.svg", "text": root / "hinton.txt"}
+            argv = [str(inputs / a) if a.startswith(("table1_b", "rotated")) else a
+                    for a in JOBS[job]]
+            argv += ["--out", str(payload)]
+            if job.startswith("align"):
+                argv += ["--svg", str(hinton["svg"]), "--text", str(hinton["text"])]
+            done[job] = {"stdout": run_cli(argv)}
+            done[job]["report"] = run_cli(["report", "--in", str(payload)])
+            done[job]["payload"] = payload.read_bytes()
+            done[job].update({k: p.read_bytes() for k, p in hinton.items() if p.exists()})
+        return done[job]
+
+    return run
+
+
+def sha256(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
+
+
 @pytest.mark.parametrize("job", sorted(JOBS))
-def test_payload_fingerprint(job, inputs, tmp_path, capsys):
-    argv = [str(inputs / a) if a.startswith(("table1_b", "rotated")) else a for a in JOBS[job]]
-    out = tmp_path / "payload.json"
-    assert cli(argv + ["--out", str(out)]) == 0
-    capsys.readouterr()
-    raw = out.read_bytes()
+def test_payload_fingerprint(job, outputs):
+    raw = outputs(job)["payload"]
     assert canonical_sha256(json.loads(raw.decode("utf-8"))) == FINGERPRINTS[job]
-    assert hashlib.sha256(raw).hexdigest() == RAW_FINGERPRINTS[job]
+    assert sha256(raw) == RAW_FINGERPRINTS[job]
+
+
+@pytest.mark.parametrize("job", sorted(JOBS))
+def test_stdout_fingerprint(job, outputs):
+    out = outputs(job)
+    assert sha256(out["stdout"]) == STDOUT_FINGERPRINTS[job]
+    assert sha256(out["report"]) == STDOUT_FINGERPRINTS[job]
+
+
+@pytest.mark.parametrize("job", sorted(job for job in JOBS if job.startswith("align")))
+def test_hinton_fingerprint(job, outputs):
+    out = outputs(job)
+    assert {name: sha256(out[name]) for name in ("svg", "text")} == HINTON_FINGERPRINTS[job]
 
 
 def test_correlation_fingerprint(generator_family_study):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detangle.dataset import EQUAL_WIDTH, QUANTILE, FactorSchema, RepresentationSet, discretize_neuron
+from detangle.dataset import QUANTILE, FactorSchema, RepresentationSet, discretize_neuron
 from detangle.errors import AlphabetOverflowError, ValidationError
 from detangle.infotheory import (
     JOINT_CELL_CAP,
@@ -128,11 +128,10 @@ class TestJointMutualInformation:
         assert joint_mutual_information([x1, x2], y) == pytest.approx(2.0, abs=1e-15)
 
     def test_cell_cap(self):
-        rng = np.random.default_rng(3)
-        xs = [rng.integers(0, 200, 5000), rng.integers(0, 200, 5000)]
-        y = rng.integers(0, 2, 5000)
-        with pytest.raises(AlphabetOverflowError):
-            joint_mutual_information(xs, y, cell_cap=10_000)
+        # Three 101-level variables fuse to 101**3 > JOINT_CELL_CAP cells.
+        x = np.arange(101)
+        with pytest.raises(AlphabetOverflowError, match="1030301 > 1000000"):
+            joint_mutual_information([x, x, x], x % 2)
 
     def test_needs_at_least_one_variable(self):
         with pytest.raises(ValidationError):
@@ -210,8 +209,8 @@ class TestImportanceMatrix:
             assert np.all(imp.values[j] <= bound)
 
     def test_strategy_and_bins_recorded(self):
-        imp = importance_matrix(self.rep(), n_bins=6, strategy=EQUAL_WIDTH)
-        assert imp.n_bins == 6 and imp.strategy == EQUAL_WIDTH
+        imp = importance_matrix(self.rep(), n_bins=6)
+        assert imp.n_bins == 6 and imp.strategy == QUANTILE
         payload = imp.to_json_dict()
         assert payload["schema_version"] == 1
         assert len(payload["bits"]) == 2 and len(payload["bits"][0]) == 2
@@ -235,11 +234,12 @@ def reference_mi(x, y):
     return entropy_from_counts(cx) + entropy_from_counts(cy) - entropy_from_counts(cxy)
 
 
-def reference_importance(rep, n_bins, strategy):
-    """Per-pair importance: bin the neuron, then reference_mi against each factor."""
+def reference_importance(rep, n_bins):
+    """Per-pair importance: quantile-bin the neuron, then reference_mi against
+    each factor."""
     values = np.zeros((rep.n_factors, rep.n_neurons))
     for i in range(rep.n_neurons):
-        bins = discretize_neuron(rep.latents[:, i], n_bins=n_bins, strategy=strategy).bins
+        bins = discretize_neuron(rep.latents[:, i], n_bins=n_bins).bins
         for j in range(rep.n_factors):
             values[j, i] = reference_mi(bins, rep.labels[:, j])
     return values
@@ -272,11 +272,10 @@ discrete_pairs = st.integers(1, 80).flatmap(
 
 class TestKernelOracle:
     @settings(max_examples=60, deadline=None)
-    @given(rep=representation_sets(), n_bins=st.integers(1, 12),
-           strategy=st.sampled_from([QUANTILE, EQUAL_WIDTH]))
-    def test_importance_matrix_equals_unique_reference(self, rep, n_bins, strategy):
-        imp = importance_matrix(rep, n_bins=n_bins, strategy=strategy)
-        assert np.array_equal(imp.values, reference_importance(rep, n_bins, strategy))
+    @given(rep=representation_sets(), n_bins=st.integers(1, 12))
+    def test_importance_matrix_equals_unique_reference(self, rep, n_bins):
+        imp = importance_matrix(rep, n_bins=n_bins)
+        assert np.array_equal(imp.values, reference_importance(rep, n_bins))
 
     @settings(max_examples=60, deadline=None)
     @given(rep=representation_sets(), n_bins=st.integers(1, 12))

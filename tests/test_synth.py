@@ -10,6 +10,7 @@ from detangle.dataset import FactorSchema
 from detangle.errors import ValidationError
 from detangle.infotheory import mutual_information
 from detangle.synth import (
+    DEFAULT_MAX_ROWS,
     GENERATOR_KINDS,
     GeneratorSpec,
     factor_grid,
@@ -35,9 +36,10 @@ class TestFactorGrid:
         assert [r[0] for r in grid] == [0, 0, 0, 1, 1, 1]
 
     def test_row_cap_enforced(self):
+        # Checked before the grid is built, so the oversized request is cheap.
         schema = FactorSchema(("a", "b"), (10, 10))
         with pytest.raises(ValidationError, match="cap"):
-            factor_grid(schema, copies=2, max_rows=150)
+            factor_grid(schema, copies=DEFAULT_MAX_ROWS // 100 + 1)
 
     def test_copies_must_be_positive(self):
         schema = FactorSchema(("a",), (2,))
@@ -103,6 +105,18 @@ class TestSpecValidation:
     def test_samples_per_cell_must_be_positive(self):
         with pytest.raises(ValidationError):
             GeneratorSpec(kind="xor", samples_per_cell=0)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, None])
+    @pytest.mark.parametrize("field", ["samples_per_cell", "seed"])
+    def test_non_integer_count_or_seed_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
+            GeneratorSpec(kind="table1_a", **{field: value})
+
+    def test_numpy_integers_stored_as_int(self):
+        spec = GeneratorSpec(kind="table1_a", samples_per_cell=np.int64(2), seed=np.uint8(3))
+        assert (spec.samples_per_cell, spec.seed) == (2, 3)
+        assert type(spec.samples_per_cell) is int and type(spec.seed) is int
+        assert generate(spec).n_rows == 16
 
     def test_all_kinds_generate(self):
         schema = FactorSchema(("a", "b"), (2, 2))
@@ -333,4 +347,5 @@ class TestDeterminism:
     def test_row_cap_applies_to_generation(self):
         schema = FactorSchema(("a", "b"), (4, 4))
         with pytest.raises(ValidationError, match="cap"):
-            generate(GeneratorSpec(kind="ideal", schema=schema, samples_per_cell=100, max_rows=1000))
+            generate(GeneratorSpec(kind="ideal", schema=schema,
+                                   samples_per_cell=DEFAULT_MAX_ROWS // 16 + 1))
