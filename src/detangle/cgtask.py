@@ -40,33 +40,27 @@ from .errors import SplitError, ValidationError
 from .util import payload_kind, spawn_seed
 
 
-def _named_pair(schema: FactorSchema, pair: tuple) -> dict:
-    """The payload block of an (a, va, b, vb) pair, its factors by name; they
-    must be two distinct factors of schema, and each value an integer."""
+def resolve_pair(rep: RepresentationSet, pair: tuple) -> dict:
+    """The payload block of an (a, va, b, vb) pair, its factors by name,
+    checked against rep's schema: two distinct known factors, each value an
+    integer below its factor's cardinality. The only check of a pair."""
+    schema = rep.schema
     a, va, b, vb = pair
     ia, ib = schema.index_of(a), schema.index_of(b)
     if ia == ib:
         raise SplitError("excluded pair needs two distinct factors")
-    for tag, value in (("value_a", va), ("value_b", vb)):
+    terms = (("value_a", va, ia), ("value_b", vb, ib))
+    for tag, value, _ in terms:
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise SplitError(f"{tag}={value!r} is not an integer")
+    for tag, value, i in terms:
+        k = schema.cardinalities[i]
+        if not 0 <= value < k:
+            raise SplitError(
+                f"{tag}={int(value)} out of range for factor {schema.names[i]!r} (cardinality {k})"
+            )
     return {"factor_a": schema.names[ia], "value_a": int(va),
             "factor_b": schema.names[ib], "value_b": int(vb)}
-
-
-def resolve_pair(rep: RepresentationSet, pair: tuple) -> dict:
-    """The payload block of an (a, va, b, vb) pair, checked against rep's
-    schema: two distinct known factors, each value below its factor's
-    cardinality. The only check of a pair."""
-    schema = rep.schema
-    pair = _named_pair(schema, pair)
-    for tag, name in (("value_a", pair["factor_a"]), ("value_b", pair["factor_b"])):
-        k = schema.cardinalities[schema.index_of(name)]
-        if not 0 <= pair[tag] < k:
-            raise SplitError(
-                f"{tag}={pair[tag]} out of range for factor {name!r} (cardinality {k})"
-            )
-    return pair
 
 
 def _matches(pair: dict, schema: FactorSchema, labels: np.ndarray) -> np.ndarray:
@@ -289,9 +283,9 @@ def run_cg_suite(
             raise ValidationError(f"unknown probe kind {kind!r}")
     held_out = set()
     for pair in pairs:
-        named = _named_pair(rep.schema, pair)
+        named = resolve_pair(rep, pair)
         try:
-            test_rows = _exclusion_rows(rep, resolve_pair(rep, pair))[1].tobytes()
+            test_rows = _exclusion_rows(rep, named)[1].tobytes()
         except SplitError as exc:
             raise SplitError(f"degenerate exclusion split for pair {named}: {exc}") from exc
         if test_rows in held_out:

@@ -31,9 +31,7 @@ from .errors import (
 )
 from .util import atomic_open, atomic_write_json
 
-QUANTILE = "quantile"
-EQUAL_WIDTH = "equal_width"
-BIN_STRATEGIES = (QUANTILE, EQUAL_WIDTH)
+QUANTILE = "quantile"  # the only binning strategy
 
 DEFAULT_BINS = 20
 
@@ -194,8 +192,6 @@ class DiscretizedNeuron:
         boundaries: sorted upper-edge thresholds between consecutive bins
             (length = effective bins - 1); a value equal to a boundary falls
             in the lower bin.
-        strategy: "quantile" or "equal_width".
-        requested_bins: the B that was asked for.
         degenerate: True when the values collapsed into a single bin.
         level_mapped: True when the values had <= B distinct levels and were
             mapped bijectively, sorted level -> bin index.
@@ -203,8 +199,6 @@ class DiscretizedNeuron:
 
     bins: np.ndarray
     boundaries: np.ndarray
-    strategy: str
-    requested_bins: int
     degenerate: bool = False
     level_mapped: bool = False
 
@@ -365,12 +359,11 @@ def discretize_neuron(
 ) -> DiscretizedNeuron:
     """Bin one neuron's values into at most n_bins ordinal bins.
 
-    Quantile strategy places boundaries at the k/B empirical quantiles;
-    equal_width slices [min, max] evenly. Values with <= B distinct levels
-    are mapped bijectively (sorted level -> bin) regardless of strategy, so
-    exactly-discrete neurons keep their alphabet. Ties on a boundary go to
-    the lower bin. All-identical values collapse to bin 0 and are flagged
-    degenerate.
+    Boundaries sit at the k/B empirical quantiles; strategy must be
+    "quantile", the only one. Values with <= B distinct levels are mapped
+    bijectively (sorted level -> bin), so exactly-discrete neurons keep
+    their alphabet. Ties on a boundary go to the lower bin. All-identical
+    values collapse to bin 0 and are flagged degenerate.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
@@ -382,8 +375,8 @@ def discretize_neuron(
         )
     if not isinstance(n_bins, int) or isinstance(n_bins, bool) or n_bins < 1:
         raise ValidationError(f"n_bins must be a positive integer, got {n_bins!r}")
-    if strategy not in BIN_STRATEGIES:
-        raise ValidationError(f"unknown binning strategy {strategy!r}, expected one of {BIN_STRATEGIES}")
+    if strategy != QUANTILE:
+        raise ValidationError(f"unknown binning strategy {strategy!r}, expected {QUANTILE!r}")
 
     levels = np.unique(values)
     level_mapped = levels.size <= n_bins
@@ -392,18 +385,12 @@ def discretize_neuron(
         boundaries = (levels[:-1] + levels[1:]) / 2.0
         bins = np.searchsorted(levels, values)
     else:
-        if strategy == QUANTILE:
-            boundaries = np.quantile(values, np.arange(1, n_bins) / n_bins)
-        else:
-            lo, hi = float(levels[0]), float(levels[-1])
-            boundaries = lo + (hi - lo) * np.arange(1, n_bins) / n_bins
+        boundaries = np.quantile(values, np.arange(1, n_bins) / n_bins)
         # A value equal to a boundary belongs to the lower bin.
         bins = np.searchsorted(boundaries, values, side="left")
     return DiscretizedNeuron(
         bins=_frozen(bins.astype(np.int64)),
         boundaries=_frozen(np.asarray(boundaries, dtype=np.float64)),
-        strategy=strategy,
-        requested_bins=n_bins,
         degenerate=levels.size == 1 and n_bins > 1,
         level_mapped=level_mapped,
     )

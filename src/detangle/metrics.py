@@ -6,8 +6,9 @@ as many bins as the factor has classes, matches bins to classes with the
 best bijection, and chance-adjusts the agreement. NK (neuron knockout) is
 the drop in held-out probe accuracy when the aligned neuron is removed from
 the representation; chance-adjusted accuracies are recorded alongside the
-raw ones. MIG, SAP, and DCI are included as baselines. Each metric returns
-its block of the metrics payload as a plain dict.
+raw ones. MIG, SAP, and DCI are included as baselines; SAP and SNC read one
+single-neuron agreement matrix. Each metric returns its block of the
+metrics payload as a plain dict.
 """
 
 from __future__ import annotations
@@ -27,13 +28,9 @@ from .classify import (
     chance_rate,
     train_probe,
 )
-from .dataset import (
-    DEFAULT_BINS,
-    QUANTILE,
-    RepresentationSet,
-    discretize_neuron,
-    split_indices,
-)
+from .dataset import DEFAULT_BINS, QUANTILE, RepresentationSet, split_indices
+# Not called here: the benchmark tracer (bench/tracing.py) patches this name.
+from .dataset import discretize_neuron  # noqa: F401
 from .errors import DegenerateInputError, ValidationError
 from .infotheory import ContingencyTable, ImportanceMatrix, bin_matrix, entropy, importance_matrix
 from .util import require_distinct, spawn_seed
@@ -47,27 +44,31 @@ PER_FACTOR_METRICS = ("snc", "nk", "mig", "sap")
 
 
 # ---------------------------------------------------------------------------
-# shared helper: single-neuron bin-to-class agreement
+# shared matrix: single-neuron bin-to-class agreement
 # ---------------------------------------------------------------------------
 
 
-def bin_match_accuracy(values: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
-    """Best-bijection agreement between a neuron's bins and a factor's classes.
+def single_neuron_accuracy(rep: RepresentationSet) -> np.ndarray:
+    """Best-bijection agreement of every neuron with every factor: the
+    n_factors x n_neurons matrix that SNC and SAP read.
 
-    The neuron is quantile-binned into n_classes bins; the bijection
-    maximizing the contingency-table trace (Kuhn-Munkres) relabels bins to
-    classes; the result is the fraction of rows where the relabelled bin
-    equals the class.
+    Entry (j, i) quantile-bins neuron i into K_j bins (K_j the classes of
+    factor j), relabels bins to classes with the bijection maximizing the
+    contingency-table trace (Kuhn-Munkres), and is the fraction of rows
+    where the relabelled bin equals the class.
     """
-    disc = discretize_neuron(np.asarray(values, dtype=np.float64), n_bins=n_classes)
-    return _matched_fraction(disc.bins, np.asarray(labels, dtype=np.int64), n_classes)
-
-
-def _matched_fraction(bins: np.ndarray, labels: np.ndarray, n_classes: int) -> float:
-    """Share of rows on the trace of the best bin->class bijection."""
-    table = ContingencyTable.from_vectors(bins, labels, n_rows=n_classes, n_cols=n_classes)
-    _, matched = max_weight_assignment(table.counts.astype(np.float64), lexicographic=False)
-    return float(matched) / float(table.total)
+    cards = rep.schema.cardinalities
+    acc = np.zeros((rep.n_factors, rep.n_neurons))
+    for k in sorted(set(cards)):
+        bins = bin_matrix(rep.latents, n_bins=k)  # shared by every k-class factor
+        for j in (j for j in range(rep.n_factors) if cards[j] == k):
+            for i in range(rep.n_neurons):
+                table = ContingencyTable.from_vectors(bins[:, i], rep.labels[:, j], k, k)
+                counts = table.counts.astype(np.float64)
+                _, matched = max_weight_assignment(counts, lexicographic=False)
+                acc[j, i] = float(matched) / float(table.total)
+        del bins  # keep one N x m bin matrix alive at a time
+    return acc
 
 
 def factor_entropies(rep: RepresentationSet) -> np.ndarray:
@@ -86,15 +87,15 @@ def _per_factor_block(per_factor: dict[str, float], **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def snc(rep: RepresentationSet, alignment: Alignment) -> dict:
+def snc(rep: RepresentationSet, alignment: Alignment, accuracy: np.ndarray) -> dict:
     """Single-neuron classification score per factor, and their mean.
 
-    For factor j with K_j classes and aligned neuron i: bin neuron i into
-    K_j quantile bins, take the agreement a of the best bin->class
-    bijection, and report max(0, (a - r) / (1 - r)) with r the squared-
-    frequency chance rate of the factor's labels.
+    For factor j and aligned neuron i, the agreement a is accuracy[j, i]
+    (see single_neuron_accuracy); the score is max(0, (a - r) / (1 - r))
+    with r the squared-frequency chance rate of the factor's labels.
     """
     _check_alignment(rep, alignment)
+    _check_accuracy(rep, accuracy)
     per_factor: dict[str, float] = {}
     details: dict[str, dict] = {}
     for j, name in enumerate(rep.schema.names):
@@ -104,10 +105,9 @@ def snc(rep: RepresentationSet, alignment: Alignment) -> dict:
                 f"factor {name!r}: cardinality {k} exceeds the {rep.n_rows} available rows"
             )
         neuron = alignment.assignment[j]
-        agreement = bin_match_accuracy(rep.latents[:, neuron], rep.labels[:, j], k)
+        agreement = float(accuracy[j, neuron])
         r = chance_rate(rep.labels[:, j])
-        score = adjusted_accuracy(agreement, r)
-        per_factor[name] = score
+        per_factor[name] = adjusted_accuracy(agreement, r)
         details[name] = {"neuron": int(neuron), "agreement": agreement, "chance_rate": r}
     return _per_factor_block(per_factor, details=details)
 
@@ -117,10 +117,24 @@ def snc(rep: RepresentationSet, alignment: Alignment) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _nk_split(seed: int) -> dict:
-    """The payload block of NK's held-out split, which the report's other
-    probes share: a random 20%, seeded from the train config."""
-    return {"kind": "random", "test_fraction": 0.2, "seed": spawn_seed(seed, 8080)}
+def _report_split(rep: RepresentationSet, seed: int) -> tuple[dict, tuple[np.ndarray, np.ndarray]]:
+    """The held-out split that NK and the report's other probes share: its
+    payload block (a random 20%, seeded from the train config) and its
+    (train, test) rows."""
+    split = {"kind": "random", "test_fraction": 0.2, "seed": spawn_seed(seed, 8080)}
+    return split, split_indices(rep.n_rows, split["test_fraction"], split["seed"])
+
+
+def _held_out_accuracies(rep: RepresentationSet, rows: tuple, kind: str, config: TrainConfig,
+                         branch: int) -> list[float]:
+    """Test-row accuracy of one `kind` probe per factor on all neurons, trained
+    as one stack on the train rows; factor j's seed is spawn_seed(seed, j, branch)."""
+    train_idx, test_idx = rows
+    seeds = [spawn_seed(config.seed, j, branch) for j in range(rep.n_factors)]
+    cards = rep.schema.cardinalities
+    probes = train_probe(rep.latents[train_idx], rep.labels[train_idx], kind, config, cards, seeds)
+    x_test = rep.latents[test_idx]
+    return [accuracy(probe, x_test, rep.labels[test_idx, j]) for j, probe in enumerate(probes)]
 
 
 def nk(
@@ -140,23 +154,20 @@ def nk(
     if rep.n_neurons < 2:
         raise ValidationError("knockout needs at least two neurons")
     config = config or TrainConfig()
-    split = _nk_split(config.seed)
-    train_idx, test_idx = split_indices(rep.n_rows, split["test_fraction"], split["seed"])
-    x_train, x_test = rep.latents[train_idx], rep.latents[test_idx]
+    split, rows = _report_split(rep, config.seed)
+    train_idx, test_idx = rows
+    accuracies_all = _held_out_accuracies(rep, rows, MLP, config, branch=0)
 
     per_factor: dict[str, float] = {}
     details: dict[str, dict] = {}
-    seeds = [spawn_seed(config.seed, j, 0) for j in range(rep.n_factors)]
-    cards = rep.schema.cardinalities
-    probes_all = train_probe(x_train, rep.labels[train_idx], MLP, config, cards, seeds)
     for j, name in enumerate(rep.schema.names):
         y_train, y_test = rep.labels[train_idx, j], rep.labels[test_idx, j]
-        neuron = alignment.assignment[j]
+        neuron, acc_all = alignment.assignment[j], accuracies_all[j]
         keep = np.delete(np.arange(rep.n_neurons), neuron)
-        config_without = config.with_seed(spawn_seed(config.seed, j, 1))
-        probe_without = train_probe(x_train[:, keep], y_train, MLP, config_without, cards[j])
-        acc_all = accuracy(probes_all[j], x_test, y_test)
-        acc_without = accuracy(probe_without, x_test[:, keep], y_test)
+        x_train, x_test = rep.latents[np.ix_(train_idx, keep)], rep.latents[np.ix_(test_idx, keep)]
+        knockout = config.with_seed(spawn_seed(config.seed, j, 1))
+        probe_without = train_probe(x_train, y_train, MLP, knockout, rep.schema.cardinalities[j])
+        acc_without = accuracy(probe_without, x_test, y_test)
         r = chance_rate(rep.labels[:, j])
         per_factor[name] = max(0.0, acc_all - acc_without)
         details[name] = {
@@ -199,36 +210,28 @@ def mig(imp: ImportanceMatrix, entropies: Sequence[float] | np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def sap(rep: RepresentationSet) -> dict:
+def sap(rep: RepresentationSet, accuracy: np.ndarray) -> dict:
     """Separated-attribute gap on single-neuron predictive accuracy.
 
-    Score of neuron i for factor j is the best-bijection agreement of the
-    K_j-binned neuron with the factor's classes (unadjusted); SAP_j is the
-    gap between the best and second-best neuron.
+    Score of neuron i for factor j is accuracy[j, i], the unadjusted
+    best-bijection agreement (see single_neuron_accuracy); SAP_j is the gap
+    between the best and second-best neuron.
     """
     if rep.n_neurons < 2:
         raise ValidationError("SAP needs at least two neurons")
-    cards = rep.schema.cardinalities
-    acc = np.zeros((rep.n_factors, rep.n_neurons))
-    for k in sorted(set(cards)):
-        bins = bin_matrix(rep.latents, n_bins=k)  # shared by every k-class factor
-        for j in (j for j in range(rep.n_factors) if cards[j] == k):
-            acc[j] = [
-                _matched_fraction(bins[:, i], rep.labels[:, j], k) for i in range(rep.n_neurons)
-            ]
-        del bins  # keep one N x m bin matrix alive at a time
+    _check_accuracy(rep, accuracy)
     per_factor: dict[str, float] = {}
     details: dict[str, dict] = {}
     for j, name in enumerate(rep.schema.names):
-        order = np.argsort(-acc[j], kind="stable")
-        top, second = int(order[0]), int(order[1])
-        per_factor[name] = float(acc[j, top] - acc[j, second])
+        row = accuracy[j]
+        top, second = (int(i) for i in np.argsort(-row, kind="stable")[:2])
+        per_factor[name] = float(row[top] - row[second])
         details[name] = {
             "top_neuron": top,
-            "top_accuracy": float(acc[j, top]),
-            "second_accuracy": float(acc[j, second]),
+            "top_accuracy": float(row[top]),
+            "second_accuracy": float(row[second]),
         }
-    return _per_factor_block(per_factor, accuracy_matrix=acc.tolist(), details=details)
+    return _per_factor_block(per_factor, accuracy_matrix=accuracy.tolist(), details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +342,7 @@ def compute_metric_report(
 
     The probe-based quantities (NK, the linear/MLP accuracy rows, DCI
     informativeness) share one random 80/20 held-out split derived from the
-    train config seed.
+    train config seed; SNC and SAP share one single_neuron_accuracy matrix.
     """
     config = config or TrainConfig()
     if subset is not None:
@@ -353,7 +356,8 @@ def compute_metric_report(
     else:
         raise ValidationError(f"unknown align mode {align_mode!r}")
 
-    split = _nk_split(config.seed)
+    split, rows = _report_split(rep, config.seed)
+    single_neuron = single_neuron_accuracy(rep)
     payload = {
         "schema_version": 1,
         "factor_names": list(rep.schema.names),
@@ -368,22 +372,17 @@ def compute_metric_report(
         },
         "importance": imp.to_json_dict(),
         "alignment": alignment.to_json_dict(),
-        "snc": snc(rep, alignment),
+        "snc": snc(rep, alignment, single_neuron),
         "nk": nk(rep, alignment, config=config),
         "mig": mig(imp, factor_entropies(rep)),
-        "sap": sap(rep),
+        "sap": sap(rep, single_neuron),
     }
 
-    train_idx, test_idx = split_indices(rep.n_rows, split["test_fraction"], split["seed"])
-    x_train, x_test = rep.latents[train_idx], rep.latents[test_idx]
-    linear_rows: dict[str, dict] = {}
-    seeds = [spawn_seed(config.seed, j, 2) for j in range(rep.n_factors)]
-    cards = rep.schema.cardinalities
-    probes = train_probe(x_train, rep.labels[train_idx], LINEAR, config, cards, seeds)
-    for j, name in enumerate(rep.schema.names):
-        acc = accuracy(probes[j], x_test, rep.labels[test_idx, j])
-        r = chance_rate(rep.labels[:, j])
-        linear_rows[name] = {"raw": acc, "adjusted": adjusted_accuracy(acc, r)}
+    linear = _held_out_accuracies(rep, rows, LINEAR, config, branch=2)
+    linear_rows = {
+        name: {"raw": acc, "adjusted": adjusted_accuracy(acc, chance_rate(rep.labels[:, j]))}
+        for j, (name, acc) in enumerate(zip(rep.schema.names, linear))
+    }
 
     nk_details = payload["nk"]["details"]
     payload["dci"] = dci(imp, [nk_details[name]["adjusted_all"] for name in rep.schema.names])
@@ -428,6 +427,12 @@ def render_metric_table(payload: dict) -> str:
         for label, values in rows.items()
     ]
     return "\n".join(lines) + "\n"
+
+
+def _check_accuracy(rep: RepresentationSet, accuracy: np.ndarray) -> None:
+    if np.shape(accuracy) != (rep.n_factors, rep.n_neurons):
+        raise ValidationError(f"accuracy matrix of shape {np.shape(accuracy)}, data has "
+                              f"{rep.n_factors} factors x {rep.n_neurons} neurons")
 
 
 def _check_alignment(rep: RepresentationSet, alignment: Alignment) -> None:

@@ -30,6 +30,9 @@ NOISE = "noise"
 GENERATOR_KINDS = (TABLE1_A, TABLE1_B, XOR, REDUNDANT_XOR, IDEAL, ROTATED, JOINT_CODE, NOISE)
 
 DEFAULT_MAX_ROWS = 10_000_000  # the most rows factor_grid and generate emit
+# Rows per copy of each exact base population; every other population has
+# one row per factor combination.
+_EXACT_BASE_ROWS = {TABLE1_A: 8, TABLE1_B: 80, XOR: 4, REDUNDANT_XOR: 4}
 
 _TABLE1_SCHEMA = FactorSchema(("colour", "shape"), (2, 2))
 _XOR_SCHEMA = FactorSchema(("parity",), (2,))
@@ -73,6 +76,8 @@ class GeneratorSpec:
             object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.samples_per_cell < 1:
             raise ValidationError("samples_per_cell must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.noise_sigma < math.inf:  # NaN fails this too
             raise ValidationError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if self.kind == ROTATED:
@@ -117,9 +122,18 @@ def factor_grid(schema: FactorSchema, copies: int = 1) -> np.ndarray:
 
 
 def generate(spec: GeneratorSpec) -> RepresentationSet:
-    """Materialize a GeneratorSpec into a representation set."""
-    rng = np.random.default_rng(spec.seed)
+    """Materialize a GeneratorSpec into a representation set of at most
+    DEFAULT_MAX_ROWS rows, checked before any row is made."""
     schema = spec.resolved_schema()
+    per_copy = math.prod(schema.cardinalities)
+    if spec.exact_population:
+        per_copy = _EXACT_BASE_ROWS.get(spec.kind, per_copy)
+    total = per_copy * spec.samples_per_cell
+    if total > DEFAULT_MAX_ROWS:
+        raise ValidationError(
+            f"{spec.kind} would make {total} rows, exceeding the cap of {DEFAULT_MAX_ROWS}"
+        )
+    rng = np.random.default_rng(spec.seed)
     builder = {
         TABLE1_A: _gen_table1_a,
         TABLE1_B: _gen_table1_b,
@@ -131,10 +145,6 @@ def generate(spec: GeneratorSpec) -> RepresentationSet:
         NOISE: _gen_noise,
     }[spec.kind]
     latents, labels = builder(spec, schema, rng)
-    if labels.shape[0] > DEFAULT_MAX_ROWS:
-        raise ValidationError(
-            f"generated {labels.shape[0]} rows, exceeding the cap of {DEFAULT_MAX_ROWS}"
-        )
     return RepresentationSet(latents, labels, schema)
 
 

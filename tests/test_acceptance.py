@@ -37,7 +37,14 @@ from detangle.infotheory import (
     joint_mutual_information,
     mutual_information,
 )
-from detangle.metrics import compute_metric_report, factor_entropies, mig, nk, sap
+from detangle.metrics import (
+    compute_metric_report,
+    factor_entropies,
+    mig,
+    nk,
+    sap,
+    single_neuron_accuracy,
+)
 from detangle.cgtask import run_cg
 from detangle.synth import (
     GENERATOR_KINDS,
@@ -185,11 +192,13 @@ def test_criterion_4_xor_information_structure():
     reason="a single binned neuron on a balanced binary factor never exceeds"
            " a 0.5 accuracy gap, so this threshold is unreachable for the"
            " redundant-copy generator",
+    raises=AssertionError,
     strict=True,
 )
 def test_criterion_4_sap_clause_unattainable():
     redundant = generate(GeneratorSpec(kind=REDUNDANT_XOR, samples_per_cell=256))
-    sap_score = sap(redundant)["per_factor"][redundant.schema.names[0]]
+    sap_block = sap(redundant, single_neuron_accuracy(redundant))
+    sap_score = sap_block["per_factor"][redundant.schema.names[0]]
     assert sap_score > 0.9
 
 

@@ -140,6 +140,12 @@ class TestSynth:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_negative_seed_exits_1_without_writing(self, tmp_path, capsys):
+        out = tmp_path / "set"
+        assert cli(["synth", "--kind", "table1_a", "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_missing_required_flag_exits_1(self):
         assert cli(["synth", "--kind", "table1_a"]) == 1
 
@@ -439,8 +445,8 @@ class TestCg:
         assert cli(["cg", "--data", str(workspace / "b"), "--probe", "both",
                     "--pairs", "colour:0,shape:1;colour:5,shape:1"]) == 1
         assert calls == []
-        assert capsys.readouterr().err.startswith(
-            "error: degenerate exclusion split for pair {'factor_a': 'colour', 'value_a': 5,")
+        assert capsys.readouterr().err == (
+            "error: value_a=5 out of range for factor 'colour' (cardinality 2)\n")
 
     def test_repeated_pair_exits_1_before_any_probe_trains(self, workspace, monkeypatch, capsys):
         calls = []

@@ -12,7 +12,6 @@ from hypothesis.extra.numpy import arrays
 
 from detangle.dataset import (
     DEFAULT_BINS,
-    EQUAL_WIDTH,
     FactorSchema,
     QUANTILE,
     RepresentationSet,
@@ -301,8 +300,8 @@ class TestCsvIO:
 class TestDiscretize:
     def test_quantile_boundaries_at_fractional_ranks(self):
         values = np.arange(100, dtype=float)
-        disc = discretize_neuron(values, n_bins=4)
-        assert disc.strategy == QUANTILE and not disc.level_mapped
+        disc = discretize_neuron(values, n_bins=4, strategy=QUANTILE)
+        assert not disc.level_mapped
         assert np.allclose(disc.boundaries, np.quantile(values, [0.25, 0.5, 0.75]))
         counts = np.bincount(disc.bins, minlength=4)
         assert counts.sum() == 100 and counts.min() >= 24
@@ -324,13 +323,6 @@ class TestDiscretize:
         disc = discretize_neuron(np.full(9, 2.5), n_bins=8)
         assert disc.degenerate and np.all(disc.bins == 0)
 
-    def test_equal_width(self):
-        values = np.concatenate([np.zeros(50), np.ones(50) * 10.0, np.linspace(0, 10, 21)])
-        disc = discretize_neuron(values, n_bins=2, strategy=EQUAL_WIDTH)
-        assert disc.n_bins == 2
-        assert np.all(disc.bins[values <= 5.0] == 0)
-        assert np.all(disc.bins[values > 5.0] == 1)
-
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
             discretize_neuron(np.array([]), n_bins=4)
@@ -338,6 +330,8 @@ class TestDiscretize:
             discretize_neuron(np.ones(5), n_bins=0)
         with pytest.raises(ValidationError):
             discretize_neuron(np.ones(5), strategy="magic")
+        with pytest.raises(ValidationError, match="expected 'quantile'"):
+            discretize_neuron(np.ones(5), strategy="equal_width")
         with pytest.raises(NonFiniteLatentError) as exc:
             discretize_neuron(np.array([1.0, np.inf]))
         assert exc.value.row == 1 and exc.value.line is None

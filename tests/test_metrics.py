@@ -1,20 +1,22 @@
 """Tests for the five representation-quality metrics and the full report."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import detangle.metrics as metrics_module
 from detangle.align import Alignment, greedy_alignment, injective_alignment
-from detangle.dataset import FactorSchema, RepresentationSet
+from detangle.dataset import FactorSchema, RepresentationSet, discretize_neuron
 from detangle.errors import DegenerateInputError, ValidationError
 from detangle.infotheory import ImportanceMatrix, importance_matrix
 from detangle.metrics import (
     MEAN,
     PRODUCT,
     aggregate,
-    bin_match_accuracy,
     compute_metric_report,
     dci,
     factor_entropies,
@@ -22,6 +24,7 @@ from detangle.metrics import (
     nk,
     render_metric_table,
     sap,
+    single_neuron_accuracy,
     snc,
 )
 from detangle.classify import TrainConfig
@@ -35,29 +38,72 @@ def make_importance(values, names=None, n_bins=20, strategy="quantile"):
     return ImportanceMatrix(values=values, factor_names=tuple(names), n_bins=n_bins, strategy=strategy)
 
 
+def best_bijection_agreement(values, labels, k):
+    """Oracle: the largest share of rows that any of the k! bin->class
+    bijections matches, counted with np.bincount on the neuron's k bins."""
+    bins = discretize_neuron(values, n_bins=k).bins
+    counts = np.bincount(bins * k + labels, minlength=k * k).reshape(k, k)
+    rows = np.arange(k)
+    best = max(int(counts[rows, list(p)].sum()) for p in itertools.permutations(range(k)))
+    return best / labels.size
+
+
+def agreement_matrix(latents, labels, cards):
+    schema = FactorSchema(tuple(f"f{j}" for j in range(len(cards))), tuple(cards))
+    rep = RepresentationSet(np.asarray(latents, dtype=np.float64), np.asarray(labels), schema)
+    return single_neuron_accuracy(rep)
+
+
 class TestBinMatchAccuracy:
+    """The best bin-to-class agreement, read off single_neuron_accuracy."""
+
     def test_perfect_binary(self):
-        values = np.array([0.1, 0.1, 0.9, 0.9])
-        labels = np.array([0, 0, 1, 1])
-        assert bin_match_accuracy(values, labels, 2) == 1.0
+        values = [0.1, 0.1, 0.9, 0.9]
+        labels = [0, 0, 1, 1]
+        acc = agreement_matrix(np.column_stack([values]), np.column_stack([labels]), (2,))
+        assert acc.tolist() == [[1.0]]
 
     def test_inverted_labels_still_perfect(self):
         # The bijection relabels bins, so an anti-correlated neuron scores 1.
-        values = np.array([0.1, 0.1, 0.9, 0.9])
-        labels = np.array([1, 1, 0, 0])
-        assert bin_match_accuracy(values, labels, 2) == 1.0
+        latents = np.array([[0.1, 0.9], [0.1, 0.9], [0.9, 0.1], [0.9, 0.1]])
+        acc = agreement_matrix(latents, [[0], [0], [1], [1]], (2,))
+        assert acc.tolist() == [[1.0, 1.0]]
 
     def test_independent_neuron_scores_chance(self):
-        values = np.array([0.0, 1.0, 0.0, 1.0])
-        labels = np.array([0, 0, 1, 1])
-        assert bin_match_accuracy(values, labels, 2) == 0.5
+        latents = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        acc = agreement_matrix(latents, [[0, 0], [0, 1], [1, 0], [1, 1]], (2, 2))
+        assert acc.tolist() == [[0.5, 1.0], [1.0, 0.5]]
 
     def test_three_class_partial(self):
         # Identity bijection matches 5 of 6 rows; the stray (bin 1, class 2)
         # row is the only miss.
-        values = np.array([0.0, 0.0, 1.0, 1.0, 2.0, 2.0])
-        labels = np.array([0, 0, 1, 2, 2, 2])
-        assert bin_match_accuracy(values, labels, 3) == pytest.approx(5.0 / 6.0)
+        values = [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]
+        labels = [0, 0, 1, 2, 2, 2]
+        acc = agreement_matrix(np.column_stack([values]), np.column_stack([labels]), (3,))
+        assert acc[0, 0] == pytest.approx(5.0 / 6.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_entry_is_the_best_bijection(self, data):
+        n_rows = data.draw(st.integers(1, 30), label="n_rows")
+        cards = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=3), label="cards")
+        n_neurons = data.draw(st.integers(len(cards), 4), label="n_neurons")
+        # Few levels give ties and level-mapped bins; floats give quantile bins.
+        values = st.integers(0, 3).map(float) | st.floats(-5, 5, allow_nan=False)
+        latents = np.array(data.draw(
+            st.lists(st.lists(values, min_size=n_neurons, max_size=n_neurons),
+                     min_size=n_rows, max_size=n_rows), label="latents"))
+        labels = np.column_stack([
+            data.draw(st.lists(st.integers(0, k - 1), min_size=n_rows, max_size=n_rows),
+                      label=f"g{j}")
+            for j, k in enumerate(cards)
+        ])
+        acc = agreement_matrix(latents, labels, cards)
+        expected = [
+            [best_bijection_agreement(latents[:, i], labels[:, j], k) for i in range(n_neurons)]
+            for j, k in enumerate(cards)
+        ]
+        assert acc.tolist() == expected
 
 
 class TestFactorEntropies:
@@ -74,7 +120,7 @@ class TestFactorEntropies:
 class TestSnc:
     def test_worked_example_a(self, variant_a_rep):
         imp = importance_matrix(variant_a_rep)
-        result = snc(variant_a_rep, injective_alignment(imp))
+        result = snc(variant_a_rep, injective_alignment(imp), single_neuron_accuracy(variant_a_rep))
         assert result["per_factor"]["colour"] == pytest.approx(0.5, abs=1e-12)
         assert result["per_factor"]["shape"] == 0.0
         assert result["mean"] == pytest.approx(0.25, abs=1e-12)
@@ -85,14 +131,14 @@ class TestSnc:
 
     def test_worked_example_b(self, variant_b_rep):
         imp = importance_matrix(variant_b_rep)
-        result = snc(variant_b_rep, injective_alignment(imp))
+        result = snc(variant_b_rep, injective_alignment(imp), single_neuron_accuracy(variant_b_rep))
         assert result["per_factor"]["colour"] == pytest.approx(0.5, abs=1e-12)
         assert result["per_factor"]["shape"] == pytest.approx(0.4, abs=1e-12)
         assert result["mean"] == pytest.approx(0.45, abs=1e-12)
 
     def test_greedy_alignment_shares_the_informative_neuron(self, variant_b_rep):
         imp = importance_matrix(variant_b_rep)
-        result = snc(variant_b_rep, greedy_alignment(imp))
+        result = snc(variant_b_rep, greedy_alignment(imp), single_neuron_accuracy(variant_b_rep))
         assert result["details"]["colour"]["neuron"] == 0
         assert result["details"]["shape"]["neuron"] == 0
         assert result["per_factor"]["shape"] == pytest.approx(0.5, abs=1e-12)
@@ -101,18 +147,18 @@ class TestSnc:
         schema = FactorSchema(("a", "b"), (3, 4))
         rep = generate(GeneratorSpec(kind="ideal", schema=schema, samples_per_cell=10))
         imp = importance_matrix(rep)
-        result = snc(rep, injective_alignment(imp))
+        result = snc(rep, injective_alignment(imp), single_neuron_accuracy(rep))
         assert result["per_factor"] == {"a": 1.0, "b": 1.0}
 
     def test_alignment_length_checked(self, variant_a_rep):
         bad = Alignment(mode="greedy", assignment=(0,), objective_value=0.0)
         with pytest.raises(ValidationError, match="alignment"):
-            snc(variant_a_rep, bad)
+            snc(variant_a_rep, bad, single_neuron_accuracy(variant_a_rep))
 
     def test_alignment_neuron_range_checked(self, variant_a_rep):
         bad = Alignment(mode="greedy", assignment=(0, 5), objective_value=0.0)
         with pytest.raises(ValidationError, match="neuron"):
-            snc(variant_a_rep, bad)
+            snc(variant_a_rep, bad, single_neuron_accuracy(variant_a_rep))
 
     def test_cardinality_above_rows_rejected(self):
         schema = FactorSchema(("a",), (5,))
@@ -123,7 +169,14 @@ class TestSnc:
         )
         align = Alignment(mode="greedy", assignment=(0,), objective_value=0.0)
         with pytest.raises(ValidationError, match="cardinality"):
-            snc(rep, align)
+            snc(rep, align, single_neuron_accuracy(rep))
+
+    def test_accuracy_matrix_shape_checked(self, variant_a_rep):
+        align = Alignment(mode="greedy", assignment=(0, 1), objective_value=0.0)
+        with pytest.raises(ValidationError, match="accuracy matrix of shape"):
+            snc(variant_a_rep, align, np.zeros((2, 3)))
+        with pytest.raises(ValidationError, match="accuracy matrix of shape"):
+            sap(variant_a_rep, np.zeros((1, 2)))
 
 
 class TestNk:
@@ -196,7 +249,7 @@ class TestMig:
 
 class TestSap:
     def test_worked_example_a(self, variant_a_rep):
-        result = sap(variant_a_rep)
+        result = sap(variant_a_rep, single_neuron_accuracy(variant_a_rep))
         assert result["per_factor"]["colour"] == pytest.approx(0.25, abs=1e-12)
         assert result["per_factor"]["shape"] == pytest.approx(0.25, abs=1e-12)
         assert result["mean"] == pytest.approx(0.25, abs=1e-12)
@@ -205,11 +258,11 @@ class TestSap:
         assert result["details"]["colour"]["second_accuracy"] == pytest.approx(0.5)
 
     def test_accuracy_matrix_shape_and_immutability(self, variant_a_rep):
-        result = sap(variant_a_rep)
+        result = sap(variant_a_rep, single_neuron_accuracy(variant_a_rep))
         assert np.shape(result["accuracy_matrix"]) == (2, 2)
 
     def test_gap_is_unadjusted_difference(self, variant_b_rep):
-        result = sap(variant_b_rep)
+        result = sap(variant_b_rep, single_neuron_accuracy(variant_b_rep))
         for name, detail in result["details"].items():
             assert result["per_factor"][name] == pytest.approx(
                 detail["top_accuracy"] - detail["second_accuracy"], abs=1e-12
@@ -221,12 +274,12 @@ class TestSap:
             np.array([[0.0], [1.0]]), np.array([[0], [1]]), schema
         )
         with pytest.raises(ValidationError, match="two neurons"):
-            sap(rep)
+            sap(rep, single_neuron_accuracy(rep))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_accuracy_matrix_equals_per_pair_bin_match(self, seed):
-        # SAP bins each neuron once per cardinality; the scores must equal
-        # binning every (factor, neuron) pair on its own.
+        # The matrix bins each neuron once per cardinality; the scores must
+        # equal binning and matching every (factor, neuron) pair on its own.
         rng = np.random.default_rng(seed)
         cards = (2, 5, 3, 5)
         rows = int(rng.integers(20, 400))
@@ -235,11 +288,9 @@ class TestSap:
         if seed % 2:
             latents = np.round(latents)  # few levels: ties and level-mapped bins
         rep = RepresentationSet(latents, labels, FactorSchema(("a", "b", "c", "d"), cards))
-        expected = np.array([
-            [bin_match_accuracy(latents[:, i], labels[:, j], k) for i in range(6)]
-            for j, k in enumerate(cards)
-        ])
-        assert np.array_equal(sap(rep)["accuracy_matrix"], expected)
+        expected = [[best_bijection_agreement(latents[:, i], labels[:, j], k) for i in range(6)]
+                    for j, k in enumerate(cards)]
+        assert sap(rep, single_neuron_accuracy(rep))["accuracy_matrix"] == expected
 
 
 class TestDci:

@@ -1,11 +1,13 @@
 """Tests for the synthetic representation generators."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import detangle.synth as synth
 from detangle.dataset import FactorSchema
 from detangle.errors import ValidationError
 from detangle.infotheory import mutual_information
@@ -105,6 +107,10 @@ class TestSpecValidation:
     def test_samples_per_cell_must_be_positive(self):
         with pytest.raises(ValidationError):
             GeneratorSpec(kind="xor", samples_per_cell=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            GeneratorSpec(kind="xor", seed=-1)
 
     @pytest.mark.parametrize("value", [1.5, 2.0, True, None])
     @pytest.mark.parametrize("field", ["samples_per_cell", "seed"])
@@ -349,3 +355,27 @@ class TestDeterminism:
         with pytest.raises(ValidationError, match="cap"):
             generate(GeneratorSpec(kind="ideal", schema=schema,
                                    samples_per_cell=DEFAULT_MAX_ROWS // 16 + 1))
+
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("kind", ["table1_a", "table1_b", "xor", "redundant_xor", "ideal"])
+    def test_row_cap_counts_each_kinds_rows(self, monkeypatch, kind, exact):
+        # The cap admits exactly three copies of the one-copy population.
+        schema = FactorSchema(("a", "b"), (2, 3)) if kind == "ideal" else None
+        spec = dict(kind=kind, schema=schema, exact_population=exact)
+        rows = generate(GeneratorSpec(**spec)).n_rows
+        monkeypatch.setattr(synth, "DEFAULT_MAX_ROWS", 3 * rows)
+        assert generate(GeneratorSpec(**spec, samples_per_cell=3)).n_rows == 3 * rows
+        with pytest.raises(ValidationError, match=f"would make {4 * rows} rows"):
+            generate(GeneratorSpec(**spec, samples_per_cell=4))
+
+    def test_row_cap_checked_before_any_row_is_made(self, monkeypatch):
+        monkeypatch.setattr(synth, "DEFAULT_MAX_ROWS", 1000)
+        spec = GeneratorSpec(kind="table1_b", samples_per_cell=1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="80000 rows, exceeding the cap of 1000"):
+                generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
