@@ -37,7 +37,7 @@ from .classify import (
 )
 from .dataset import FactorSchema, RepresentationSet, split_indices
 from .errors import SplitError, ValidationError
-from .util import payload_kind, spawn_seed
+from .util import payload_kind, require_seed, spawn_seed
 
 
 def resolve_pair(rep: RepresentationSet, pair: tuple) -> dict:
@@ -360,7 +360,7 @@ def sample_pairs(
         raise ValidationError(
             f"count must lie in [1, {combos.size}] (distinct present combinations)"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_seed(seed, "seed"))
     chosen = rng.choice(combos.size, size=count, replace=False)
     values_a, values_b = np.unravel_index(combos[np.sort(chosen)], dims)
     a, b = rep.schema.names[ia], rep.schema.names[ib]

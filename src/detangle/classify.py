@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TrainingDivergedError, ValidationError
-from .util import require_int
+from .util import require_int, require_seed
 
 LINEAR = "linear"
 MLP = "mlp"
@@ -75,12 +75,6 @@ class ProbeModel:
     def logits(self, features: np.ndarray) -> np.ndarray:
         return _forward(self.weights, self.kind, self._standardize(features))[0]
 
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        """Class probabilities, by a float64 softmax; each row sums to 1 within 1e-9."""
-        logits = self.logits(features).astype(np.float64)
-        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return exp / exp.sum(axis=1, keepdims=True)
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Most likely class per row; argmax ties go to the lowest index."""
         return np.argmax(self.logits(features), axis=1).astype(np.int64)
@@ -128,6 +122,10 @@ def train_probe(
         raise ValidationError("labels must be 1-D or N x P (P >= 1) and match the feature rows")
     if (Y.ndim == 2) != (seeds is not None) or (seeds is not None and len(seeds) != Y.shape[1]):
         raise ValidationError("seeds must give one seed per column of an N x P label matrix")
+    if seeds is None:
+        require_seed(config.seed, "config.seed")
+    else:
+        seeds = [require_seed(s, f"seeds[{p}]") for p, s in enumerate(seeds)]
     as_int = Y.astype(np.int64)
     if not np.array_equal(as_int, Y):
         raise ValidationError("labels must be integers")

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import analysis, cgtask, metrics, synth
 from .align import (
+    ALIGN_MODES,
     Alignment,
     GREEDY,
     INJECTIVE,
@@ -173,7 +174,7 @@ def build_parser() -> _Parser:
                        description="Score a representation set and write a JSON report.")
     add_data_flags(p)
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--align", choices=(GREEDY, INJECTIVE), default=INJECTIVE)
+    p.add_argument("--align", choices=ALIGN_MODES, default=INJECTIVE)
     p.add_argument("--bins", type=int, default=DEFAULT_BINS, help="bins for MI estimation")
     add_train_flags(p)
     p.add_argument("--subset", help="factor names (comma-separated) to aggregate over")
@@ -183,7 +184,7 @@ def build_parser() -> _Parser:
                        description="Importance matrix, alignment, Hinton diagrams.")
     add_data_flags(p)
     p.add_argument("--out", help="write alignment JSON here")
-    p.add_argument("--align", choices=(GREEDY, INJECTIVE), default=INJECTIVE)
+    p.add_argument("--align", choices=ALIGN_MODES, default=INJECTIVE)
     p.add_argument("--bins", type=int, default=DEFAULT_BINS)
     p.add_argument("--svg", help="write an SVG Hinton diagram here")
     p.add_argument("--text", help="write a text Hinton diagram here")

@@ -15,7 +15,7 @@ import numbers
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     SplitError,
     ValidationError,
 )
-from .util import atomic_open, atomic_write_json
+from .util import atomic_open, atomic_write_json, require_seed
 
 QUANTILE = "quantile"  # the only binning strategy
 
@@ -413,7 +413,7 @@ def split_indices(n_rows: int, test_fraction: float, seed: int) -> tuple[np.ndar
             f"random split with test_fraction={test_fraction} on N={n_rows} rows "
             f"leaves an empty side (test={n_test})"
         )
-    perm = np.random.default_rng(seed).permutation(n_rows)
+    perm = np.random.default_rng(require_seed(seed, "seed")).permutation(n_rows)
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 

@@ -1,12 +1,13 @@
 """Plug-in information estimates over discrete variables, in bits (log base 2).
 
-One count-table kernel: `ContingencyTable` counts two code vectors with a
-single `np.bincount`, and MI = H(row sums) + H(column sums) - H(cells).
-`mutual_information` maps any integers to dense codes first, and
+One count-table kernel: `count_table` counts two in-range code vectors with
+one `np.bincount`, and MI = H(row sums) + H(column sums) - H(cells). The
+public MI functions check their inputs and map any integers to dense codes;
 `joint_mutual_information` fuses several vectors into one product-alphabet
 code with `np.ravel_multi_index`. The importance matrix bins every neuron
-once (`bin_matrix`) and builds one table per factor/neuron pair. Entropies
-sort the counts, so results depend only on the count multiset.
+once (`bin_matrix`), takes each marginal entropy once and counts one table
+per factor/neuron pair. Entropies sort the counts, so results depend only
+on the count multiset.
 """
 
 from __future__ import annotations
@@ -23,43 +24,14 @@ from .errors import AlphabetOverflowError, ValidationError
 JOINT_CELL_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Joint counts of two discrete vectors.
-
-    counts[r, c] is the number of rows with row_values == r and
-    col_values == c, where r and c index the provided alphabets of
-    non-negative codes. A table holds at most JOINT_CELL_CAP cells.
-    """
-
-    counts: np.ndarray
-    total: int
-
-    @classmethod
-    def from_vectors(
-        cls, rows: np.ndarray, cols: np.ndarray, n_rows: int | None = None, n_cols: int | None = None
-    ) -> "ContingencyTable":
-        rows = _as_discrete(rows, "rows")
-        cols = _as_discrete(cols, "cols")
-        if rows.shape != cols.shape:
-            raise ValidationError(f"length mismatch: {rows.size} vs {cols.size}")
-        if rows.min() < 0 or cols.min() < 0:
-            raise ValidationError("contingency table values must be non-negative codes")
-        r = int(rows.max()) + 1 if n_rows is None else int(n_rows)
-        c = int(cols.max()) + 1 if n_cols is None else int(n_cols)
-        if rows.max() >= r or cols.max() >= c:
-            raise ValidationError("alphabet size smaller than observed values")
-        if r * c > JOINT_CELL_CAP:
-            raise AlphabetOverflowError(f"count table exceeds cap: {r * c} > {JOINT_CELL_CAP} cells")
-        counts = np.bincount(rows * c + cols, minlength=r * c).reshape(r, c)
-        counts.setflags(write=False)
-        return cls(counts=counts, total=int(rows.size))
-
-    def mutual_information(self) -> float:
-        """I(rows; cols) in bits: H(rows) + H(cols) - H(rows, cols)."""
-        h_rows = entropy_from_counts(self.counts.sum(axis=1))
-        h_cols = entropy_from_counts(self.counts.sum(axis=0))
-        return h_rows + h_cols - entropy_from_counts(self.counts)
+def count_table(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """The n_rows x n_cols counts of the code pairs (rows[k], cols[k]), from
+    one np.bincount. Codes are not checked: they must lie in [0, n_rows) and
+    [0, n_cols). A table holds at most JOINT_CELL_CAP cells."""
+    cells = n_rows * n_cols
+    if cells > JOINT_CELL_CAP:
+        raise AlphabetOverflowError(f"count table exceeds cap: {cells} > {JOINT_CELL_CAP} cells")
+    return np.bincount(rows * n_cols + cols, minlength=cells).reshape(n_rows, n_cols)
 
 
 def entropy(values: Sequence[int] | np.ndarray) -> float:
@@ -85,18 +57,6 @@ def entropy_from_counts(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def entropy_from_probs(probs: Sequence[float] | np.ndarray) -> float:
-    """Entropy in bits of an explicit probability vector (must sum to ~1)."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.size == 0 or np.any(p < 0):
-        raise ValidationError("probabilities must be non-negative and non-empty")
-    s = p.sum()
-    if not np.isclose(s, 1.0, atol=1e-9):
-        raise ValidationError(f"probabilities must sum to 1, got {s!r}")
-    p = np.sort(p[p > 0])
-    return float(-(p * np.log2(p)).sum())
-
-
 def mutual_information(x: Sequence[int] | np.ndarray, y: Sequence[int] | np.ndarray) -> float:
     """Plug-in mutual information I(x; y) in bits: H(x) + H(y) - H(x, y).
 
@@ -109,7 +69,10 @@ def mutual_information(x: Sequence[int] | np.ndarray, y: Sequence[int] | np.ndar
     y = _as_discrete(y, "y")
     if x.shape != y.shape:
         raise ValidationError(f"length mismatch: {x.size} vs {y.size}")
-    return ContingencyTable.from_vectors(_dense_codes(x), _dense_codes(y)).mutual_information()
+    x, y = _dense_codes(x), _dense_codes(y)
+    counts = count_table(x, y, int(x.max()) + 1, int(y.max()) + 1)
+    h_x = entropy_from_counts(counts.sum(axis=1))
+    return h_x + entropy_from_counts(counts.sum(axis=0)) - entropy_from_counts(counts)
 
 
 def joint_mutual_information(xs: Sequence[np.ndarray], y: Sequence[int] | np.ndarray) -> float:
@@ -188,16 +151,21 @@ def bin_matrix(latents: np.ndarray, n_bins: int = DEFAULT_BINS) -> np.ndarray:
 def importance_matrix(rep: RepresentationSet, n_bins: int = DEFAULT_BINS) -> ImportanceMatrix:
     """MI in bits between every factor and every neuron after binning.
 
-    Each neuron is quantile-binned once (n_bins); each factor/neuron pair
-    is one count table of the neuron's bins against the factor's labels.
+    Each neuron is quantile-binned once (n_bins) and each marginal entropy
+    taken once; each factor/neuron pair adds the joint entropy of one count
+    table of the neuron's bins against the factor's labels (observed alphabets).
     """
     bins = bin_matrix(rep.latents, n_bins=n_bins)
+    bin_counts = [np.bincount(bins[:, i]) for i in range(rep.n_neurons)]
+    h_bins = [entropy_from_counts(counts) for counts in bin_counts]
     values = np.zeros((rep.n_factors, rep.n_neurons), dtype=np.float64)
     for j in range(rep.n_factors):
         labels = rep.labels[:, j]
-        for i in range(rep.n_neurons):
-            table = ContingencyTable.from_vectors(bins[:, i], labels)
-            values[j, i] = table.mutual_information()
+        label_counts = np.bincount(labels)
+        h_labels = entropy_from_counts(label_counts)
+        for i, counts in enumerate(bin_counts):
+            table = count_table(bins[:, i], labels, counts.size, label_counts.size)
+            values[j, i] = h_bins[i] + h_labels - entropy_from_counts(table)
     return ImportanceMatrix(
         values=values,
         factor_names=rep.schema.names,

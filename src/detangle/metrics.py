@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .align import Alignment, greedy_alignment, injective_alignment, max_weight_assignment
+from .align import (ALIGN_MODES, INJECTIVE, Alignment, greedy_alignment, injective_alignment,
+                    max_weight_assignment)
 from .classify import (
     MLP,
     LINEAR,
@@ -32,7 +33,7 @@ from .dataset import DEFAULT_BINS, QUANTILE, RepresentationSet, split_indices
 # Not called here: the benchmark tracer (bench/tracing.py) patches this name.
 from .dataset import discretize_neuron  # noqa: F401
 from .errors import DegenerateInputError, ValidationError
-from .infotheory import ContingencyTable, ImportanceMatrix, bin_matrix, entropy, importance_matrix
+from .infotheory import ImportanceMatrix, bin_matrix, count_table, entropy, importance_matrix
 from .util import require_distinct, spawn_seed
 
 MEAN = "mean"
@@ -63,10 +64,9 @@ def single_neuron_accuracy(rep: RepresentationSet) -> np.ndarray:
         bins = bin_matrix(rep.latents, n_bins=k)  # shared by every k-class factor
         for j in (j for j in range(rep.n_factors) if cards[j] == k):
             for i in range(rep.n_neurons):
-                table = ContingencyTable.from_vectors(bins[:, i], rep.labels[:, j], k, k)
-                counts = table.counts.astype(np.float64)
+                counts = count_table(bins[:, i], rep.labels[:, j], k, k).astype(np.float64)
                 _, matched = max_weight_assignment(counts, lexicographic=False)
-                acc[j, i] = float(matched) / float(table.total)
+                acc[j, i] = float(matched) / float(rep.n_rows)
         del bins  # keep one N x m bin matrix alive at a time
     return acc
 
@@ -331,7 +331,7 @@ def aggregate(
 
 def compute_metric_report(
     rep: RepresentationSet,
-    align_mode: str = "injective",
+    align_mode: str = INJECTIVE,
     n_bins: int = DEFAULT_BINS,
     config: TrainConfig | None = None,
     subset: Sequence[str] | None = None,
@@ -345,16 +345,13 @@ def compute_metric_report(
     train config seed; SNC and SAP share one single_neuron_accuracy matrix.
     """
     config = config or TrainConfig()
+    # Reject a bad align mode, subset or aggregate mode before any work starts.
+    if align_mode not in ALIGN_MODES:
+        raise ValidationError(f"unknown align mode {align_mode!r}, expected one of {ALIGN_MODES}")
     if subset is not None:
-        # Reject a bad subset or aggregate mode before any probe trains.
         aggregate(dict.fromkeys(rep.schema.names, 0.0), aggregate_mode, subset)
     imp = importance_matrix(rep, n_bins=n_bins)
-    if align_mode == "injective":
-        alignment = injective_alignment(imp)
-    elif align_mode == "greedy":
-        alignment = greedy_alignment(imp)
-    else:
-        raise ValidationError(f"unknown align mode {align_mode!r}")
+    alignment = injective_alignment(imp) if align_mode == INJECTIVE else greedy_alignment(imp)
 
     split, rows = _report_split(rep, config.seed)
     single_neuron = single_neuron_accuracy(rep)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import FactorSchema, RepresentationSet
 from .errors import ValidationError
-from .util import require_int
+from .util import require_int, require_seed
 
 TABLE1_A = "table1_a"
 TABLE1_B = "table1_b"
@@ -76,8 +76,7 @@ class GeneratorSpec:
             object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.samples_per_cell < 1:
             raise ValidationError("samples_per_cell must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        require_seed(self.seed, "seed")
         if not 0 <= self.noise_sigma < math.inf:  # NaN fails this too
             raise ValidationError(f"noise_sigma must be >= 0 and finite, got {self.noise_sigma}")
         if self.kind == ROTATED:

@@ -61,6 +61,15 @@ def require_int(value: object, name: str) -> int:
     return int(value)
 
 
+def require_seed(value: object, name: str) -> int:
+    """A non-negative integer seed as an int, as numpy's generators need;
+    anything else raises, naming it."""
+    seed = require_int(value, name)
+    if seed < 0:
+        raise ValidationError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 def spawn_seed(base_seed: int, *branch: int) -> int:
     """Derive a child seed deterministically from a base seed and branch indices.
 

@@ -32,7 +32,7 @@ from detangle.classify import (
 )
 from detangle.dataset import split_indices
 from detangle.infotheory import (
-    entropy_from_probs,
+    entropy_from_counts,
     importance_matrix,
     joint_mutual_information,
     mutual_information,
@@ -71,7 +71,7 @@ from conftest import (
 def test_criterion_1_toy_population_information_values():
     start = time.perf_counter()
     rep = generate(GeneratorSpec(kind=TABLE1_A))
-    h = entropy_from_probs([0.75, 0.25])
+    h = entropy_from_counts([3, 1])
     assert h == pytest.approx(0.8113, abs=5e-4)
 
     first_neuron = rep.latents[:, 0].astype(np.int64)

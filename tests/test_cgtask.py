@@ -420,6 +420,10 @@ class TestSamplePairs:
         with pytest.raises(ValidationError, match="distinct"):
             sample_pairs(rep, "size", "size", count=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            sample_pairs(grid_rep(copies=2), "size", "shape", count=2, seed=-1)
+
 
 class TestRenderTable:
     def test_single_run_layout(self):

@@ -207,7 +207,7 @@ class TestTrainProbe:
         model = train_probe(X, y, kind=LINEAR, config=TrainConfig(seed=7))
         assert model.sigma[1] == 1.0
         preds = model.predict(X)
-        assert np.all(np.isfinite(model.predict_proba(X)))
+        assert np.all(np.isfinite(model.logits(X)))
         assert preds.shape == (50,)
 
     def test_n_classes_can_exceed_observed_labels(self):
@@ -218,7 +218,7 @@ class TestTrainProbe:
             X, y, kind=LINEAR, config=TrainConfig(seed=8), n_classes=4
         )
         assert model.n_classes == 4
-        assert model.predict_proba(X).shape == (40, 4)
+        assert model.logits(X).shape == (40, 4)
 
     @pytest.mark.parametrize("kind", [LINEAR, MLP])
     def test_float32_weights_float64_moments_all_read_only(self, kind):
@@ -231,7 +231,6 @@ class TestTrainProbe:
         for array in (model.mu, model.sigma, *model.weights.values()):
             assert not array.flags.writeable
         assert model.logits(X).dtype == np.float32
-        assert model.predict_proba(X).dtype == np.float64
 
     def test_single_class_labels_rejected(self):
         X = np.zeros((10, 2))
@@ -269,6 +268,16 @@ class TestTrainProbe:
         y = np.array([0, 1, 0])
         with pytest.raises(ValidationError):
             train_probe(X, y)
+
+    def test_negative_seed_rejected_naming_it(self):
+        X, y = xor_features_labels(copies=2)
+        with pytest.raises(ValidationError, match="config.seed must be >= 0, got -1"):
+            train_probe(X, y, LINEAR, TrainConfig(seed=-1, epochs=1))
+        # A stack reads only its seeds, so a negative config.seed is fine there.
+        config = TrainConfig(seed=-1, epochs=1)
+        train_probe(X, np.stack([y, 1 - y], axis=1), LINEAR, config, seeds=[0, 1])
+        with pytest.raises(ValidationError, match=r"seeds\[1\] must be >= 0, got -3"):
+            train_probe(X, np.stack([y, 1 - y], axis=1), LINEAR, config, seeds=[0, -3])
 
 
 def reference_forward(weights, kind, X):
@@ -496,22 +505,6 @@ class TestStackedTraining:
 
 
 class TestProbeModel:
-    def test_predict_proba_rows_sum_to_one(self):
-        X, y = xor_features_labels(copies=32)
-        model = train_probe(X, y, kind=MLP, config=TrainConfig(seed=12, epochs=10))
-        probs = model.predict_proba(X)
-        assert probs.shape == (len(y), 2)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(probs >= 0.0)
-        # Unsaturated: every class keeps real mass, so rounding in each term
-        # of the row sum counts.
-        X, y = noisy_six_class_problem()
-        model = train_probe(X, y, kind=LINEAR, config=TrainConfig(seed=2, epochs=1))
-        probs = model.predict_proba(X)
-        assert probs.shape == (len(y), 6)
-        assert probs.min() > 1e-3
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-
     def test_predict_tie_takes_lowest_class(self):
         # Zero weights give identical logits for every class.
         model = ProbeModel(
@@ -546,6 +539,10 @@ class TestTrainConfig:
         assert config.epochs == 75
         assert config.hidden_units == 256
         assert config.batch_size == 128
+
+    def test_negative_seed_accepted(self):
+        # The CLI derives every probe seed from it with spawn_seed.
+        assert TrainConfig(seed=-1).seed == -1
 
     def test_with_seed_replaces_only_seed(self):
         config = TrainConfig(seed=1, epochs=33)

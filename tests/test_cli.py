@@ -258,6 +258,13 @@ class TestMetrics:
         assert proc.stdout == ""
         assert proc.stderr == "error: training diverged at epoch 1: loss=nan\n"
 
+    def test_negative_seed_runs(self, workspace):
+        # Every probe and split seed is derived from it with spawn_seed.
+        assert cli(["metrics", "--data", str(workspace / "b"), "--epochs", "1",
+                    "--seed", "-1"]) == 0
+        assert cli(["cg", "--data", str(workspace / "b"), "--pairs", "colour:0,shape:1",
+                    "--epochs", "1", "--seed", "-3"]) == 0
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_learning_rate_exits_1(self, workspace, capsys, value):
         assert cli(["metrics", "--data", str(workspace / "b"), "--epochs", "1",
@@ -321,6 +328,13 @@ class TestAlign:
         err = capsys.readouterr().err
         assert err == (f"error: {tmp_path / 'data.csv'}, line 3, column 'g1': label {label} "
                        "out of range for factor 'shape' (cardinality 2)\n")
+
+    def test_bin_count_past_the_cell_cap_runs(self, workspace, tmp_path):
+        # The count-table cap applies to the observed alphabets, not to --bins.
+        out = tmp_path / "align.json"
+        assert cli(["align", "--data", str(workspace / "ideal"), "--bins", "2000000",
+                    "--out", str(out)]) == 0
+        assert read_json(out)["importance"]["n_bins"] == 2000000
 
     def test_diagram_exports(self, workspace, tmp_path, capsys):
         svg = tmp_path / "h.svg"

@@ -368,3 +368,7 @@ class TestSplits:
             split_indices(4, 0.1, seed=1)
         with pytest.raises(SplitError, match="in \\(0, 1\\)"):
             split_indices(4, 1.5, seed=1)
+
+    def test_random_split_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -2"):
+            split_indices(50, 0.2, seed=-2)

@@ -446,9 +446,14 @@ class TestMetricReport:
             compute_metric_report(variant_b_rep, subset=subset, aggregate_mode=mode)
         assert calls == []
 
-    def test_unknown_align_mode_rejected(self, variant_a_rep):
-        with pytest.raises(ValidationError, match="align mode"):
+    def test_unknown_align_mode_rejected(self, variant_a_rep, monkeypatch):
+        # Before the importance matrix is built.
+        calls = []
+        monkeypatch.setattr(metrics_module, "importance_matrix",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValidationError, match="align mode 'hungarian'"):
             compute_metric_report(variant_a_rep, align_mode="hungarian")
+        assert calls == []
 
     def test_render_table(self, variant_a_report):
         text = render_metric_table(variant_a_report)

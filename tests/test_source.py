@@ -1,0 +1,44 @@
+"""Static checks over the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import detangle
+
+SOURCES = sorted(
+    path for path in Path(detangle.__file__).parent.glob("*.py") if path.name != "__init__.py"
+)
+
+# Imported and not used, on purpose: the benchmark tracer patches these names.
+ALLOWED_UNUSED = {("metrics.py", "discretize_neuron")}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports (outside __future__) and never reads."""
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in imports
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport os.path\nfrom typing import Any, List\n"
+    assert unused_imports(source + "x: List = os.path") == ["Any"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_imports(path):
+    unused = [
+        name
+        for name in unused_imports(path.read_text(encoding="utf-8"))
+        if (path.name, name) not in ALLOWED_UNUSED
+    ]
+    assert unused == [], f"{path.name} imports names it never uses: {unused}"
