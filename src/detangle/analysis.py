@@ -28,35 +28,27 @@ def _betacf(a: float, b: float, x: float) -> float:
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_FPMIN:
-        d = _BETA_FPMIN
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
+        d = 1.0 / _off_zero(1.0 + aa * d)
+        c = _off_zero(1.0 + aa / c)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise ValidationError("incomplete beta continued fraction failed to converge")
+
+
+def _off_zero(value: float) -> float:
+    """value, or _BETA_FPMIN in its place when it lies closer to zero."""
+    return _BETA_FPMIN if abs(value) < _BETA_FPMIN else value
 
 
 def betainc_regularized(a: float, b: float, x: float) -> float:

@@ -87,12 +87,15 @@ def train_probe(
     config: TrainConfig | None = None,
     n_classes: int | Sequence[int] | None = None,
     seeds: Sequence[int] | None = None,
+    columns: Sequence[Sequence[int]] | None = None,
 ) -> ProbeModel | list[ProbeModel]:
     """Fit a probe of the given kind; deterministic for a fixed config.
 
     An N x P label matrix with P seeds fits P probes in lock step and returns
     them in column order, each bit-identical to its column fitted alone with
-    config.with_seed(seeds[p]).
+    config.with_seed(seeds[p]). With columns, probe p sees only the feature
+    columns columns[p] and is bit-identical to the probe fitted alone on
+    np.ascontiguousarray(features[:, columns[p]]).
 
     Args:
         features: N x d float matrix (finite).
@@ -102,6 +105,8 @@ def train_probe(
         n_classes: output size, one per column for a matrix; inferred as
             max(labels) + 1 when omitted.
         seeds: one per label column; only with a label matrix.
+        columns: one non-empty list of feature indices per label column;
+            only with a label matrix.
 
     Raises:
         ValidationError: bad shapes, non-finite features, fewer than two
@@ -126,6 +131,13 @@ def train_probe(
         require_seed(config.seed, "config.seed")
     else:
         seeds = [require_seed(s, f"seeds[{p}]") for p, s in enumerate(seeds)]
+    if columns is not None:
+        columns = [np.asarray(c) for c in columns]
+        if seeds is None or len(columns) != len(seeds) or not all(c.ndim == 1 and c.size and (
+                c.dtype.kind in "iu") and 0 <= c.min() <= c.max() < X.shape[1] for c in columns):
+            raise ValidationError("columns must give one non-empty list of feature indices in "
+                                  f"[0, {X.shape[1]}) per column of an N x P label matrix")
+        X = np.ascontiguousarray(X)
     as_int = Y.astype(np.int64)
     if not np.array_equal(as_int, Y):
         raise ValidationError("labels must be integers")
@@ -133,7 +145,9 @@ def train_probe(
     if Y.min() < 0:
         raise ValidationError("labels must be non-negative")
     tops = Y.max(axis=0) + 1
-    ks = tops if n_classes is None else np.ravel(n_classes).astype(np.int64)
+    ks = tops if n_classes is None else np.array(
+        [require_int(k, "n_classes") for k in np.ravel(np.asarray(n_classes, dtype=object))],
+        dtype=np.int64)
     if ks.shape != tops.shape:
         raise ValidationError(f"n_classes must give one size per label column, got {n_classes!r}")
     for column, k, top in zip(Y.T, ks, tops):
@@ -142,31 +156,43 @@ def train_probe(
         if k < top:
             raise ValidationError(f"n_classes={k} too small for max label {top - 1}")
 
+    configs = [config] if seeds is None else [config.with_seed(s) for s in seeds]
+    models: list[ProbeModel] = [None] * len(configs)
+    # One stack per class count and input width. A C-ordered matrix's column
+    # statistics are summed row by row, so wider selections share its
+    # standardized copy; a lone column is summed pairwise and trains alone.
+    groups: dict[tuple[int, int | None], list[int]] = {}
+    for p, k in enumerate(ks.tolist()):
+        width = None if columns is None else columns[p].size
+        if width == 1:
+            models[p] = train_probe(X[:, columns[p]], Y[:, p], kind, configs[p], k)
+        else:
+            groups.setdefault((k, width), []).append(p)
     mu = X.mean(axis=0)
     sigma = X.std(axis=0)
     sigma = np.where(sigma < 1e-12, 1.0, sigma)
     Xs = X - mu
     Xs /= sigma
     Xs = Xs.astype(np.float32)
-    for array in (mu, sigma):
-        array.setflags(write=False)
-
-    configs = [config] if seeds is None else [config.with_seed(s) for s in seeds]
-    models: list[ProbeModel] = [None] * len(configs)
-    # Probes with the same class count share parameter shapes: one stack each.
-    for k in dict.fromkeys(ks.tolist()):
-        cols = np.flatnonzero(ks == k)
-        fitted = _train_stack(Xs, Y[:, cols], kind, k, [configs[p] for p in cols])
-        for p, weights in zip(cols, fitted):
-            models[p] = ProbeModel(kind, k, mu, sigma, weights, configs[p])
+    for (k, width), group in groups.items():
+        cols = None if width is None else np.array([columns[p] for p in group])
+        fitted = _train_stack(Xs, Y[:, group], kind, k, [configs[p] for p in group], cols)
+        for p, weights in zip(group, fitted):
+            stats = (mu, sigma) if width is None else (mu[columns[p]], sigma[columns[p]])
+            for array in stats:
+                array.setflags(write=False)
+            models[p] = ProbeModel(kind, k, *stats, weights, configs[p])
     return models if seeds is not None else models[0]
 
 
 def _train_stack(
-    Xs: np.ndarray, Y: np.ndarray, kind: str, k: int, configs: list[TrainConfig]
+    Xs: np.ndarray, Y: np.ndarray, kind: str, k: int, configs: list[TrainConfig],
+    cols: np.ndarray | None = None,
 ) -> list[dict[str, np.ndarray]]:
-    """Adam on one probe per column of Y at once; configs differ only in seed."""
-    config, P, (n, d) = configs[0], len(configs), Xs.shape
+    """Adam on one probe per column of Y at once; configs differ only in seed.
+    Probe p reads the columns cols[p] of Xs, or every column when cols is None."""
+    config, P, n = configs[0], len(configs), Xs.shape[0]
+    d = Xs.shape[1] if cols is None else cols.shape[1]
     rngs = [np.random.default_rng(c.seed) for c in configs]
     inits = [_init_weights(kind, d, k, config.hidden_units, rng) for rng in rngs]
     # Each probe's parameters live in one float32 row of theta, so Adam
@@ -185,15 +211,25 @@ def _train_stack(
     # (leading slices for a short last batch) rather than allocated afresh.
     shape = (P, batch, config.hidden_units)
     scratch = (np.empty(shape, np.float32), np.empty(shape, bool)) if kind == MLP else None
+    # Probe p's labels start at p * n in the flat labels; picks[b] holds flat
+    # indices of probe p's columns in a P x b x width batch of rows.
+    labels, label_starts = np.ascontiguousarray(Y.T), np.arange(P)[:, None] * n
+    picks = cols is not None and {b: np.arange(P * b).reshape(P, b, 1) * Xs.shape[1]
+                                  + cols[:, None, :] for b in {batch, n % batch or batch}}
+    orders = np.empty((P, n), np.int64)
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            orders = np.array([rng.permutation(n) for rng in rngs])
-            y_epoch = np.take_along_axis(Y.T, orders, axis=1)
+            for p, rng in enumerate(rngs):
+                orders[p] = rng.permutation(n)
             for start in range(0, n, batch):
-                rows, y = orders[:, start : start + batch], y_epoch[:, start : start + batch]
+                rows = orders[:, start : start + batch]
+                x = np.take(Xs, rows, axis=0)
+                if picks:
+                    x = x.reshape(-1).take(picks[rows.shape[1]])
+                y = labels.take(rows + label_starts)
                 views = scratch and tuple(a[:, : rows.shape[1]] for a in scratch)
-                loss, _ = probe_loss_and_gradients(weights, kind, Xs[rows], y, grads, views)
+                loss, _ = probe_loss_and_gradients(weights, kind, x, y, grads, views)
                 if not np.all(np.isfinite(loss)):
                     raise TrainingDivergedError(epoch, float(loss[~np.isfinite(loss)][0]))
                 step += 1
@@ -241,14 +277,20 @@ def probe_loss_and_gradients(
     """
     hidden_out, mask = scratch or (None, None)
     log_probs, hidden = _forward(weights, kind, X, hidden_out)
-    b = X.shape[-2]
-    picked = (*np.indices(y.shape, sparse=True), y)
-    log_probs -= log_probs.max(axis=-1, keepdims=True)
+    b, k = log_probs.shape[-2:]
+    # The class maximum as a chain of pairwise maxima: the same values as
+    # .max(axis=-1) at a fraction of a short reduction's cost.
+    top = log_probs[..., 0].copy()
+    for c in range(1, k):
+        np.maximum(top, log_probs[..., c], out=top)
+    log_probs -= top[..., None]
     log_probs -= np.log(np.exp(log_probs).sum(axis=-1, keepdims=True))
-    loss = -log_probs[picked].mean(axis=-1)
+    # Each row's label entry in the flattened (..., b, k) array.
+    picked = np.arange(y.size) * k + y.reshape(-1)
+    loss = -log_probs.reshape(-1)[picked].reshape(y.shape).mean(axis=-1)
 
     delta = np.exp(log_probs)
-    delta[picked] -= 1.0
+    delta.reshape(-1)[picked] -= 1.0
     delta /= b
 
     grads = {key: np.empty_like(w) for key, w in weights.items()} if out is None else out

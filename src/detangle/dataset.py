@@ -8,10 +8,13 @@ next to a JSON schema sidecar {"factors": [{"name": ..., "cardinality": ...}]}.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
 import json
 import math
 import numbers
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +32,7 @@ from .errors import (
     SplitError,
     ValidationError,
 )
-from .util import atomic_open, atomic_write_json, require_seed
+from .util import atomic_open, atomic_write_json, require_int, require_seed
 
 QUANTILE = "quantile"  # the only binning strategy
 
@@ -260,8 +263,42 @@ def load_representation_set(data_path: str | Path, schema_path: str | Path) -> R
     Errors name the data file, line and column. Parse errors (header, ragged
     row, unparseable field) come first, then RepresentationSet's non-finite
     latent and out-of-range label checks, each at the first offending row.
+
+    A file of printable ASCII is parsed by one np.loadtxt call, which reads
+    its numbers as float and int do; any other file, or one that call or
+    RepresentationSet rejects, is read again row by row.
     """
     data_path = Path(data_path)
+    try:
+        return _load_plain(data_path, schema_path)
+    except Exception:  # every failure is reproduced, with its location, below
+        return _load_rows(data_path, schema_path)
+
+
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\r\n"
+
+
+def _load_plain(data_path: Path, schema_path: str | Path) -> RepresentationSet:
+    """The np.loadtxt parse; raises on any byte past a leading byte-order
+    mark that is not in _PLAIN_BYTES."""
+    with open(data_path, "rb") as raw:
+        if raw.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            raw.seek(0)
+        while chunk := raw.read(1 << 20):
+            if chunk.translate(None, _PLAIN_BYTES):
+                raise ValueError("data file holds more than printable ASCII")
+        raw.seek(0)
+        with warnings.catch_warnings(), io.TextIOWrapper(raw, "utf-8-sig", newline="") as fh:
+            warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+            schema = load_schema(schema_path)
+            n_z = _parse_header(next(csv.reader(fh)), schema.n_factors, data_path)
+            dtype = [("z", "f8", (n_z,)), ("g", "i8", (schema.n_factors,))]
+            rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
+    return RepresentationSet(rows["z"], rows["g"], schema)
+
+
+def _load_rows(data_path: Path, schema_path: str | Path) -> RepresentationSet:
+    """load_representation_set's row-by-row parser, which locates each error."""
     latents = array("d")
     labels: list[int] = []
     lines = array("q")  # file line of each data row; blank lines are skipped
@@ -323,14 +360,14 @@ def _unparseable(row: list[str], n_z: int, line: int, data_path: Path) -> Malfor
     """Error for the first field of row that float (z) or int (g) rejects."""
     for i, raw in enumerate(row):
         if i < n_z:
-            kind, column, parse = "latent", f"z{i}", float
+            kind, column, parse, shown = "latent", f"z{i}", float, raw
         else:
-            kind, column, parse, raw = "label", f"g{i - n_z}", int, raw.strip()
+            kind, column, parse, shown = "label", f"g{i - n_z}", int, raw.strip()
         try:
             parse(raw)
         except ValueError:
             return MalformedCsvError(
-                f"cannot parse {kind} value {raw!r}", line=line, column=column, path=data_path
+                f"cannot parse {kind} value {shown!r}", line=line, column=column, path=data_path
             )
     raise AssertionError("no unparseable field in row")
 
@@ -373,7 +410,8 @@ def discretize_neuron(
         raise NonFiniteLatentError(
             f"non-finite latent value {float(values[idx])!r}", column="z", row=idx
         )
-    if not isinstance(n_bins, int) or isinstance(n_bins, bool) or n_bins < 1:
+    n_bins = require_int(n_bins, "n_bins")
+    if n_bins < 1:
         raise ValidationError(f"n_bins must be a positive integer, got {n_bins!r}")
     if strategy != QUANTILE:
         raise ValidationError(f"unknown binning strategy {strategy!r}, expected {QUANTILE!r}")

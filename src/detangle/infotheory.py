@@ -169,7 +169,7 @@ def importance_matrix(rep: RepresentationSet, n_bins: int = DEFAULT_BINS) -> Imp
     return ImportanceMatrix(
         values=values,
         factor_names=rep.schema.names,
-        n_bins=n_bins,
+        n_bins=int(n_bins),  # bin_matrix has checked it
         strategy=QUANTILE,
     )
 

@@ -126,15 +126,17 @@ def _report_split(rep: RepresentationSet, seed: int) -> tuple[dict, tuple[np.nda
 
 
 def _held_out_accuracies(rep: RepresentationSet, rows: tuple, kind: str, config: TrainConfig,
-                         branch: int) -> list[float]:
-    """Test-row accuracy of one `kind` probe per factor on all neurons, trained
-    as one stack on the train rows; factor j's seed is spawn_seed(seed, j, branch)."""
+                         branch: int, neurons: list | None = None) -> list[float]:
+    """Test-row accuracy of one `kind` probe per factor, trained as one stack
+    on the train rows; factor j's probe sees the neurons neurons[j] (default
+    all) and has the seed spawn_seed(seed, j, branch)."""
     train_idx, test_idx = rows
     seeds = [spawn_seed(config.seed, j, branch) for j in range(rep.n_factors)]
-    cards = rep.schema.cardinalities
-    probes = train_probe(rep.latents[train_idx], rep.labels[train_idx], kind, config, cards, seeds)
+    probes = train_probe(rep.latents[train_idx], rep.labels[train_idx], kind, config,
+                         rep.schema.cardinalities, seeds, columns=neurons)
     x_test = rep.latents[test_idx]
-    return [accuracy(probe, x_test, rep.labels[test_idx, j]) for j, probe in enumerate(probes)]
+    return [accuracy(probe, x_test if neurons is None else rep.latents[np.ix_(test_idx, neurons[j])],
+                     rep.labels[test_idx, j]) for j, probe in enumerate(probes)]
 
 
 def nk(
@@ -155,23 +157,18 @@ def nk(
         raise ValidationError("knockout needs at least two neurons")
     config = config or TrainConfig()
     split, rows = _report_split(rep, config.seed)
-    train_idx, test_idx = rows
     accuracies_all = _held_out_accuracies(rep, rows, MLP, config, branch=0)
+    keeps = [np.delete(np.arange(rep.n_neurons), i) for i in alignment.assignment]
+    accuracies_without = _held_out_accuracies(rep, rows, MLP, config, branch=1, neurons=keeps)
 
     per_factor: dict[str, float] = {}
     details: dict[str, dict] = {}
     for j, name in enumerate(rep.schema.names):
-        y_train, y_test = rep.labels[train_idx, j], rep.labels[test_idx, j]
-        neuron, acc_all = alignment.assignment[j], accuracies_all[j]
-        keep = np.delete(np.arange(rep.n_neurons), neuron)
-        x_train, x_test = rep.latents[np.ix_(train_idx, keep)], rep.latents[np.ix_(test_idx, keep)]
-        knockout = config.with_seed(spawn_seed(config.seed, j, 1))
-        probe_without = train_probe(x_train, y_train, MLP, knockout, rep.schema.cardinalities[j])
-        acc_without = accuracy(probe_without, x_test, y_test)
+        acc_all, acc_without = accuracies_all[j], accuracies_without[j]
         r = chance_rate(rep.labels[:, j])
         per_factor[name] = max(0.0, acc_all - acc_without)
         details[name] = {
-            "neuron": int(neuron),
+            "neuron": int(alignment.assignment[j]),
             "accuracy_all": acc_all,
             "accuracy_without": acc_without,
             "adjusted_all": adjusted_accuracy(acc_all, r),
@@ -362,7 +359,7 @@ def compute_metric_report(
         "n_neurons": rep.n_neurons,
         "config": {
             "align_mode": align_mode,
-            "n_bins": n_bins,
+            "n_bins": imp.n_bins,
             "strategy": QUANTILE,
             "probe": asdict(config),
             "split": split,

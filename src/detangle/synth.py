@@ -168,13 +168,8 @@ _TABLE1_A_BASE = {
 
 def _gen_table1_a(spec, schema, rng):
     if spec.exact_population:
-        rows = []
-        for (colour, shape_), zs in _TABLE1_A_BASE.items():
-            for z0, z1 in zs:
-                rows.append((z0, z1, colour, shape_))
-        base = np.array(rows, dtype=np.float64)
-        data = np.repeat(base, spec.samples_per_cell, axis=0)
-        return data[:, :2].copy(), data[:, 2:].astype(np.int64)
+        rows = [(z0, z1, c, s) for (c, s), zs in _TABLE1_A_BASE.items() for z0, z1 in zs]
+        return _table1_exact(rows, spec)
     labels = factor_grid(schema, spec.samples_per_cell)
     z0 = _table1_informative_neuron(labels, rng)
     z1 = rng.integers(0, 2, size=labels.shape[0]).astype(np.float64)
@@ -189,17 +184,21 @@ def _gen_table1_b(spec, schema, rng):
                 z0_values = [colour] * 20 if colour == shape_ else [0] * 10 + [1] * 10
                 # per 10-row block: 7 rows agree with shape, 3 disagree
                 agree_pattern = ([shape_] * 7 + [1 - shape_] * 3) * 2
-                for z0, z1 in zip(z0_values, agree_pattern):
-                    rows.append((z0, z1, colour, shape_))
-        base = np.array(rows, dtype=np.float64)
-        data = np.repeat(base, spec.samples_per_cell, axis=0)
-        return data[:, :2].copy(), data[:, 2:].astype(np.int64)
+                rows += [(z0, z1, colour, shape_) for z0, z1 in zip(z0_values, agree_pattern)]
+        return _table1_exact(rows, spec)
     labels = factor_grid(schema, spec.samples_per_cell)
     z0 = _table1_informative_neuron(labels, rng)
     shape_col = labels[:, 1]
     agree = rng.random(labels.shape[0]) < 0.7
     z1 = np.where(agree, shape_col, 1 - shape_col).astype(np.float64)
     return np.column_stack([z0, z1]), labels
+
+
+def _table1_exact(rows, spec):
+    """(latents, labels) of (z0, z1, colour, shape) base rows, each repeated
+    samples_per_cell times."""
+    data = np.repeat(np.array(rows, dtype=np.float64), spec.samples_per_cell, axis=0)
+    return data[:, :2].copy(), data[:, 2:].astype(np.int64)
 
 
 def _table1_informative_neuron(labels, rng):

@@ -24,6 +24,7 @@ from detangle.classify import (
 )
 from detangle.errors import TrainingDivergedError, ValidationError
 from detangle.synth import GeneratorSpec, generate
+from detangle.util import spawn_seed
 
 
 def numerical_gradient(weights, kind, X, y, key, h=1e-6):
@@ -245,6 +246,17 @@ class TestTrainProbe:
         with pytest.raises(ValidationError, match="n_classes"):
             train_probe(X, y, n_classes=2)
 
+    @pytest.mark.parametrize("n_classes", [3.9, 3.0, "3", True, np.float64(3.0), [3.0]])
+    def test_non_integer_n_classes_rejected(self, n_classes):
+        X, y = xor_features_labels(copies=8)
+        with pytest.raises(ValidationError, match="n_classes must be an integer"):
+            train_probe(X, y, LINEAR, TrainConfig(epochs=1), n_classes=n_classes)
+
+    def test_numpy_integer_n_classes_accepted(self):
+        X, y = xor_features_labels(copies=8)
+        model = train_probe(X, y, LINEAR, TrainConfig(epochs=1), n_classes=np.int64(3))
+        assert model.n_classes == 3 and type(model.n_classes) is int
+
     def test_unknown_kind_rejected(self):
         X, y = xor_features_labels(copies=8)
         with pytest.raises(ValidationError, match="kind"):
@@ -462,6 +474,61 @@ class TestStackedTraining:
                 assert w.tobytes() == solo.weights[key].tobytes(), key
             assert model.logits(X).tobytes() == solo.logits(X).tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 90),
+        ks=st.lists(st.integers(2, 5), min_size=1, max_size=5),
+        extra=st.integers(0, 3),
+        hidden=st.integers(1, 24),
+        batch=st.integers(1, 64),
+        epochs=st.integers(1, 3),
+        kind=st.sampled_from([LINEAR, MLP]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Two neurons leave one column per knockout; the others leave several.
+    # Batches of 32 or 64 on 70 rows end short.
+    @example(n=70, ks=[3, 3], extra=0, hidden=8, batch=32, epochs=2, kind=MLP, seed=1)
+    @example(n=70, ks=[4, 2, 4], extra=2, hidden=8, batch=64, epochs=2, kind=MLP, seed=2)
+    def test_each_knockout_equals_its_solo_probe(
+        self, n, ks, extra, hidden, batch, epochs, kind, seed
+    ):
+        # NK's knockouts: factor j's probe sees every neuron but its aligned
+        # one, trained on the train rows with seed spawn_seed(seed, j, 1).
+        rng = np.random.default_rng(seed)
+        m = len(ks) + extra + (len(ks) == 1)
+        latents = rng.normal(size=(n + 7, m)) * rng.uniform(0.1, 10.0, m) + rng.normal(size=m)
+        train = np.sort(rng.permutation(n + 7)[:n])
+        Y = np.stack([rng.integers(0, k, size=n) for k in ks], axis=1)
+        Y[:2] = [[0] * len(ks), [1] * len(ks)]
+        keeps = [np.delete(np.arange(m), i) for i in rng.permutation(m)[: len(ks)]]
+        seeds = [spawn_seed(seed, j, 1) for j in range(len(ks))]
+        config = TrainConfig(learning_rate=0.02, epochs=epochs, hidden_units=hidden,
+                             batch_size=batch, seed=seed)
+        models = train_probe(latents[train], Y, kind, config, ks, seeds, columns=keeps)
+        for j, model in enumerate(models):
+            solo = train_probe(latents[np.ix_(train, keeps[j])], Y[:, j], kind,
+                               config.with_seed(seeds[j]), ks[j])
+            assert model.config == solo.config and model.n_classes == ks[j]
+            assert model.mu.tobytes() == solo.mu.tobytes()
+            assert model.sigma.tobytes() == solo.sigma.tobytes()
+            assert not (model.mu.flags.writeable or model.sigma.flags.writeable)
+            assert model.weights.keys() == solo.weights.keys()
+            for key, w in model.weights.items():
+                assert w.tobytes() == solo.weights[key].tobytes(), key
+
+    def test_columns_of_mixed_widths(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(50, 4)) * [1.0, 3.0, 0.5, 2.0]
+        Y = np.stack([np.arange(50) % 2, np.arange(50) % 3, np.arange(50) % 2], axis=1)
+        columns = [[2], [3, 0, 3], [1, 2]]
+        config = TrainConfig(epochs=2, hidden_units=6, batch_size=16)
+        models = train_probe(X, Y, MLP, config, seeds=[4, 5, 6], columns=columns)
+        for p, (model, cols) in enumerate(zip(models, columns)):
+            solo = train_probe(X[:, cols].copy(), Y[:, p], MLP, config.with_seed(4 + p))
+            for key, w in model.weights.items():
+                assert w.tobytes() == solo.weights[key].tobytes(), (p, key)
+            assert model.logits(X[:, cols]).tobytes() == solo.logits(X[:, cols]).tobytes()
+
     def test_class_counts_are_inferred_per_column(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
@@ -493,6 +560,12 @@ class TestStackedTraining:
             ("matrix", {"seeds": [1, 2], "n_classes": [2, 1]}, "n_classes=1 too small"),
             ("empty", {"seeds": []}, "P >= 1"),
             ("one_class_column", {"seeds": [1, 2]}, "two classes"),
+            ("vector", {"columns": [[0]]}, "columns must give"),
+            ("matrix", {"seeds": [1, 2], "columns": [[0]]}, "columns must give"),
+            ("matrix", {"seeds": [1, 2], "columns": [[0], []]}, "columns must give"),
+            ("matrix", {"seeds": [1, 2], "columns": [[0], [2]]}, "columns must give"),
+            ("matrix", {"seeds": [1, 2], "columns": [[0], [-1]]}, "columns must give"),
+            ("matrix", {"seeds": [1, 2], "columns": [[0], [0.5]]}, "columns must give"),
         ],
     )
     def test_bad_stacked_arguments_rejected(self, labels, kwargs, match):

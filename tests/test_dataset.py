@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import detangle.dataset as dataset_module
 from detangle.dataset import (
     DEFAULT_BINS,
     FactorSchema,
@@ -24,6 +26,7 @@ from detangle.dataset import (
     write_schema,
 )
 from detangle.errors import (
+    DetangleError,
     HeaderMismatchError,
     LabelOutOfRangeError,
     MalformedCsvError,
@@ -40,6 +43,59 @@ SCHEMA = FactorSchema(("colour", "shape"), (2, 3))
 # smallest subnormal and normal, and the largest finite magnitudes.
 EDGE_FLOATS = np.array([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
                         -1.7976931348623157e308])
+
+
+# Fields of the grammar the loader's two paths are compared on: numbers that
+# both parse, and forms only Python's float and int accept (underscores,
+# non-ASCII digits and spaces), or neither does (quotes, hex, empty, text).
+DIGITS = st.text("0123456789", min_size=1, max_size=4)
+NUMBERS = st.builds(lambda sign, whole, frac, exp: f"{sign}{whole}{frac}{exp}",
+                    st.sampled_from(["", "-", "+"]), DIGITS,
+                    st.sampled_from(["", ".", ".5", ".25"]),
+                    st.sampled_from(["", "", "e3", "E-2", "e+300", "e-320"]))
+LATENT_FIELDS = st.one_of(NUMBERS, st.sampled_from([
+    "inf", "-Infinity", "nan", "NaN", "1e400", "1_0", "\u0663.5", "0x10", "\"1.5\"", "", "x", "1.5.2",
+    "--1", "1e", ".", "5e-324", "\ufeff1",
+]))
+LABELS = st.sampled_from(["0", "1", "+1", "-0", "01"])
+LABEL_FIELDS = st.one_of(LABELS, st.sampled_from([
+    "2", "-1", "3", "1_0", "1.0", "1e0", "\"1\"", "\u0661", "99999999999999999999",
+    "-99999999999999999999", "", "x", "0x1",
+]))
+PLAIN_SPACES = ["", "", "", " "]
+ALL_SPACES = [*PLAIN_SPACES, "\t", "\xa0", "\x0b", "\x0c", "\u2003", "\x1c"]
+
+
+@st.composite
+def csv_bodies(draw):
+    """CSV text for SCHEMA (latents z0, z1, then g0 in [0, 2) and g1 in
+    [0, 3)): fields padded with whitespace, blank lines, LF, CRLF or CR line
+    ends, sometimes a byte-order mark, a ragged row or an odd field."""
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    spaces = st.sampled_from(draw(st.sampled_from([PLAIN_SPACES, PLAIN_SPACES, ALL_SPACES])))
+    lines = ["z0,z1,g0,g1"]
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+            continue
+        odd = draw(st.integers(0, 7)) == 0
+        latents, labels = (LATENT_FIELDS, LABEL_FIELDS) if odd else (NUMBERS, LABELS)
+        fields = [draw(latents), draw(latents), draw(labels), draw(labels)]
+        fields = [draw(spaces) + f + draw(spaces) for f in fields]
+        if draw(st.integers(0, 19)) == 0:
+            fields = fields[: draw(st.integers(0, 3))] + ["1"] * draw(st.integers(0, 1))
+        lines.append(",".join(fields))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + newline.join(lines) + newline * draw(st.integers(0, 2))
+
+
+def load_outcome(load, data, schema):
+    """A load's arrays as bytes, or its error's type, message and location."""
+    try:
+        rep = load(data, schema)
+    except DetangleError as exc:
+        return type(exc), str(exc), *(getattr(exc, a, None) for a in ("line", "row", "column"))
+    return rep.latents.tobytes(), rep.latents.shape, rep.labels.tobytes(), rep.labels.shape
 
 
 def assert_partition(train, test, n):
@@ -291,6 +347,36 @@ class TestCsvIO:
         with pytest.raises(MalformedCsvError, match="no data rows"):
             load_representation_set(data, schema)
 
+    def test_plain_file_skips_the_row_parser(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dataset_module, "_load_rows", lambda *args: calls.append(args))
+        data, schema = self.write(tmp_path, "z0,z1,g0,g1\r\n0.5, 2,1,2\r\n-1e3,0,0,0\r\n")
+        rep = load_representation_set(data, schema)
+        assert calls == [] and rep.latents.tolist() == [[0.5, 2.0], [-1000.0, 0.0]]
+        for body in ("z0,z1,g0,g1\n0.5,1,1,2\n1_0,0,0,0\n", "z0,z1,g0,g1\n0.5,1,1,\u0662\n",
+                     "z0,z1,g0,g1\n0.5,1,1,\t2\n", "z0,z1,g0,g1\n0.5,1,1,2\n0,0,0,3\n"):
+            self.write(tmp_path, body)
+            load_representation_set(data, schema)
+        assert calls == [(data, schema)] * 4
+
+    def test_header_only_body_warns_nothing(self, tmp_path):
+        data, schema = self.write(tmp_path, "z0,z1,g0,g1\n\n\r\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(MalformedCsvError, match="no data rows") as exc:
+                load_representation_set(data, schema)
+        assert caught == [] and exc.value.line == 1
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=csv_bodies())
+    def test_numpy_path_agrees_with_row_parser(self, tmp_path, body):
+        data = tmp_path / "data.csv"
+        data.write_bytes(body.encode("utf-8"))
+        write_schema(SCHEMA, tmp_path / "schema.json")
+        expected = load_outcome(dataset_module._load_rows, data, tmp_path / "schema.json")
+        assert load_outcome(load_representation_set, data, tmp_path / "schema.json") == expected
+
     def test_schema_errors(self, tmp_path):
         (tmp_path / "schema.json").write_text("{not json")
         with pytest.raises(SchemaError):
@@ -335,6 +421,17 @@ class TestDiscretize:
         with pytest.raises(NonFiniteLatentError) as exc:
             discretize_neuron(np.array([1.0, np.inf]))
         assert exc.value.row == 1 and exc.value.line is None
+
+    def test_numpy_integer_bins_accepted(self):
+        values = np.arange(100, dtype=float)
+        disc = discretize_neuron(values, n_bins=np.int64(4))
+        assert disc.bins.tobytes() == discretize_neuron(values, n_bins=4).bins.tobytes()
+        assert disc.n_bins == 4
+
+    @pytest.mark.parametrize("n_bins", [4.0, True, "4", None])
+    def test_non_integer_bins_rejected_naming_them(self, n_bins):
+        with pytest.raises(ValidationError, match="n_bins must be an integer"):
+            discretize_neuron(np.arange(10, dtype=float), n_bins=n_bins)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)

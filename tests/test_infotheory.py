@@ -195,6 +195,11 @@ class TestImportanceMatrix:
         assert payload["schema_version"] == 1
         assert len(payload["bits"]) == 2 and len(payload["bits"][0]) == 2
 
+    def test_numpy_integer_bins_accepted(self):
+        imp = importance_matrix(self.rep(), n_bins=np.int64(6))
+        assert type(imp.n_bins) is int
+        assert imp.to_json_dict() == importance_matrix(self.rep(), n_bins=6).to_json_dict()
+
     def test_deterministic(self):
         a = importance_matrix(self.rep()).values
         b = importance_matrix(self.rep()).values

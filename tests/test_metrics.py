@@ -446,6 +446,29 @@ class TestMetricReport:
             compute_metric_report(variant_b_rep, subset=subset, aggregate_mode=mode)
         assert calls == []
 
+    def test_report_trains_three_probe_stacks(self, monkeypatch):
+        # The NK all-neuron MLPs, the NK knockouts and the linear heads: one
+        # train_probe call each, however many factors there are.
+        calls = []
+        original = metrics_module.train_probe
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics_module, "train_probe", counting)
+        schema = FactorSchema(("a", "b", "c", "d"), (2, 3, 2, 2))
+        rep = generate(GeneratorSpec(kind="ideal", schema=schema, samples_per_cell=2,
+                                     noise_sigma=0.1, seed=1))
+        compute_metric_report(rep, config=TrainConfig(seed=7, epochs=1))
+        assert calls == ["mlp", "mlp", "linear"]
+
+    def test_numpy_integer_bins_recorded_as_int(self, variant_b_rep):
+        report = compute_metric_report(variant_b_rep, n_bins=np.int64(8),
+                                       config=TrainConfig(seed=7, epochs=1))
+        assert type(report["config"]["n_bins"]) is int
+        assert report["importance"] == importance_matrix(variant_b_rep, n_bins=8).to_json_dict()
+
     def test_unknown_align_mode_rejected(self, variant_a_rep, monkeypatch):
         # Before the importance matrix is built.
         calls = []
