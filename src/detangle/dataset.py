@@ -36,6 +36,9 @@ from .util import atomic_open, atomic_write_json, require_int, require_seed
 
 QUANTILE = "quantile"  # the only binning strategy
 
+# The bytes of a data file that np.loadtxt reads exactly as float and int do.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\r\n"
+
 DEFAULT_BINS = 20
 
 
@@ -270,31 +273,22 @@ def load_representation_set(data_path: str | Path, schema_path: str | Path) -> R
     """
     data_path = Path(data_path)
     try:
-        return _load_plain(data_path, schema_path)
-    except Exception:  # every failure is reproduced, with its location, below
-        return _load_rows(data_path, schema_path)
-
-
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\r\n"
-
-
-def _load_plain(data_path: Path, schema_path: str | Path) -> RepresentationSet:
-    """The np.loadtxt parse; raises on any byte past a leading byte-order
-    mark that is not in _PLAIN_BYTES."""
-    with open(data_path, "rb") as raw:
-        if raw.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+        with open(data_path, "rb") as raw:
+            if raw.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+                raw.seek(0)
+            while chunk := raw.read(1 << 20):
+                if chunk.translate(None, _PLAIN_BYTES):
+                    raise ValueError("data file holds more than printable ASCII")
             raw.seek(0)
-        while chunk := raw.read(1 << 20):
-            if chunk.translate(None, _PLAIN_BYTES):
-                raise ValueError("data file holds more than printable ASCII")
-        raw.seek(0)
-        with warnings.catch_warnings(), io.TextIOWrapper(raw, "utf-8-sig", newline="") as fh:
-            warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
-            schema = load_schema(schema_path)
-            n_z = _parse_header(next(csv.reader(fh)), schema.n_factors, data_path)
-            dtype = [("z", "f8", (n_z,)), ("g", "i8", (schema.n_factors,))]
-            rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
-    return RepresentationSet(rows["z"], rows["g"], schema)
+            with warnings.catch_warnings(), io.TextIOWrapper(raw, "utf-8-sig", newline="") as fh:
+                warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+                schema = load_schema(schema_path)
+                n_z = _parse_header(next(csv.reader(fh)), schema.n_factors, data_path)
+                dtype = [("z", "f8", (n_z,)), ("g", "i8", (schema.n_factors,))]
+                rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
+        return RepresentationSet(rows["z"], rows["g"], schema)
+    except Exception:  # the row parser reproduces every failure, with its location
+        return _load_rows(data_path, schema_path)
 
 
 def _load_rows(data_path: Path, schema_path: str | Path) -> RepresentationSet:

@@ -309,18 +309,31 @@ class TestCsvIO:
         assert str(exc.value) == f"{data}, line 6, column 'z0': non-finite latent value inf"
 
     def test_load_does_not_copy_the_whole_file(self, tmp_path):
+        peak, size = self.peak_load_memory(tmp_path)
+        assert peak < 4 * size
+
+    def test_row_parser_does_not_copy_the_whole_file(self, tmp_path):
+        # A tab before each line end sends the file to the row parser.
+        peak, size = self.peak_load_memory(tmp_path, lambda text: text.replace("\n", "\t\n"))
+        assert peak < 4 * size
+
+    def peak_load_memory(self, tmp_path, edit=None):
+        """Peak traced memory while loading a 3 000 x 40 set, and the file size."""
         rng = np.random.default_rng(0)
         schema = FactorSchema(tuple(f"f{j}" for j in range(8)), (6,) * 8)
         rep = RepresentationSet(rng.normal(size=(3000, 32)), rng.integers(0, 6, (3000, 8)), schema)
-        write_representation_set(rep, tmp_path / "data.csv", tmp_path / "schema.json")
-        size = (tmp_path / "data.csv").stat().st_size
+        data = tmp_path / "data.csv"
+        write_representation_set(rep, data, tmp_path / "schema.json")
+        if edit:
+            data.write_text(edit(data.read_text()))
         tracemalloc.start()
         try:
-            load_representation_set(tmp_path / "data.csv", tmp_path / "schema.json")
+            back = load_representation_set(data, tmp_path / "schema.json")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * size
+        assert back.latents.tobytes() == rep.latents.tobytes()
+        return peak, data.stat().st_size
 
     def test_write_streams_rows_with_unchanged_bytes(self, tmp_path):
         rng = np.random.default_rng(0)
