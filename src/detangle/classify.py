@@ -11,6 +11,10 @@ and prediction run in float32.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import re
+import signal
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -176,21 +180,82 @@ def train_probe(
     Xs = Xs.astype(np.float32)
     for (k, width), group in groups.items():
         cols = None if width is None else np.array([columns[p] for p in group])
-        fitted = _train_stack(Xs, Y[:, group], kind, k, [configs[p] for p in group], cols)
+        fitted = _train_split(Xs, Y[:, group], kind, k, [configs[p] for p in group], cols)
         for p, weights in zip(group, fitted):
             stats = (mu, sigma) if width is None else (mu[columns[p]], sigma[columns[p]])
-            for array in stats:
+            for array in (*stats, *weights.values()):
                 array.setflags(write=False)
             models[p] = ProbeModel(kind, k, *stats, weights, configs[p])
     return models if seeds is not None else models[0]
 
 
+def _worker_count(n_probes: int) -> int:
+    """The CPUs this process may run on over the threads OpenBLAS runs in each
+    process: the first positive count among its variables, as its atoi reads
+    them, else one per CPU. So no two processes' BLAS threads share a CPU."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    counts = (re.match(r"[ \t\n\v\f\r]*\+?([0-9]+)", os.environ.get(name, "")) for name in
+              ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    blas = next((int(c[1]) for c in counts if c and int(c[1]) > 0), cpus)
+    return max(1, min(n_probes, cpus // blas)) if hasattr(os, "fork") else 1
+
+
+def _train_split(Xs: np.ndarray, Y: np.ndarray, kind: str, k: int, configs: list[TrainConfig],
+                 cols: np.ndarray | None) -> list[dict[str, np.ndarray]]:
+    """_train_stack on one contiguous chunk per worker, chunks 1... in forked
+    children. Each probe trains as it would alone, so results never depend on
+    the split; of several divergences the earliest step's (lowest chunk's) is raised."""
+    parts = np.array_split(np.arange(len(configs)), _worker_count(len(configs)))
+    chunks = [(Xs, Y[:, p], kind, k, [configs[j] for j in p], cols if cols is None else cols[p])
+              for p in parts]
+    outcomes, children, sent, codes = [None] * len(chunks), [], {}, {}
+    try:
+        for i in range(1, len(chunks)):
+            read, write = os.pipe()
+            try:
+                with warnings.catch_warnings():  # Python 3.12+ warns on fork with threads
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                outcomes[i] = _train_stack(*chunks[i])
+                continue
+            if pid == 0:  # leaves only through _exit: no inherited buffer flushes, no atexit
+                try:
+                    outcome = pickle.dumps(_train_stack(*chunks[i]))
+                    with open(write, "wb") as out:
+                        out.write(outcome)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((i, pid, read))
+        outcomes[0] = _train_stack(*chunks[0])
+        for i, _, read in children:
+            with open(read, "rb", closefd=False) as fh:
+                sent[i] = fh.read()
+    finally:
+        for i, pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)  # a child that has exited keeps its status
+            codes[i] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for i, pid, _ in children:
+        if not sent[i]:
+            raise ChildProcessError(f"probe worker {pid} ended with status {codes[i]}, no result")
+        outcomes[i] = pickle.loads(sent[i])
+    if diverged := [outcome for outcome in outcomes if isinstance(outcome, tuple)]:
+        raise min(diverged, key=lambda pair: pair[0])[1]
+    return [weights for fitted in outcomes for weights in fitted]
+
+
 def _train_stack(
     Xs: np.ndarray, Y: np.ndarray, kind: str, k: int, configs: list[TrainConfig],
     cols: np.ndarray | None = None,
-) -> list[dict[str, np.ndarray]]:
+) -> list[dict[str, np.ndarray]] | tuple[int, TrainingDivergedError]:
     """Adam on one probe per column of Y at once; configs differ only in seed.
-    Probe p reads the columns cols[p] of Xs, or every column when cols is None."""
+    Probe p reads the columns cols[p] of Xs, or every column when cols is None.
+    A non-finite loss ends training with (its step, the error to raise)."""
     config, P, n = configs[0], len(configs), Xs.shape[0]
     d = Xs.shape[1] if cols is None else cols.shape[1]
     rngs = [np.random.default_rng(c.seed) for c in configs]
@@ -231,7 +296,7 @@ def _train_stack(
                 views = scratch and tuple(a[:, : rows.shape[1]] for a in scratch)
                 loss, _ = probe_loss_and_gradients(weights, kind, x, y, grads, views)
                 if not np.all(np.isfinite(loss)):
-                    raise TrainingDivergedError(epoch, float(loss[~np.isfinite(loss)][0]))
+                    return step, TrainingDivergedError(epoch, float(loss[~np.isfinite(loss)][0]))
                 step += 1
                 bc1 = 1.0 - config.beta1**step
                 bc2 = 1.0 - config.beta2**step
@@ -253,8 +318,6 @@ def _train_stack(
                 np.divide(g, s, out=g)
                 np.subtract(theta, g, out=theta)
 
-    for w in weights.values():
-        w.setflags(write=False)
     return [{key: w[p] for key, w in weights.items()} for p in range(P)]
 
 

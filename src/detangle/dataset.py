@@ -267,18 +267,22 @@ def load_representation_set(data_path: str | Path, schema_path: str | Path) -> R
     row, unparseable field) come first, then RepresentationSet's non-finite
     latent and out-of-range label checks, each at the first offending row.
 
-    A file of printable ASCII is parsed by one np.loadtxt call, which reads
-    its numbers as float and int do; any other file, or one that call or
-    RepresentationSet rejects, is read again row by row.
+    A printable ASCII file with no field past csv's size limit is parsed by
+    one np.loadtxt call, which reads numbers as float and int do; any other
+    file, or one that call or RepresentationSet rejects, is read row by row.
     """
     data_path = Path(data_path)
     try:
         with open(data_path, "rb") as raw:
             if raw.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
                 raw.seek(0)
-            while chunk := raw.read(1 << 20):
+            # A field past csv's size limit fills one of these windows, free of commas.
+            w = max(1, (csv.field_size_limit() + 1) // 2)
+            while chunk := raw.read(w * -(-(1 << 20) // w)):
                 if chunk.translate(None, _PLAIN_BYTES):
                     raise ValueError("data file holds more than printable ASCII")
+                if any(chunk.find(b",", a, a + w) < 0 for a in range(0, len(chunk) - w + 1, w)):
+                    raise ValueError("a field may be longer than csv's field limit")
             raw.seek(0)
             with warnings.catch_warnings(), io.TextIOWrapper(raw, "utf-8-sig", newline="") as fh:
                 warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"

@@ -97,3 +97,6 @@ class TrainingDivergedError(DetangleError):
         self.epoch = epoch
         self.loss = loss
         super().__init__(f"training diverged at epoch {epoch}: loss={loss!r}")
+
+    def __reduce__(self):  # pickle rebuilds from these arguments, not from the message
+        return type(self), (self.epoch, self.loss), self.__dict__

@@ -2,14 +2,20 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import detangle.classify as classify_module
 from detangle.classify import (
     LINEAR,
     MLP,
@@ -575,6 +581,185 @@ class TestStackedTraining:
              "one_class_column": np.stack([y, np.zeros_like(y)], axis=1)}[labels]
         with pytest.raises(ValidationError, match=match):
             train_probe(X, Y, LINEAR, TrainConfig(epochs=1), **kwargs)
+
+
+def force_workers(monkeypatch, workers):
+    """Split every stack into min(P, workers) chunks, whatever the machine."""
+    monkeypatch.setattr(classify_module, "_worker_count", lambda n_probes: min(n_probes, workers))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def model_bytes(models):
+    return [(m.mu.tobytes(), m.sigma.tobytes(), {k: w.tobytes() for k, w in m.weights.items()})
+            for m in models]
+
+
+def diverging_stack(data_seed, learning_rate):
+    """32 rows, one batch per epoch: a linear probe's divergence epoch and
+    loss (inf or nan) vary with its seed and labels at these rates."""
+    rng = np.random.default_rng(data_seed)
+    X = rng.normal(size=(32, 3))
+    Y = np.stack([rng.integers(0, 3, 32) for _ in range(8)], axis=1)
+    return X, Y, TrainConfig(learning_rate=learning_rate, epochs=8, batch_size=32)
+
+
+def divergence_message(X, Y, config, columns):
+    try:
+        train_probe(X, Y[:, columns], LINEAR, config, [3] * len(columns), seeds=columns)
+    except TrainingDivergedError as exc:
+        return str(exc)
+    return None
+
+
+class TestSplitStack:
+    """A stack is split into contiguous chunks trained in forked children;
+    no result may depend on the number of chunks."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 70),
+        m=st.integers(2, 5),
+        ks=st.lists(st.integers(2, 4), min_size=1, max_size=5),
+        knockout=st.booleans(),
+        batch=st.integers(1, 48),
+        kind=st.sampled_from([LINEAR, MLP]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Five probes of two class counts, one of them a one-column solo probe;
+    # 70 rows in batches of 32 end with a short batch.
+    @example(n=70, m=2, ks=[3, 3, 2, 3, 3], knockout=True, batch=32, kind=MLP, seed=1)
+    @example(n=70, m=4, ks=[2, 3, 2, 2, 2], knockout=False, batch=32, kind=LINEAR, seed=2)
+    def test_weights_do_not_depend_on_the_worker_count(self, n, m, ks, knockout, batch, kind, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, m)) * rng.uniform(0.1, 10.0, m)
+        Y = np.stack([rng.integers(0, k, size=n) for k in ks], axis=1)
+        Y[:2] = [[0] * len(ks), [1] * len(ks)]
+        columns = [np.delete(np.arange(m), j % m) for j in range(len(ks))] if knockout else None
+        config = TrainConfig(learning_rate=0.02, epochs=2, hidden_units=8, batch_size=batch)
+        seeds = rng.integers(0, 2**32, size=len(ks)).tolist()
+        results = []
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                force_workers(monkeypatch, workers)
+                models = train_probe(X, Y, kind, config, ks, seeds, columns=columns)
+            assert all(not w.flags.writeable for model in models for w in model.weights.values())
+            results.append(model_bytes(models))
+        assert results[1] == results[0] and results[2] == results[0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("env,n_probes,expected", [
+        ({}, 8, 1),  # unset: OpenBLAS runs one thread per CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 4),
+        ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 2),
+        ({"OPENBLAS_NUM_THREADS": "3"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 8, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 8, 4),
+        ({"OMP_NUM_THREADS": "4,2"}, 8, 1),  # a nesting list: atoi reads the 4
+        ({"GOTO_NUM_THREADS": " +2 threads"}, 8, 2),
+        ({"OPENBLAS_NUM_THREADS": "-1"}, 8, 1),
+    ])
+    def test_worker_count_leaves_each_blas_thread_a_cpu(self, monkeypatch, env, n_probes,
+                                                        expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert classify_module._worker_count(n_probes) == expected
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert classify_module._worker_count(n_probes) == 1
+
+    @pytest.mark.parametrize("data_seed,learning_rate,columns,workers", [
+        (2, 1e37, [1, 2], 2),  # this process's chunk diverges in epoch 2, the child's in 1
+        (2, 1e37, [1, 0, 2], 3),  # the middle chunk never diverges
+        (2, 1e37, [1, 2, 3, 6], 2),  # both chunks diverge in epoch 1 as well as 2
+        (0, 7e37, [1, 0], 2),  # both chunks diverge at the first step: loss inf, then nan
+        (0, 7e37, [0, 1], 2),  # nan, then inf
+    ])
+    def test_split_divergence_reads_as_one_stack(self, monkeypatch, data_seed, learning_rate,
+                                                columns, workers):
+        X, Y, config = diverging_stack(data_seed, learning_rate)
+        solo = {divergence_message(X, Y, config, [p]) for p in columns}
+        assert len(solo) > 1  # the chunk whose divergence is reported matters
+        force_workers(monkeypatch, 1)
+        expected = divergence_message(X, Y, config, columns)
+        force_workers(monkeypatch, workers)
+        assert divergence_message(X, Y, config, columns) == expected
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
+    def test_failing_chunk_here_stops_the_children(self, monkeypatch, error):
+        parent, train_stack = os.getpid(), classify_module._train_stack
+
+        def fail_here_stall_there(*args):
+            if os.getpid() == parent:
+                raise error("chunk 0")
+            time.sleep(60)
+            return train_stack(*args)
+
+        force_workers(monkeypatch, 3)
+        monkeypatch.setattr(classify_module, "_train_stack", fail_here_stall_there)
+        X, y = xor_features_labels(copies=8)
+        start = time.monotonic()
+        with pytest.raises(error, match="chunk 0"):
+            train_probe(X, np.stack([y, 1 - y, y], axis=1), LINEAR, seeds=[1, 2, 3])
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_failed_fork_trains_the_chunk_here(self, monkeypatch):
+        X, y = xor_features_labels(copies=8)
+        Y = np.stack([y, 1 - y, y], axis=1)
+        config = TrainConfig(epochs=2, hidden_units=8)
+        expected = model_bytes(train_probe(X, Y, MLP, config, seeds=[1, 2, 3]))
+
+        def no_fork():
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+
+        force_workers(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert model_bytes(train_probe(X, Y, MLP, config, seeds=[1, 2, 3])) == expected
+        assert_no_child_left()
+
+    def test_child_without_a_result_raises_child_process_error(self, monkeypatch):
+        parent, train_stack = os.getpid(), classify_module._train_stack
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(classify_module, "_train_stack",
+                            lambda *args: train_stack(*args) if os.getpid() == parent else os._exit(7))
+        X, y = xor_features_labels(copies=8)
+        with pytest.raises(ChildProcessError, match=r"probe worker \d+ ended with status 7"):
+            train_probe(X, np.stack([y, 1 - y], axis=1), LINEAR, TrainConfig(epochs=1), seeds=[1, 2])
+        assert_no_child_left()
+
+    def test_unflushed_output_is_written_once(self):
+        # stdout to a pipe is block-buffered, so "before" is still in this
+        # process's buffer when the children fork; they must not flush it.
+        script = """
+import os
+import numpy as np
+import detangle.classify as classify
+from detangle.classify import TrainConfig, train_probe
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+classify._worker_count = lambda n_probes: min(n_probes, 3)
+print("before")
+y = np.arange(40) % 2
+train_probe(np.c_[y, -y] + 0.1 * np.arange(40)[:, None], np.c_[y, 1 - y, y], "mlp",
+            TrainConfig(epochs=1), seeds=[1, 2, 3])
+print("after", len(forks))
+"""
+        src = str(Path(classify_module.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**env, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "before\nafter 2\n"
 
 
 class TestProbeModel:

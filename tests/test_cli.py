@@ -18,6 +18,7 @@ import pytest
 
 import detangle
 import detangle.cgtask as cgtask
+import detangle.classify as classify_module
 import detangle.metrics as metrics_module
 from detangle.cli import build_parser, cli
 from detangle.util import payload_kind
@@ -257,6 +258,20 @@ class TestMetrics:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr == "error: training diverged at epoch 1: loss=nan\n"
+
+    def test_lost_probe_worker_exits_2(self, workspace, capsys, monkeypatch):
+        # A stack split across two processes whose forked worker dies with
+        # status 7 before it sends its probes back.
+        parent, train_stack = os.getpid(), classify_module._train_stack
+        monkeypatch.setattr(classify_module, "_worker_count", lambda n_probes: min(n_probes, 2))
+        monkeypatch.setattr(classify_module, "_train_stack",
+                            lambda *args: train_stack(*args) if os.getpid() == parent else os._exit(7))
+        assert cli(["metrics", "--data", str(workspace / "b"), "--epochs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: probe worker ")
+        assert captured.err.endswith(" ended with status 7, no result\n")
+        assert captured.err.count("\n") == 1
 
     def test_negative_seed_runs(self, workspace):
         # Every probe and split seed is derived from it with spawn_seed.

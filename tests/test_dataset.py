@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -383,6 +383,10 @@ class TestCsvIO:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(body=csv_bodies())
+    # A field past the csv module's size limit (131072 characters), which
+    # np.loadtxt alone would read as 1.0; and a field just within it.
+    @example(body="z0,z1,g0,g1\n" + "0" * 200000 + "1,5,0,1\n")
+    @example(body="z0,z1,g0,g1\n" + "0" * 131071 + "1,5,0,1\n")
     def test_numpy_path_agrees_with_row_parser(self, tmp_path, body):
         data = tmp_path / "data.csv"
         data.write_bytes(body.encode("utf-8"))

@@ -91,10 +91,12 @@ def test_atomic_write_text_mode_follows_umask(tmp_path):
 
 
 def run_python(env_overrides, *args):
-    """Run `python *args` in a fresh interpreter on this checkout; return stdout."""
+    """Run `python *args` in a fresh interpreter on this checkout; return stdout.
+    An override of None removes the variable."""
     src = str(Path(detangle.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path, **env_overrides}
+    env = {k: v for k, v in {**os.environ, "PYTHONPATH": path, **env_overrides}.items()
+           if v is not None}
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -102,20 +104,22 @@ def run_python(env_overrides, *args):
 
 def run_detangle(env_overrides, *args):
     """Run `python -m detangle` in a fresh interpreter on this checkout."""
-    run_python(env_overrides, "-m", "detangle", *args)
+    return run_python(env_overrides, "-m", "detangle", *args)
 
 
 def test_blas_thread_count_never_changes_metrics_payload(tmp_path):
     data = tmp_path / "data"
     run_detangle({}, "synth", "--kind", "ideal", "--factors", "a:4,b:3,c:5,d:6",
                  "--copies", "20", "--sigma", "0.5", "--seed", "5", "--out", str(data))
+    # On two or more CPUs, one BLAS thread per process lets each probe stack
+    # split across forked workers; unset, BLAS takes every CPU and it does not.
     payloads = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", None):
         out = tmp_path / f"metrics_{threads}.json"
-        run_detangle({"OPENBLAS_NUM_THREADS": threads}, "metrics", "--data", str(data),
-                     "--seed", "3", "--epochs", "2", "--out", str(out))
-        payloads.append(out.read_bytes())
-    assert payloads[0] == payloads[1]
+        stdout = run_detangle({"OPENBLAS_NUM_THREADS": threads}, "metrics", "--data", str(data),
+                              "--seed", "3", "--epochs", "2", "--out", str(out))
+        payloads.append((out.read_bytes(), stdout))
+    assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
 
 
 # Big enough batches (512 x 32 features, 256 hidden units) that OpenBLAS
