@@ -678,7 +678,7 @@ class TestSplitStack:
     @pytest.mark.parametrize("data_seed,learning_rate,columns,workers", [
         (2, 1e37, [1, 2], 2),  # this process's chunk diverges in epoch 2, the child's in 1
         (2, 1e37, [1, 0, 2], 3),  # the middle chunk never diverges
-        (2, 1e37, [1, 2, 3, 6], 2),  # both chunks diverge in epoch 1 as well as 2
+        (2, 1e37, [1, 2, 3, 6], 2),  # two probes per chunk; both chunks diverge in epoch 1
         (0, 7e37, [1, 0], 2),  # both chunks diverge at the first step: loss inf, then nan
         (0, 7e37, [0, 1], 2),  # nan, then inf
     ])
