@@ -4,10 +4,10 @@ One count-table kernel: `count_table` counts two in-range code vectors with
 one `np.bincount`, and MI = H(row sums) + H(column sums) - H(cells). The
 public MI functions check their inputs and map any integers to dense codes;
 `joint_mutual_information` fuses several vectors into one product-alphabet
-code with `np.ravel_multi_index`. The importance matrix bins every neuron
-once (`bin_matrix`), takes each marginal entropy once and counts one table
-per factor/neuron pair. Entropies sort the counts, so results depend only
-on the count multiset.
+code with `np.ravel_multi_index`. The importance matrix bins one neuron at
+a time, takes each marginal entropy once and counts one table per
+factor/neuron pair. Entropies sort the counts, so results depend only on
+the count multiset.
 """
 
 from __future__ import annotations
@@ -139,37 +139,27 @@ class ImportanceMatrix:
         }
 
 
-def bin_matrix(latents: np.ndarray, n_bins: int = DEFAULT_BINS) -> np.ndarray:
-    """Quantile-bin every neuron once: the N x m int64 matrix of bin indices,
-    column-major so that each neuron's bins are contiguous."""
-    bins = np.empty(latents.shape, dtype=np.int64, order="F")
-    for i in range(latents.shape[1]):
-        bins[:, i] = discretize_neuron(latents[:, i], n_bins=n_bins).bins
-    return bins
-
-
 def importance_matrix(rep: RepresentationSet, n_bins: int = DEFAULT_BINS) -> ImportanceMatrix:
     """MI in bits between every factor and every neuron after binning.
 
-    Each neuron is quantile-binned once (n_bins) and each marginal entropy
-    taken once; each factor/neuron pair adds the joint entropy of one count
-    table of the neuron's bins against the factor's labels (observed alphabets).
+    Each neuron is quantile-binned (n_bins) and each marginal entropy taken
+    once; each factor/neuron pair adds the joint entropy of one count table
+    of the neuron's bins against the factor's labels (observed alphabets).
     """
-    bins = bin_matrix(rep.latents, n_bins=n_bins)
-    bin_counts = [np.bincount(bins[:, i]) for i in range(rep.n_neurons)]
-    h_bins = [entropy_from_counts(counts) for counts in bin_counts]
+    label_counts = [np.bincount(rep.labels[:, j]) for j in range(rep.n_factors)]
+    h_labels = [entropy_from_counts(counts) for counts in label_counts]
     values = np.zeros((rep.n_factors, rep.n_neurons), dtype=np.float64)
-    for j in range(rep.n_factors):
-        labels = rep.labels[:, j]
-        label_counts = np.bincount(labels)
-        h_labels = entropy_from_counts(label_counts)
-        for i, counts in enumerate(bin_counts):
-            table = count_table(bins[:, i], labels, counts.size, label_counts.size)
-            values[j, i] = h_bins[i] + h_labels - entropy_from_counts(table)
+    for i in range(rep.n_neurons):
+        bins = discretize_neuron(rep.latents[:, i], n_bins=n_bins).bins
+        bin_counts = np.bincount(bins)
+        h_bins = entropy_from_counts(bin_counts)
+        for j, counts in enumerate(label_counts):
+            table = count_table(bins, rep.labels[:, j], bin_counts.size, counts.size)
+            values[j, i] = h_bins + h_labels[j] - entropy_from_counts(table)
     return ImportanceMatrix(
         values=values,
         factor_names=rep.schema.names,
-        n_bins=int(n_bins),  # bin_matrix has checked it
+        n_bins=int(n_bins),  # discretize_neuron has checked it
         strategy=QUANTILE,
     )
 

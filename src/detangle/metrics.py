@@ -29,11 +29,9 @@ from .classify import (
     chance_rate,
     train_probe,
 )
-from .dataset import DEFAULT_BINS, QUANTILE, RepresentationSet, split_indices
-# Not called here: the benchmark tracer (bench/tracing.py) patches this name.
-from .dataset import discretize_neuron  # noqa: F401
+from .dataset import DEFAULT_BINS, QUANTILE, RepresentationSet, discretize_neuron, split_indices
 from .errors import DegenerateInputError, ValidationError
-from .infotheory import ImportanceMatrix, bin_matrix, count_table, entropy, importance_matrix
+from .infotheory import ImportanceMatrix, count_table, entropy, importance_matrix
 from .util import require_distinct, spawn_seed
 
 MEAN = "mean"
@@ -60,14 +58,13 @@ def single_neuron_accuracy(rep: RepresentationSet) -> np.ndarray:
     """
     cards = rep.schema.cardinalities
     acc = np.zeros((rep.n_factors, rep.n_neurons))
-    for k in sorted(set(cards)):
-        bins = bin_matrix(rep.latents, n_bins=k)  # shared by every k-class factor
-        for j in (j for j in range(rep.n_factors) if cards[j] == k):
-            for i in range(rep.n_neurons):
-                counts = count_table(bins[:, i], rep.labels[:, j], k, k).astype(np.float64)
+    for i in range(rep.n_neurons):
+        for k in sorted(set(cards)):
+            bins = discretize_neuron(rep.latents[:, i], n_bins=k).bins  # for every k-class factor
+            for j in (j for j in range(rep.n_factors) if cards[j] == k):
+                counts = count_table(bins, rep.labels[:, j], k, k).astype(np.float64)
                 _, matched = max_weight_assignment(counts, lexicographic=False)
                 acc[j, i] = float(matched) / float(rep.n_rows)
-        del bins  # keep one N x m bin matrix alive at a time
     return acc
 
 

@@ -30,18 +30,36 @@ NOISE = "noise"
 GENERATOR_KINDS = (TABLE1_A, TABLE1_B, XOR, REDUNDANT_XOR, IDEAL, ROTATED, JOINT_CODE, NOISE)
 
 DEFAULT_MAX_ROWS = 10_000_000  # the most rows factor_grid and generate emit
-# Rows per copy of each exact base population; every other population has
-# one row per factor combination.
-_EXACT_BASE_ROWS = {TABLE1_A: 8, TABLE1_B: 80, XOR: 4, REDUNDANT_XOR: 4}
 
+# Exact base populations, one (latents..., labels...) tuple per row; an exact
+# population repeats every row samples_per_cell times in place. Table 1: z0
+# is 0 on (colour 0, shape 0), 1 on (colour 1, shape 1) and a fair coin on
+# the two mixed cells, so thresholding z0 predicts either factor with 75%
+# accuracy. In variant A, z1 is a fair coin carrying no factor information
+# (balanced within every cell and exactly uncorrelated with z0); in variant
+# B, z1 equals the shape bit with 70% agreement. XOR: the parity g0 is
+# recoverable only from neurons jointly, a carrier bit a and g0 ^ a.
+_TABLE1_A_ROWS = [
+    (0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (1, 0, 1, 0),
+    (0, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1),
+]
+# 20 rows per cell; z1 agrees with shape in 7 rows of every 10-row block.
+_TABLE1_B_ROWS = [
+    (z0, z1, c, s)
+    for c in (0, 1)
+    for s in (0, 1)
+    for z0, z1 in zip([c] * 20 if c == s else [0] * 10 + [1] * 10, ([s] * 7 + [1 - s] * 3) * 2)
+]
 _TABLE1_SCHEMA = FactorSchema(("colour", "shape"), (2, 2))
 _XOR_SCHEMA = FactorSchema(("parity",), (2,))
-# Per fixed-schema kind: its default schema, and the structure a given schema needs.
+# Per fixed-schema kind: its default schema, the structure a given schema
+# needs, and its exact base rows.
 _FIXED_SCHEMAS = {
-    TABLE1_A: (_TABLE1_SCHEMA, "two binary factors"),
-    TABLE1_B: (_TABLE1_SCHEMA, "two binary factors"),
-    XOR: (_XOR_SCHEMA, "a single binary factor"),
-    REDUNDANT_XOR: (_XOR_SCHEMA, "a single binary factor"),
+    TABLE1_A: (_TABLE1_SCHEMA, "two binary factors", _TABLE1_A_ROWS),
+    TABLE1_B: (_TABLE1_SCHEMA, "two binary factors", _TABLE1_B_ROWS),
+    XOR: (_XOR_SCHEMA, "a single binary factor", [(a, g ^ a, g) for g in (0, 1) for a in (0, 1)]),
+    REDUNDANT_XOR: (_XOR_SCHEMA, "a single binary factor",
+                    [(g, a, g ^ a, g) for g in (0, 1) for a in (0, 1)]),
 }
 
 
@@ -88,7 +106,7 @@ class GeneratorSpec:
             raise ValidationError(f"angle is only valid for the rotated kind, not {self.kind!r}")
 
         if self.kind in _FIXED_SCHEMAS:
-            default, needs = _FIXED_SCHEMAS[self.kind]
+            default, needs, _ = _FIXED_SCHEMAS[self.kind]
             if self.schema is not None and tuple(self.schema.cardinalities) != default.cardinalities:
                 raise ValidationError(f"{self.kind} needs {needs}")
         elif self.kind == ROTATED:
@@ -124,14 +142,17 @@ def generate(spec: GeneratorSpec) -> RepresentationSet:
     """Materialize a GeneratorSpec into a representation set of at most
     DEFAULT_MAX_ROWS rows, checked before any row is made."""
     schema = spec.resolved_schema()
-    per_copy = math.prod(schema.cardinalities)
-    if spec.exact_population:
-        per_copy = _EXACT_BASE_ROWS.get(spec.kind, per_copy)
-    total = per_copy * spec.samples_per_cell
+    fixed = _FIXED_SCHEMAS.get(spec.kind)
+    rows = fixed[2] if fixed and spec.exact_population else ()
+    total = (len(rows) or math.prod(schema.cardinalities)) * spec.samples_per_cell
     if total > DEFAULT_MAX_ROWS:
         raise ValidationError(
             f"{spec.kind} would make {total} rows, exceeding the cap of {DEFAULT_MAX_ROWS}"
         )
+    if rows:
+        data = np.repeat(np.array(rows, dtype=np.float64), spec.samples_per_cell, axis=0)
+        latents, labels = np.split(data, [data.shape[1] - schema.n_factors], axis=1)
+        return RepresentationSet(latents, labels.astype(np.int64), schema)
     rng = np.random.default_rng(spec.seed)
     builder = {
         TABLE1_A: _gen_table1_a,
@@ -148,28 +169,11 @@ def generate(spec: GeneratorSpec) -> RepresentationSet:
 
 
 # ---------------------------------------------------------------------------
-# two-factor worked constructions: one neuron encoding both factors at 75%
+# sampled fixed-schema populations: each factor combination samples_per_cell times
 # ---------------------------------------------------------------------------
-#
-# z0 is 0 on (colour 0, shape 0), 1 on (colour 1, shape 1), and a fair coin
-# on the two mixed cells, so thresholding z0 predicts either factor with 75%
-# accuracy. In variant A, z1 is a fair coin carrying no factor information;
-# in variant B, z1 equals the shape bit with 70% agreement.
-
-# base rows per cell: (colour, shape) -> list of (z0, z1); z1 is balanced
-# within every cell and exactly uncorrelated with z0 over the population.
-_TABLE1_A_BASE = {
-    (0, 0): [(0, 0), (0, 1)],
-    (1, 0): [(0, 1), (1, 0)],
-    (0, 1): [(0, 0), (1, 1)],
-    (1, 1): [(1, 0), (1, 1)],
-}
 
 
 def _gen_table1_a(spec, schema, rng):
-    if spec.exact_population:
-        rows = [(z0, z1, c, s) for (c, s), zs in _TABLE1_A_BASE.items() for z0, z1 in zs]
-        return _table1_exact(rows, spec)
     labels = factor_grid(schema, spec.samples_per_cell)
     z0 = _table1_informative_neuron(labels, rng)
     z1 = rng.integers(0, 2, size=labels.shape[0]).astype(np.float64)
@@ -177,15 +181,6 @@ def _gen_table1_a(spec, schema, rng):
 
 
 def _gen_table1_b(spec, schema, rng):
-    if spec.exact_population:
-        rows = []
-        for colour in (0, 1):
-            for shape_ in (0, 1):
-                z0_values = [colour] * 20 if colour == shape_ else [0] * 10 + [1] * 10
-                # per 10-row block: 7 rows agree with shape, 3 disagree
-                agree_pattern = ([shape_] * 7 + [1 - shape_] * 3) * 2
-                rows += [(z0, z1, colour, shape_) for z0, z1 in zip(z0_values, agree_pattern)]
-        return _table1_exact(rows, spec)
     labels = factor_grid(schema, spec.samples_per_cell)
     z0 = _table1_informative_neuron(labels, rng)
     shape_col = labels[:, 1]
@@ -194,23 +189,11 @@ def _gen_table1_b(spec, schema, rng):
     return np.column_stack([z0, z1]), labels
 
 
-def _table1_exact(rows, spec):
-    """(latents, labels) of (z0, z1, colour, shape) base rows, each repeated
-    samples_per_cell times."""
-    data = np.repeat(np.array(rows, dtype=np.float64), spec.samples_per_cell, axis=0)
-    return data[:, :2].copy(), data[:, 2:].astype(np.int64)
-
-
 def _table1_informative_neuron(labels, rng):
     colour, shape_ = labels[:, 0], labels[:, 1]
     coin = rng.integers(0, 2, size=labels.shape[0])
     z0 = np.where(colour == shape_, colour, coin)
     return z0.astype(np.float64)
-
-
-# ---------------------------------------------------------------------------
-# XOR constructions: the factor is recoverable only from neurons jointly
-# ---------------------------------------------------------------------------
 
 
 def _gen_xor(spec, schema, rng):
@@ -226,13 +209,8 @@ def _gen_redundant_xor(spec, schema, rng):
 
 
 def _xor_bits(spec, rng):
-    if spec.exact_population:
-        base = np.array([(g, a) for g in (0, 1) for a in (0, 1)], dtype=np.int64)
-        pairs = np.repeat(base, spec.samples_per_cell, axis=0)
-        return pairs[:, 0].copy(), pairs[:, 1].copy()
     g0 = np.repeat(np.array([0, 1], dtype=np.int64), spec.samples_per_cell)
-    carrier = rng.integers(0, 2, size=g0.shape[0])
-    return g0, carrier
+    return g0, rng.integers(0, 2, size=g0.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ benchmark's tracing module is imported only to resolve its boundaries.
 """
 
 import ast
+import functools
 import importlib.util
 import re
 import types
@@ -78,13 +79,30 @@ def test_benchmark_trace_boundaries_resolve():
 
 def test_benchmark_trace_boundaries_are_called(tmp_path, capsys):
     """Every traced name is still reached through the namespace the tracer
-    patches: one tiny metrics, align and cg job open a span of every name."""
+    patches: one tiny metrics, align and cg job call every boundary and open
+    a span of every name. Two namespaces can share a span name, so calls are
+    counted per (path, attribute)."""
     tracing = load_bench_tracing()
     data = str(tmp_path / "data")
     assert detangle.cli.cli(["synth", "--kind", "table1_b", "--copies", "5", "--out", data]) == 0
     tracer = tracing.Tracer(job=0)
     restore = tracing.install(tracer)
+    calls = {(path, attr): 0 for path, attr, _name, _attrs in tracing.BOUNDARIES}
+    originals = []
+
+    def counted(fn, key):
+        @functools.wraps(fn)
+        def count(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return count
+
     try:
+        for path, attr in calls:
+            owner = tracing._resolve(path)
+            fn = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+            originals.append((owner, attr, fn))
+            setattr(owner, attr, counted(fn, (path, attr)))
         for argv in (
             ["metrics", "--data", data, "--epochs", "1"],
             ["align", "--data", data, "--svg", str(tmp_path / "a.svg"),
@@ -94,9 +112,13 @@ def test_benchmark_trace_boundaries_are_called(tmp_path, capsys):
             with tracer.span(tracing.ROOT_SPAN):
                 assert detangle.cli.cli([*argv, "--out", str(tmp_path / "out.json")]) == 0
     finally:
+        for owner, attr, fn in reversed(originals):
+            setattr(owner, attr, fn)
         restore()
     capsys.readouterr()
-    expected = {name for _path, _attr, name, _attrs in tracing.BOUNDARIES}
     # importance_matrix reads MI off its count tables: no CLI path calls the
     # module-level mutual_information that the benchmark traces as infotheory.mi.
-    assert expected - {span["name"] for span in tracer.spans} <= {"infotheory.mi"}
+    uncalled = [key for key, n in calls.items() if n == 0]
+    assert uncalled == [("detangle.infotheory", "mutual_information")]
+    expected = {name for _path, _attr, name, _attrs in tracing.BOUNDARIES}
+    assert expected - {span["name"] for span in tracer.spans} == {"infotheory.mi"}

@@ -287,6 +287,14 @@ class TestTrainProbe:
         with pytest.raises(ValidationError):
             train_probe(X, y)
 
+    @pytest.mark.parametrize("X, y, match", [
+        (np.zeros((0, 2)), np.zeros(0, dtype=np.int64), "features must be a non-empty N x d"),
+        (np.zeros((4, 2)), np.array([0, 1, 0.5, 1]), "labels must be integers"),
+    ])
+    def test_empty_features_or_fractional_labels_rejected(self, X, y, match):
+        with pytest.raises(ValidationError, match=match):
+            train_probe(X, y, LINEAR, TrainConfig(epochs=1))
+
     def test_negative_seed_rejected_naming_it(self):
         X, y = xor_features_labels(copies=2)
         with pytest.raises(ValidationError, match="config.seed must be >= 0, got -1"):
@@ -776,6 +784,11 @@ class TestProbeModel:
         preds = model.predict(np.ones((5, 2)))
         assert np.array_equal(preds, np.zeros(5, dtype=np.int64))
 
+    def test_predict_rejects_the_wrong_width(self):
+        model = train_probe(*xor_features_labels(copies=2), LINEAR, TrainConfig(epochs=1))
+        with pytest.raises(ValidationError, match=r"with 2 columns, got shape \(4, 3\)"):
+            model.predict(np.zeros((4, 3)))
+
     def test_standardization_uses_training_moments(self):
         rng = np.random.default_rng(13)
         X = rng.normal(loc=100.0, scale=25.0, size=(200, 2))
@@ -896,6 +909,8 @@ class TestChanceAndAdjustment:
         X = np.array([[-2.0], [-1.0], [1.0], [2.0]])
         y = np.array([0, 1, 1, 1])
         assert accuracy(model, X, y) == pytest.approx(0.75)
+        with pytest.raises(ValidationError, match="labels must match the number of feature rows"):
+            accuracy(model, X, y[:3])
 
     def test_warning_free_adjustment_under_catch(self):
         with warnings.catch_warnings():

@@ -125,6 +125,21 @@ class TestSynth:
                     "--out", str(tmp_path / "set")]) == 1
         assert "name:cardinality" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("factors, message", [
+        ("a:x", "factor 'a': cardinality 'x' is not an integer"),
+        (",", "--factors must name at least one factor"),
+    ])
+    def test_bad_factor_list_exits_1(self, tmp_path, capsys, factors, message):
+        assert cli(["synth", "--kind", "ideal", "--factors", factors,
+                    "--out", str(tmp_path / "set")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_out_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert cli(["synth", "--kind", "table1_a", "--out", str(tmp_path / "file" / "set")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_kind_exits_1(self, tmp_path):
         assert cli(["synth", "--kind", "nope", "--out", str(tmp_path / "set")]) == 1
 
@@ -201,6 +216,12 @@ class TestMetrics:
         assert cli(["metrics", "--data", str(missing)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read data file {missing}: ")
+        assert err.count("\n") == 1
+
+    def test_schema_path_is_a_directory_exits_2(self, workspace, tmp_path, capsys):
+        assert cli(["metrics", "--data", str(workspace / "b"), "--schema", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read schema file {tmp_path}: ")
         assert err.count("\n") == 1
 
     def test_malformed_csv_exits_1(self, tmp_path, workspace):
@@ -454,6 +475,7 @@ class TestCg:
           "--pairs", "a:0,b:0"], "conflicts"),
         (["--train-data", "y", "--test-data", "z",
           "--pairs", "a:0,b:0;a:1,b:1"], "exactly one excluded pair"),
+        (["--pairs", "a:0,b:0"], "cg needs --data, or --train-data with --test-data"),
     ])
     def test_external_mode_misuse_exits_1(self, argv, fragment, capsys):
         assert cli(["cg"] + argv) == 1
@@ -619,6 +641,13 @@ class TestCorrelate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'mig'" in err and "'size'" in err
+
+    def test_metrics_payload_as_cg_exits_1(self, workspace, capsys):
+        assert cli(["correlate", "--metrics", str(workspace / "ideal_metrics.json"),
+                    "--cg", str(workspace / "ideal_metrics.json"),
+                    "--subset", "size,shape"]) == 1
+        assert capsys.readouterr().err == (
+            "error: not a generalization payload: got a metrics payload\n")
 
     def test_missing_file_exits_2(self, workspace, tmp_path):
         assert cli(["correlate", "--metrics", str(tmp_path / "gone.json"),

@@ -181,6 +181,16 @@ class TestRepresentationSet:
         with pytest.raises(ValueError):
             rep.labels[0, 0] = 1
 
+    @pytest.mark.parametrize("latents, labels, match", [
+        (np.zeros(4), np.zeros((4, 2), dtype=int), "must both be 2-D"),
+        (np.zeros((4, 2)), np.zeros((3, 2), dtype=int), "4 latent rows vs 3 label rows"),
+        (np.zeros((0, 2)), np.zeros((0, 2), dtype=int), "at least one row"),
+        (np.zeros((4, 2)), np.zeros((4, 1), dtype=int), r"\(1\) must match schema factors \(2\)"),
+    ])
+    def test_rejects_bad_shapes(self, latents, labels, match):
+        with pytest.raises(ValidationError, match=match):
+            RepresentationSet(latents, labels, SCHEMA)
+
     def test_rejects_fewer_neurons_than_factors(self):
         with pytest.raises(ValidationError, match="m=1 < n=2"):
             RepresentationSet(np.zeros((4, 1)), np.zeros((4, 2), dtype=int), SCHEMA)
@@ -256,6 +266,12 @@ class TestCsvIO:
     def test_header_mismatch_names_line(self, tmp_path):
         data, schema = self.write(tmp_path, "a,b,c,d\n0,0,0,0\n")
         with pytest.raises(HeaderMismatchError) as exc:
+            load_representation_set(data, schema)
+        assert exc.value.line == 1
+
+    def test_header_without_z_columns(self, tmp_path):
+        data, schema = self.write(tmp_path, "g0,g1\n0,0\n")
+        with pytest.raises(HeaderMismatchError, match="header has no z columns") as exc:
             load_representation_set(data, schema)
         assert exc.value.line == 1
 

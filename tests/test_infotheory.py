@@ -11,6 +11,7 @@ from detangle.dataset import QUANTILE, FactorSchema, RepresentationSet, discreti
 from detangle.errors import AlphabetOverflowError, ValidationError
 from detangle.infotheory import (
     JOINT_CELL_CAP,
+    ImportanceMatrix,
     count_table,
     entropy,
     entropy_from_counts,
@@ -109,6 +110,10 @@ class TestMutualInformation:
         assert entropy(x) == 1.0
         assert mutual_information(x, np.array([-5, 3, 3, -5])) == 1.0
 
+    def test_integer_valued_floats_are_read_as_integers(self):
+        assert entropy(np.array([2.0, 2.0, -5.0, -5.0])) == 1.0
+        assert mutual_information(np.array([0.0, 1.0, 0.0, 1.0]), np.array([3, 4, 3, 4])) == 1.0
+
 
 class TestJointMutualInformation:
     def test_xor_pair(self):
@@ -137,6 +142,10 @@ class TestJointMutualInformation:
         x = np.arange(101)
         with pytest.raises(AlphabetOverflowError, match="1030301 > 1000000"):
             joint_mutual_information([x, x, x], x % 2)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValidationError, match=r"length mismatch between xs\[1\] and y"):
+            joint_mutual_information([np.array([0, 1]), np.array([0, 1, 0])], np.array([0, 1]))
 
     def test_needs_at_least_one_variable(self):
         with pytest.raises(ValidationError):
@@ -204,6 +213,25 @@ class TestImportanceMatrix:
         a = importance_matrix(self.rep()).values
         b = importance_matrix(self.rep()).values
         assert np.array_equal(a, b)
+
+    def test_cell_cap_names_the_first_table_in_neuron_order(self):
+        # z0 has 1000 bins, z1 2000; factor a has 600 classes, b 1100. Table
+        # (a, z0) fits; (b, z0) is the first past the cap in neuron order,
+        # (a, z1) the first in factor order.
+        rows = np.arange(2000)
+        latents = np.column_stack([rows // 2, rows]).astype(np.float64)
+        labels = np.column_stack([rows % 600, rows % 1100])
+        rep = RepresentationSet(latents, labels, FactorSchema(("a", "b"), (600, 1100)))
+        with pytest.raises(AlphabetOverflowError, match="cap: 1100000 > 1000000 cells"):
+            importance_matrix(rep, n_bins=2000)
+
+    @pytest.mark.parametrize("values, names, match", [
+        (np.zeros(2), ("a", "b"), "must be 2-D"),
+        (np.zeros((2, 3)), ("a",), "row count must match factor_names"),
+    ])
+    def test_bad_values_rejected(self, values, names, match):
+        with pytest.raises(ValidationError, match=match):
+            ImportanceMatrix(values=values, factor_names=names, n_bins=2, strategy=QUANTILE)
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,13 @@ class TestDci:
         assert result["completeness"] == 0.0
         assert result["informativeness"] == pytest.approx(0.3)
 
+    def test_one_factor_concentrates_every_informative_neuron(self):
+        # With one factor a neuron's importance cannot spread: D_i = 1 unless
+        # the neuron carries nothing (D_i = 0, weight 0).
+        result = dci(make_importance([[0.5, 0.25, 0.0]]))
+        assert result["per_neuron_d"] == [1.0, 1.0, 0.0]
+        assert result["disentanglement"] == pytest.approx(1.0, abs=1e-15)
+
     def test_negative_importance_rejected(self):
         imp = make_importance([[0.5, -0.1], [0.2, 0.3]])
         with pytest.raises(ValidationError, match="non-negative"):

@@ -11,9 +11,6 @@ SOURCES = sorted(
     path for path in Path(detangle.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
 
-# Imported and not used, on purpose: the benchmark tracer patches these names.
-ALLOWED_UNUSED = {("metrics.py", "discretize_neuron")}
-
 
 def unused_imports(source: str) -> list[str]:
     """Names a module imports (outside __future__) and never reads."""
@@ -36,9 +33,5 @@ def test_unused_imports_are_found():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
-    unused = [
-        name
-        for name in unused_imports(path.read_text(encoding="utf-8"))
-        if (path.name, name) not in ALLOWED_UNUSED
-    ]
+    unused = unused_imports(path.read_text(encoding="utf-8"))
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
