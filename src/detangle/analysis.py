@@ -103,6 +103,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> dict:
         raise ValidationError("pearson needs at least 3 points")
     if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(yv))):
         raise ValidationError("pearson inputs must be finite")
+    xv, yv = _scaled(xv), _scaled(yv)
     dx = xv - xv.mean()
     dy = yv - yv.mean()
     sx = float(np.sqrt(np.sum(dx * dx)))
@@ -127,6 +128,15 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> dict:
         "p": max(p, sys.float_info.min),
         "p_floored": floored,
     }
+
+
+def _scaled(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that brings its largest magnitude into
+    [0.5, 1), when that magnitude lies outside [2**-256, 2**256] and the sums
+    of squares in pearson could overflow or underflow; else v itself. A power
+    of two scales every sum and square root exactly, so r is that of v."""
+    exponent = math.frexp(float(np.max(np.abs(v))))[1]
+    return np.ldexp(v, -exponent) if abs(exponent) > 256 else v
 
 
 MEAN_ALL = "mean_all"

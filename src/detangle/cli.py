@@ -73,7 +73,7 @@ def _read_json(path: str) -> dict:
         raise DataIOError(f"{path} is not valid UTF-8: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise DataIOError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataIOError(f"{path}: expected a JSON object at top level")

@@ -191,26 +191,10 @@ class RepresentationSet:
 
 @dataclass(frozen=True)
 class DiscretizedNeuron:
-    """Result of binning one neuron.
-
-    Attributes:
-        bins: per-row bin index in [0, n_bins).
-        boundaries: sorted upper-edge thresholds between consecutive bins
-            (length = effective bins - 1); a value equal to a boundary falls
-            in the lower bin.
-        degenerate: True when the values collapsed into a single bin.
-        level_mapped: True when the values had <= B distinct levels and were
-            mapped bijectively, sorted level -> bin index.
-    """
+    """Result of binning one neuron: bins is the read-only int64 per-row bin
+    index in [0, n_bins)."""
 
     bins: np.ndarray
-    boundaries: np.ndarray
-    degenerate: bool = False
-    level_mapped: bool = False
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.boundaries) + 1
 
 
 def load_schema(schema_path: str | Path) -> FactorSchema:
@@ -224,7 +208,7 @@ def load_schema(schema_path: str | Path) -> FactorSchema:
         raise SchemaError(f"schema file {schema_path} is not valid UTF-8: {exc}") from exc
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise SchemaError(f"schema file {schema_path} is not valid JSON: {exc}") from exc
     return FactorSchema.from_json_dict(payload)
 
@@ -398,7 +382,8 @@ def discretize_neuron(
     "quantile", the only one. Values with <= B distinct levels are mapped
     bijectively (sorted level -> bin), so exactly-discrete neurons keep
     their alphabet. Ties on a boundary go to the lower bin. All-identical
-    values collapse to bin 0 and are flagged degenerate.
+    values collapse to bin 0. The levels and the quantiles both come from
+    one sorted copy of the values.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or values.size == 0:
@@ -414,22 +399,18 @@ def discretize_neuron(
     if strategy != QUANTILE:
         raise ValidationError(f"unknown binning strategy {strategy!r}, expected {QUANTILE!r}")
 
-    levels = np.unique(values)
-    level_mapped = levels.size <= n_bins
-    if level_mapped:
+    ordered = np.sort(values)
+    levels = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+    if levels.size <= n_bins:
         # Already-discrete values: sorted level k becomes bin k exactly.
-        boundaries = (levels[:-1] + levels[1:]) / 2.0
         bins = np.searchsorted(levels, values)
     else:
-        boundaries = np.quantile(values, np.arange(1, n_bins) / n_bins)
         # A value equal to a boundary belongs to the lower bin.
+        boundaries = np.quantile(ordered, np.arange(1, n_bins) / n_bins)
         bins = np.searchsorted(boundaries, values, side="left")
-    return DiscretizedNeuron(
-        bins=_frozen(bins.astype(np.int64)),
-        boundaries=_frozen(np.asarray(boundaries, dtype=np.float64)),
-        degenerate=levels.size == 1 and n_bins > 1,
-        level_mapped=level_mapped,
-    )
+    bins = bins.astype(np.int64, copy=False)
+    bins.setflags(write=False)
+    return DiscretizedNeuron(bins)
 
 
 def split_indices(n_rows: int, test_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -451,8 +432,3 @@ def split_indices(n_rows: int, test_fraction: float, seed: int) -> tuple[np.ndar
         )
     perm = np.random.default_rng(require_seed(seed, "seed")).permutation(n_rows)
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr

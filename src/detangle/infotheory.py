@@ -1,18 +1,15 @@
 """Plug-in information estimates over discrete variables, in bits (log base 2).
 
 One count-table kernel: `count_table` counts two in-range code vectors with
-one `np.bincount`, and MI = H(row sums) + H(column sums) - H(cells). The
-public MI functions check their inputs and map any integers to dense codes;
-`joint_mutual_information` fuses several vectors into one product-alphabet
-code with `np.ravel_multi_index`. The importance matrix bins one neuron at
-a time, takes each marginal entropy once and counts one table per
-factor/neuron pair. Entropies sort the counts, so results depend only on
-the count multiset.
+one `np.bincount`, and MI = H(row sums) + H(column sums) - H(cells).
+`mutual_information` checks its inputs and maps any integers to dense
+codes. The importance matrix bins one neuron at a time, takes each marginal
+entropy once and counts one table per factor/neuron pair. Entropies sort
+the counts, so results depend only on the count multiset.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,30 +70,6 @@ def mutual_information(x: Sequence[int] | np.ndarray, y: Sequence[int] | np.ndar
     counts = count_table(x, y, int(x.max()) + 1, int(y.max()) + 1)
     h_x = entropy_from_counts(counts.sum(axis=1))
     return h_x + entropy_from_counts(counts.sum(axis=0)) - entropy_from_counts(counts)
-
-
-def joint_mutual_information(xs: Sequence[np.ndarray], y: Sequence[int] | np.ndarray) -> float:
-    """MI between the tuple (x_1, ..., x_k) and y, in bits.
-
-    The tuple is treated as one discrete variable over the product alphabet.
-    Raises AlphabetOverflowError when the product of the per-variable
-    alphabet sizes exceeds JOINT_CELL_CAP.
-    """
-    if len(xs) == 0:
-        raise ValidationError("joint_mutual_information needs at least one x variable")
-    cols = [_as_discrete(x, f"xs[{i}]") for i, x in enumerate(xs)]
-    y = _as_discrete(y, "y")
-    for i, col in enumerate(cols):
-        if col.shape != y.shape:
-            raise ValidationError(f"length mismatch between xs[{i}] and y")
-    codes = [_dense_codes(col) for col in cols]
-    sizes = [int(code.max()) + 1 for code in codes]
-    cells = math.prod(sizes)
-    if cells > JOINT_CELL_CAP:
-        raise AlphabetOverflowError(
-            f"product alphabet exceeds cap: {cells} > {JOINT_CELL_CAP} cells"
-        )
-    return mutual_information(np.ravel_multi_index(codes, sizes), y)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from detangle.dataset import split_indices
 from detangle.infotheory import (
     entropy_from_counts,
     importance_matrix,
-    joint_mutual_information,
     mutual_information,
 )
 from detangle.metrics import (
@@ -171,7 +170,8 @@ def test_criterion_4_xor_information_structure():
     neurons = [rep.latents[:, i].astype(np.int64) for i in range(rep.n_neurons)]
     single = [mutual_information(col, parity) for col in neurons]
     assert all(mi < 1e-9 for mi in single)
-    joint = joint_mutual_information(neurons, parity)
+    # The neurons are bits; their fused code is the pair's product alphabet.
+    joint = mutual_information(np.ravel_multi_index(neurons, [2] * len(neurons)), parity)
     assert joint == pytest.approx(1.0, abs=1e-9)
 
     redundant = generate(GeneratorSpec(kind=REDUNDANT_XOR, samples_per_cell=256))

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import scipy.special
 import scipy.stats
 
@@ -171,6 +173,24 @@ class TestPearson:
     def test_two_dimensional_input_rejected(self):
         with pytest.raises(ValidationError, match="1-d"):
             pearson(np.zeros((3, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_extreme_magnitudes(self, scale):
+        # The squares of these values overflow or underflow a float.
+        assert pearson([scale, -scale, 0.0], [1.0, 2.0, 3.0])["r"] == pytest.approx(-0.5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xy=st.integers(3, 20).flatmap(
+            lambda n: st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+                               min_size=n, max_size=n)
+        ),
+        k=st.integers(-1000, 1000),
+    )
+    def test_power_of_two_scale_leaves_result_unchanged(self, xy, k):
+        x, y = np.array(xy, dtype=np.float64).T
+        assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+        assert pearson(np.ldexp(x, k), y) == pearson(x, y)
 
 
 def _correlation_with_r(target_r, n):

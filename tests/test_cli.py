@@ -342,6 +342,15 @@ class TestAlign:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "schema.json is not valid UTF-8" in err
 
+    @pytest.mark.parametrize("argv", [["align"], ["metrics"], ["cg", "--pairs", "colour:0,shape:0"]])
+    def test_deeply_nested_schema_exits_1(self, workspace, tmp_path, capsys, argv):
+        shutil.copy(workspace / "b" / "data.csv", tmp_path / "data.csv")
+        (tmp_path / "schema.json").write_text("[" * 200_000 + "]" * 200_000)
+        assert cli(argv + ["--data", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: schema file ") and err.count("\n") == 1
+        assert "schema.json is not valid JSON" in err
+
     def test_byte_order_mark_is_accepted(self, workspace, tmp_path):
         edits = {"bom": lambda raw: b"\xef\xbb\xbf" + raw,
                  "crlf": lambda raw: raw.replace(b"\n", b"\r\n")}
@@ -739,6 +748,16 @@ class TestReport:
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
         assert cli(["report", "--in", str(bad)]) == 2
+
+    def test_deeply_nested_json_exits_2(self, workspace, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"a": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        for argv in (["report", "--in", str(deep)],
+                     ["correlate", "--metrics", str(deep),
+                      "--cg", str(workspace / "ideal_cg.json"), "--subset", "size,shape"]):
+            assert cli(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {deep} is not valid JSON: ") and err.count("\n") == 1
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli(["report", "--in", str(tmp_path / "gone.json")]) == 2

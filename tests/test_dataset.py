@@ -416,31 +416,54 @@ class TestCsvIO:
             load_schema(tmp_path / "schema.json")
 
 
+def reference_bins(values, n_bins):
+    """The binning algorithm before it read everything off one sorted copy:
+    levels from np.unique, boundaries from np.quantile of the raw values."""
+    levels = np.unique(values)
+    if levels.size <= n_bins:
+        return np.searchsorted(levels, values)
+    boundaries = np.quantile(values, np.arange(1, n_bins) / n_bins)
+    return np.searchsorted(boundaries, values, side="left")
+
+
+# Pools with signed zeros and few levels, so ties and both zeros are common.
+value_pools = st.sampled_from([
+    [-0.0, 0.0],
+    [-0.0, 0.0, 1.0, -1.0],
+    [-0.0, 0.0, 0.5, 0.25, -3.0, 7.0, 1e-300],
+    [float(v) for v in range(-6, 7)] + [-0.0],
+])
+neuron_values = st.one_of(
+    value_pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=80)),
+    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=80),
+).map(np.array)
+
+
 class TestDiscretize:
     def test_quantile_boundaries_at_fractional_ranks(self):
         values = np.arange(100, dtype=float)
         disc = discretize_neuron(values, n_bins=4, strategy=QUANTILE)
-        assert not disc.level_mapped
-        assert np.allclose(disc.boundaries, np.quantile(values, [0.25, 0.5, 0.75]))
+        expected = np.searchsorted(np.quantile(values, [0.25, 0.5, 0.75]), values)
+        assert np.array_equal(disc.bins, expected)
         counts = np.bincount(disc.bins, minlength=4)
         assert counts.sum() == 100 and counts.min() >= 24
 
     def test_boundary_tie_goes_to_lower_bin(self):
-        disc = discretize_neuron(np.arange(100, dtype=float), n_bins=4)
-        boundary = disc.boundaries[0]
-        idx = np.where(np.arange(100.0) == boundary)[0]
-        if idx.size:
-            assert disc.bins[idx[0]] == 0
+        # Five levels into two bins: the median boundary is 2.0 exactly.
+        disc = discretize_neuron(np.array([4.0, 2.0, 0.0, 3.0, 1.0]), n_bins=2)
+        assert disc.bins.tolist() == [1, 0, 0, 1, 0]
 
     def test_level_mapped_keeps_alphabet(self):
         values = np.array([3.0, -1.0, 3.0, 7.0, -1.0, 7.0, 3.0])
         disc = discretize_neuron(values, n_bins=DEFAULT_BINS)
-        assert disc.level_mapped and disc.n_bins == 3
         assert np.array_equal(disc.bins, np.array([1, 0, 1, 2, 0, 2, 1]))
 
     def test_constant_neuron_degenerate(self):
-        disc = discretize_neuron(np.full(9, 2.5), n_bins=8)
-        assert disc.degenerate and np.all(disc.bins == 0)
+        assert np.all(discretize_neuron(np.full(9, 2.5), n_bins=8).bins == 0)
+        # An all-zero neuron with both signed zeros is one level too.
+        zeros = np.array([0.0, -0.0, 0.0, -0.0])
+        for n_bins in (1, 2, 8):
+            assert discretize_neuron(zeros, n_bins=n_bins).bins.tolist() == [0, 0, 0, 0]
 
     def test_bad_arguments(self):
         with pytest.raises(ValidationError):
@@ -459,7 +482,7 @@ class TestDiscretize:
         values = np.arange(100, dtype=float)
         disc = discretize_neuron(values, n_bins=np.int64(4))
         assert disc.bins.tobytes() == discretize_neuron(values, n_bins=4).bins.tobytes()
-        assert disc.n_bins == 4
+        assert np.array_equal(np.unique(disc.bins), np.arange(4))
 
     @pytest.mark.parametrize("n_bins", [4.0, True, "4", None])
     def test_non_integer_bins_rejected_naming_them(self, n_bins):
@@ -472,7 +495,15 @@ class TestDiscretize:
         a = discretize_neuron(values, n_bins=10)
         b = discretize_neuron(values.copy(), n_bins=10)
         assert np.array_equal(a.bins, b.bins)
-        assert np.array_equal(a.boundaries, b.boundaries)
+        assert a.bins.dtype == np.int64 and not a.bins.flags.writeable
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=neuron_values, n_bins=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_bins_equal_unique_quantile_reference_and_follow_rows(self, values, n_bins, seed):
+        bins = discretize_neuron(values, n_bins=n_bins).bins
+        assert bins.tobytes() == reference_bins(values, n_bins).astype(np.int64).tobytes()
+        perm = np.random.default_rng(seed).permutation(values.size)
+        assert np.array_equal(discretize_neuron(values[perm], n_bins=n_bins).bins, bins[perm])
 
 
 class TestSplits:
