@@ -37,7 +37,7 @@ from .classify import (
 )
 from .dataset import FactorSchema, RepresentationSet, split_indices
 from .errors import SplitError, ValidationError
-from .util import payload_kind, require_seed, spawn_seed
+from .util import payload_kind, require_int, require_seed, spawn_seed
 
 
 def resolve_pair(rep: RepresentationSet, pair: tuple) -> dict:
@@ -356,7 +356,7 @@ def sample_pairs(
     dims = (rep.schema.cardinalities[ia], rep.schema.cardinalities[ib])
     # Present combinations in lexicographic (value_a, value_b) order.
     combos = np.unique(np.ravel_multi_index((rep.labels[:, ia], rep.labels[:, ib]), dims))
-    if count < 1 or count > combos.size:
+    if not 1 <= require_int(count, "count") <= combos.size:
         raise ValidationError(
             f"count must lie in [1, {combos.size}] (distinct present combinations)"
         )

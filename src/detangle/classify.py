@@ -10,12 +10,13 @@ and prediction run in float32.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import pickle
-import re
 import signal
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -27,6 +28,26 @@ from .util import require_int, require_seed
 LINEAR = "linear"
 MLP = "mlp"
 PROBE_KINDS = (LINEAR, MLP)
+
+try:  # the thread controls of numpy's OpenBLAS, through a numpy extension linked to it
+    _blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    _get_threads = _blas.scipy_openblas_get_num_threads64_
+    _set_threads = _blas.scipy_openblas_set_num_threads64_
+    _get_threads.argtypes, _set_threads.argtypes, _set_threads.restype = [], [ctypes.c_int], None
+except (AttributeError, OSError):  # another BLAS: its threads are left as they are
+    _blas, _get_threads, _set_threads = None, int, lambda threads: None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS to one thread, then give back the caller's count.
+    On some kernels (Haswell's sgemm) its bytes depend on the thread count."""
+    threads = _get_threads()
+    _set_threads(1)
+    try:
+        yield
+    finally:
+        _set_threads(threads)
 
 
 @dataclass(frozen=True)
@@ -77,7 +98,8 @@ class ProbeModel:
         return ((features - self.mu) / self.sigma).astype(np.float32)
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        return _forward(self.weights, self.kind, self._standardize(features))[0]
+        with _one_blas_thread():
+            return _forward(self.weights, self.kind, self._standardize(features))[0]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Most likely class per row; argmax ties go to the lowest index."""
@@ -180,7 +202,8 @@ def train_probe(
     Xs = Xs.astype(np.float32)
     for (k, width), group in groups.items():
         cols = None if width is None else np.array([columns[p] for p in group])
-        fitted = _train_split(Xs, Y[:, group], kind, k, [configs[p] for p in group], cols)
+        with _one_blas_thread():
+            fitted = _train_split(Xs, Y[:, group], kind, k, [configs[p] for p in group], cols)
         for p, weights in zip(group, fitted):
             stats = (mu, sigma) if width is None else (mu[columns[p]], sigma[columns[p]])
             for array in (*stats, *weights.values()):
@@ -190,14 +213,9 @@ def train_probe(
 
 
 def _worker_count(n_probes: int) -> int:
-    """The CPUs this process may run on over the threads OpenBLAS runs in each
-    process: the first positive count among its variables, as its atoi reads
-    them, else one per CPU. So no two processes' BLAS threads share a CPU."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    counts = (re.match(r"[ \t\n\v\f\r]*\+?([0-9]+)", os.environ.get(name, "")) for name in
-              ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-    blas = next((int(c[1]) for c in counts if c and int(c[1]) > 0), cpus)
-    return max(1, min(n_probes, cpus // blas)) if hasattr(os, "fork") else 1
+    """One worker per usable CPU; one where the process cannot fork or hold BLAS to one thread."""
+    split = _blas is not None and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return min(n_probes, len(os.sched_getaffinity(0))) if split else 1
 
 
 def _train_split(Xs: np.ndarray, Y: np.ndarray, kind: str, k: int, configs: list[TrainConfig],

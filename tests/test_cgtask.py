@@ -420,6 +420,13 @@ class TestSamplePairs:
         with pytest.raises(ValidationError, match="distinct"):
             sample_pairs(rep, "size", "size", count=1)
 
+    @pytest.mark.parametrize("count", [2.5, True, "2"])
+    def test_non_integer_count_rejected(self, count):
+        with pytest.raises(ValidationError, match=f"count must be an integer, got {count!r}"):
+            sample_pairs(grid_rep(copies=2), "size", "shape", count)
+        assert sample_pairs(grid_rep(copies=2), "size", "shape", np.int64(2)) == sample_pairs(
+            grid_rep(copies=2), "size", "shape", 2)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
             sample_pairs(grid_rep(copies=2), "size", "shape", count=2, seed=-1)

@@ -1,5 +1,6 @@
 """Tests for probe training: gradients, determinism, capacity, adjustment."""
 
+import ctypes
 import hashlib
 import json
 import os
@@ -591,6 +592,21 @@ class TestStackedTraining:
             train_probe(X, Y, LINEAR, TrainConfig(epochs=1), **kwargs)
 
 
+# numpy's bundled OpenBLAS, through a numpy extension linked against it.
+OPENBLAS = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+
+
+@pytest.fixture
+def blas():
+    """(get, set) for the thread count of numpy's OpenBLAS, restored after the test."""
+    get_threads = OPENBLAS.scipy_openblas_get_num_threads64_
+    set_threads = OPENBLAS.scipy_openblas_set_num_threads64_
+    get_threads.argtypes, set_threads.argtypes, set_threads.restype = [], [ctypes.c_int], None
+    before = get_threads()
+    yield get_threads, set_threads
+    set_threads(before)
+
+
 def force_workers(monkeypatch, workers):
     """Split every stack into min(P, workers) chunks, whatever the machine."""
     monkeypatch.setattr(classify_module, "_worker_count", lambda n_probes: min(n_probes, workers))
@@ -659,29 +675,79 @@ class TestSplitStack:
         assert results[1] == results[0] and results[2] == results[0]
         assert_no_child_left()
 
-    @pytest.mark.parametrize("env,n_probes,expected", [
-        ({}, 8, 1),  # unset: OpenBLAS runs one thread per CPU
-        ({"OPENBLAS_NUM_THREADS": "1"}, 8, 4),
-        ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),
-        ({"OPENBLAS_NUM_THREADS": "2"}, 8, 2),
-        ({"OPENBLAS_NUM_THREADS": "3"}, 8, 1),
-        ({"OPENBLAS_NUM_THREADS": "8"}, 8, 1),
-        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 2),
-        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 8, 4),
-        ({"OMP_NUM_THREADS": "4,2"}, 8, 1),  # a nesting list: atoi reads the 4
-        ({"GOTO_NUM_THREADS": " +2 threads"}, 8, 2),
-        ({"OPENBLAS_NUM_THREADS": "-1"}, 8, 1),
+    @pytest.mark.parametrize("env", [
+        {},
+        {"OPENBLAS_NUM_THREADS": "1"},
+        {"OPENBLAS_NUM_THREADS": "2"},
+        {"OPENBLAS_NUM_THREADS": "8", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"},
     ])
-    def test_worker_count_leaves_each_blas_thread_a_cpu(self, monkeypatch, env, n_probes,
-                                                        expected):
+    @pytest.mark.parametrize("n_probes", [3, 8])
+    def test_worker_count_is_one_per_cpu(self, monkeypatch, env, n_probes):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(name, raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        assert classify_module._worker_count(n_probes) == expected
+        assert classify_module._worker_count(n_probes) == min(n_probes, 4)
+        with pytest.MonkeyPatch.context() as no_affinity:
+            no_affinity.delattr(os, "sched_getaffinity", raising=False)
+            assert classify_module._worker_count(n_probes) == 1
         monkeypatch.delattr(os, "fork", raising=False)
         assert classify_module._worker_count(n_probes) == 1
+
+    def test_one_worker_without_blas_thread_controls(self, monkeypatch, blas):
+        X, y = xor_features_labels(copies=8)
+        Y = np.stack([y, 1 - y, y], axis=1)
+        config = TrainConfig(epochs=2, hidden_units=8)
+        expected = model_bytes(train_probe(X, Y, MLP, config, seeds=[1, 2, 3]))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert classify_module._worker_count(8) == 4
+        # As the module sets itself up under a BLAS without OpenBLAS's controls.
+        monkeypatch.setattr(classify_module, "_blas", None)
+        monkeypatch.setattr(classify_module, "_get_threads", int)
+        monkeypatch.setattr(classify_module, "_set_threads", lambda threads: None)
+        assert classify_module._worker_count(8) == 1
+        get_threads, set_threads = blas
+        set_threads(2)  # these products are too small for OpenBLAS to split
+        assert model_bytes(train_probe(X, Y, MLP, config, seeds=[1, 2, 3])) == expected
+        assert get_threads() == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("outcome", ["trained", "diverged", "failed_here", "predicted"])
+    def test_caller_blas_threads_are_given_back(self, monkeypatch, blas, threads, outcome):
+        get_threads, set_threads = blas
+        parent, train_stack, during = os.getpid(), classify_module._train_stack, []
+
+        def record_threads(*args):
+            if os.getpid() == parent:
+                during.append(get_threads())
+                if outcome == "failed_here":
+                    raise MemoryError("chunk 0")
+            return train_stack(*args)
+
+        X, y = xor_features_labels(copies=8)
+        Y = np.stack([y, 1 - y], axis=1)
+        model = train_probe(X, y, MLP, TrainConfig(epochs=1, hidden_units=8))
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(classify_module, "_train_stack", record_threads)
+        set_threads(threads)
+        if outcome == "trained":
+            train_probe(X, Y, MLP, TrainConfig(epochs=1, hidden_units=8), seeds=[1, 2])
+        elif outcome == "diverged":
+            X, Y, config = diverging_stack(2, 1e37)
+            with pytest.raises(TrainingDivergedError):
+                train_probe(X, Y[:, :2], LINEAR, config, [3, 3], seeds=[1, 2])
+        elif outcome == "failed_here":
+            with pytest.raises(MemoryError, match="chunk 0"):
+                train_probe(X, Y, LINEAR, TrainConfig(epochs=1), seeds=[1, 2])
+        else:
+            forward = classify_module._forward
+            monkeypatch.setattr(classify_module, "_forward",
+                                lambda *args: during.append(get_threads()) or forward(*args))
+            model.predict(X)
+        assert get_threads() == threads
+        assert during and set(during) == {1}
+        assert_no_child_left()
 
     @pytest.mark.parametrize("data_seed,learning_rate,columns,workers", [
         (2, 1e37, [1, 2], 2),  # this process's chunk diverges in epoch 2, the child's in 1
@@ -918,10 +984,22 @@ class TestChanceAndAdjustment:
             assert adjusted_accuracy(0.9, 0.5) == pytest.approx(0.8)
 
 
+# OpenBLAS picks a kernel for the CPU (Zen CPUs get Haswell's), and MLP bytes
+# differ between kernels, so its pin is kept per kernel name.
 WEIGHT_FINGERPRINTS = {
     LINEAR: "1a8c50410f4534982323b04e292fb5927abb75009803aa1dd9b2020fc842b3fb",
-    MLP: "c3e385b171238d024c0a1e1149e3e6e991c02141e2b121e89d01785c9129dbf0",
+    MLP: {
+        "SkylakeX": "c3e385b171238d024c0a1e1149e3e6e991c02141e2b121e89d01785c9129dbf0",
+        "Haswell": "74284c347a08ad2e6a4cf0c27441db677c1b22b2e2237f4f8ec570a6a67325e0",
+    },
 }
+
+
+def blas_kernel():
+    """The name of the kernel numpy's OpenBLAS runs on this CPU."""
+    corename = OPENBLAS.scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 @pytest.mark.parametrize("kind", [LINEAR, MLP])
@@ -937,4 +1015,9 @@ def test_probe_weight_fingerprint(kind):
         digest.update(key.encode("ascii"))
         digest.update(model.weights[key].tobytes())
     digest.update(model.logits(X).tobytes())
-    assert digest.hexdigest() == WEIGHT_FINGERPRINTS[kind]
+    expected = WEIGHT_FINGERPRINTS[kind]
+    if kind == MLP:
+        kernel = blas_kernel()
+        assert kernel in expected, f"no MLP weight pin for OpenBLAS kernel {kernel!r}"
+        expected = expected[kernel]
+    assert digest.hexdigest() == expected

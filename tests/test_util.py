@@ -111,8 +111,8 @@ def test_blas_thread_count_never_changes_metrics_payload(tmp_path):
     data = tmp_path / "data"
     run_detangle({}, "synth", "--kind", "ideal", "--factors", "a:4,b:3,c:5,d:6",
                  "--copies", "20", "--sigma", "0.5", "--seed", "5", "--out", str(data))
-    # On two or more CPUs, one BLAS thread per process lets each probe stack
-    # split across forked workers; unset, BLAS takes every CPU and it does not.
+    # The variable sets how many threads BLAS starts with; probe work holds it
+    # to one either way, and each stack splits over one process per CPU.
     payloads = []
     for threads in ("1", "2", None):
         out = tmp_path / f"metrics_{threads}.json"
