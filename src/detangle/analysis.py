@@ -167,6 +167,9 @@ def _aggregate_from_payload(
             raise ValidationError(
                 f"metric payload's {metric!r} score for factor {name!r} is not a number: {score!r}"
             )
+        if isinstance(score, int) and abs(score) > sys.float_info.max:
+            raise ValidationError(
+                f"metric payload's {metric!r} score for factor {name!r} is too large for a float")
     return aggregate(per_factor, mode, subset)
 
 

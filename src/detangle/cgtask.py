@@ -119,9 +119,7 @@ def _score(
     ia, ib = schema.index_of(pair["factor_a"]), schema.index_of(pair["factor_b"])
     both_correct = (preds[ia] == test_labels[:, ia]) & (preds[ib] == test_labels[:, ib])
     raw_both = float(np.mean(both_correct))
-    paired = full_labels[:, ia].astype(np.int64) * int(
-        schema.cardinalities[ib]
-    ) + full_labels[:, ib].astype(np.int64)
+    paired = full_labels[:, ia] * int(schema.cardinalities[ib]) + full_labels[:, ib]
     r_both = chance_rate(paired)
     joint_both = {
         "raw": raw_both,
@@ -248,16 +246,22 @@ def run_cg_presplit(
     train_rep: RepresentationSet,
     test_rep: RepresentationSet,
     pair: tuple,
-    probe_kind: str = MLP,
+    probe_kinds: Sequence[str] = (MLP,),
     config: TrainConfig | None = None,
 ) -> dict:
-    """Run on an externally produced train/test pair (e.g. separately encoded
-    splits). No control split is computed; the audit verifies the exclusion
-    structure of the given sets."""
+    """One run per probe kind on an externally produced train/test pair (e.g.
+    separately encoded splits): the payload `detangle cg --train-data/--test-data`
+    writes. Checks every kind before any probe trains. No control split is
+    computed; the audit verifies the exclusion structure of the given sets."""
     if train_rep.schema != test_rep.schema:
         raise ValidationError("train and test sets must share one schema")
     pair = resolve_pair(train_rep, pair)
-    return _held_out_run(pair, train_rep, test_rep, probe_kind, config or TrainConfig(), None)
+    for kind in probe_kinds:
+        if kind not in PROBE_KINDS:
+            raise ValidationError(f"unknown probe kind {kind!r}")
+    config = config or TrainConfig()
+    runs = [_held_out_run(pair, train_rep, test_rep, kind, config, None) for kind in probe_kinds]
+    return _job_payload(runs, probe_kinds)
 
 
 def run_cg_suite(
@@ -267,15 +271,14 @@ def run_cg_suite(
     config: TrainConfig | None = None,
     control: bool = True,
 ) -> dict:
-    """Cross product of pairs x probe kinds: the suite payload of their runs
-    and per-kind averages.
+    """Cross product of pairs x probe kinds: the payload `detangle cg --data`
+    writes for them.
 
     Checks every probe kind and pair before any probe trains, and fails
     naming the first pair whose exclusion split is degenerate or holds out
     the same rows as an earlier pair (the same pair, in either term order).
     Pairs with the same held-out size share one control per probe kind.
     """
-    config = config or TrainConfig()
     if not pairs:
         raise ValidationError("run_cg_suite needs at least one excluded pair")
     for kind in probe_kinds:
@@ -294,16 +297,14 @@ def run_cg_suite(
     controls: dict = {}
     runs = [run_cg(rep, pair, kind, config, control=control, _controls=controls)
             for pair in pairs for kind in probe_kinds]
-    return _suite_payload(runs, probe_kinds)
+    return _job_payload(runs, probe_kinds)
 
 
-def cg_payload(runs: Sequence[dict], probe_kinds: Sequence[str]) -> dict:
-    """The stored payload of one cg job: a single run's payload, or for
-    several runs a suite payload with their per-kind averages."""
-    return runs[0] if len(runs) == 1 else _suite_payload(runs, probe_kinds)
-
-
-def _suite_payload(runs: Sequence[dict], probe_kinds: Sequence[str]) -> dict:
+def _job_payload(runs: Sequence[dict], probe_kinds: Sequence[str]) -> dict:
+    """The payload of one cg job, and the only rule for its shape: a single
+    run's payload, or for several runs a suite with their per-kind averages."""
+    if len(runs) == 1:
+        return runs[0]
     return {"schema_version": 1, "runs": list(runs), "averages": suite_averages(runs, probe_kinds)}
 
 

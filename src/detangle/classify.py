@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TrainingDivergedError, ValidationError
+from .infotheory import JOINT_CELL_CAP
 from .util import require_int, require_seed
 
 LINEAR = "linear"
@@ -128,8 +129,8 @@ def train_probe(
         labels: N integer class ids in [0, n_classes), or an N x P matrix.
         kind: "linear" or "mlp".
         config: optimizer settings; defaults to TrainConfig().
-        n_classes: output size, one per column for a matrix; inferred as
-            max(labels) + 1 when omitted.
+        n_classes: output size, at most JOINT_CELL_CAP, one per column for
+            a matrix; inferred as max(labels) + 1 when omitted.
         seeds: one per label column; only with a label matrix.
         columns: one non-empty list of feature indices per label column;
             only with a label matrix.
@@ -171,12 +172,13 @@ def train_probe(
     if Y.min() < 0:
         raise ValidationError("labels must be non-negative")
     tops = Y.max(axis=0) + 1
-    ks = tops if n_classes is None else np.array(
-        [require_int(k, "n_classes") for k in np.ravel(np.asarray(n_classes, dtype=object))],
-        dtype=np.int64)
-    if ks.shape != tops.shape:
+    ks = tops.tolist() if n_classes is None else [
+        require_int(k, "n_classes") for k in np.ravel(np.asarray(n_classes, dtype=object))]
+    if len(ks) != len(tops):
         raise ValidationError(f"n_classes must give one size per label column, got {n_classes!r}")
     for column, k, top in zip(Y.T, ks, tops):
+        if k > JOINT_CELL_CAP:  # before any array is sized by it
+            raise ValidationError(f"n_classes={k} exceeds the cap of {JOINT_CELL_CAP} classes")
         if np.unique(column).size < 2:
             raise ValidationError("need at least two classes present in labels, got 1")
         if k < top:
@@ -188,7 +190,7 @@ def train_probe(
     # statistics are summed row by row, so wider selections share its
     # standardized copy; a lone column is summed pairwise and trains alone.
     groups: dict[tuple[int, int | None], list[int]] = {}
-    for p, k in enumerate(ks.tolist()):
+    for p, k in enumerate(ks):
         width = None if columns is None else columns[p].size
         if width == 1:
             models[p] = train_probe(X[:, columns[p]], Y[:, p], kind, configs[p], k)

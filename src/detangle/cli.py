@@ -73,7 +73,7 @@ def _read_json(path: str) -> dict:
         raise DataIOError(f"{path} is not valid UTF-8: {exc}") from exc
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, or too deep
         raise DataIOError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataIOError(f"{path}: expected a JSON object at top level")
@@ -282,17 +282,11 @@ def _cg_payload(args) -> dict:
             raise ValidationError("external mode evaluates exactly one excluded pair")
         train_rep = _load_rep(args.train_data, args.schema)
         test_rep = _load_rep(args.test_data, args.schema)
-        runs = [
-            cgtask.run_cg_presplit(train_rep, test_rep, pairs[0], kind, config) for kind in kinds
-        ]
-        return cgtask.cg_payload(runs, kinds)
+        return cgtask.run_cg_presplit(train_rep, test_rep, pairs[0], kinds, config)
     if not args.data:
         raise ValidationError("cg needs --data, or --train-data with --test-data")
     rep = _load_rep(args.data, args.schema)
-    control = not args.no_control
-    if len(pairs) == 1 and len(kinds) == 1:
-        return cgtask.run_cg(rep, pairs[0], kinds[0], config, control=control)
-    return cgtask.run_cg_suite(rep, pairs, kinds, config, control=control)
+    return cgtask.run_cg_suite(rep, pairs, kinds, config, control=not args.no_control)
 
 
 def _correlate_payload(args) -> dict:
@@ -343,7 +337,7 @@ def _read_payload(path: str) -> tuple[dict, str]:
         return payload, render(payload)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
         raise ValidationError(
             f"{path}: incomplete or malformed {payload_kind(payload)} payload "
             f"({type(exc).__name__}: {exc})"

@@ -208,7 +208,7 @@ def load_schema(schema_path: str | Path) -> FactorSchema:
         raise SchemaError(f"schema file {schema_path} is not valid UTF-8: {exc}") from exc
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int past the digit limit, or too deep
         raise SchemaError(f"schema file {schema_path} is not valid JSON: {exc}") from exc
     return FactorSchema.from_json_dict(payload)
 

@@ -1,8 +1,9 @@
 """The package namespace: what `detangle` exports and what its callers use.
 
 The callers outside the package are the benchmark harness under bench/ and
-the README's library example. Both are read as source, never executed; the
-benchmark's tracing module is imported only to resolve its boundaries.
+the README's library example. The example is also run as written; the
+benchmark is read as source, and its tracing module is imported only to
+resolve and count its boundaries.
 """
 
 import ast
@@ -13,6 +14,7 @@ import types
 from pathlib import Path
 
 import detangle
+from detangle.util import payload_kind
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,6 +49,16 @@ def test_callers_outside_the_package_use_only_exported_names():
         used |= names_taken_from_detangle(path.read_text(encoding="utf-8"))
     assert "hinton_svg" in used
     assert sorted(used - set(detangle.__all__)) == []
+
+
+def test_readme_library_example_runs(capsys):
+    namespace = {}
+    exec(compile(readme_library_example(), "README.md", "exec"), namespace)
+    report, run = namespace["report"], namespace["run"]
+    assert payload_kind(report) == "metrics" and payload_kind(run) == "cg_run"
+    assert run["audit"]["clean"] is True
+    assert capsys.readouterr().out == (
+        detangle.render_metric_table(report) + f"{run['joint_both']['adjusted']} {run['audit']}\n")
 
 
 def test_every_exported_name_is_bound():

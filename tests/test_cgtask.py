@@ -1,5 +1,6 @@
 """Tests for the held-out-combination probing harness."""
 
+import json
 import math
 
 import numpy as np
@@ -168,7 +169,7 @@ class TestRunCg:
         rep = held_out_rep(49, 1)
         result = run_cg(rep, ("a", 1, "b", 1), LINEAR, FAST)
         assert control_test_rows(rep, result["control"]) == 1
-        suite = run_cg_suite(rep, [("a", 1, "b", 1)], (LINEAR,), FAST)
+        suite = run_cg_suite(rep, [("a", 1, "b", 1), ("a", 0, "b", 0)], (LINEAR,), FAST)
         assert suite["runs"][0] == result
 
     @settings(max_examples=300, deadline=None)
@@ -220,7 +221,7 @@ class TestPresplit:
         held_out = (rep.labels[:, 0] == 2) & (rep.labels[:, 1] == 3)
         external = run_cg_presplit(
             rep.subset(np.flatnonzero(~held_out)), rep.subset(np.flatnonzero(held_out)),
-            pair, LINEAR, FAST
+            pair, (LINEAR,), FAST
         )
         assert external["per_factor"] == internal["per_factor"]
         assert external["joint_both"] == internal["joint_both"]
@@ -233,7 +234,7 @@ class TestPresplit:
         rep = grid_rep(copies=5)
         match = (rep.labels[:, 0] == 2) & (rep.labels[:, 1] == 3)
         test_rep = rep.subset(np.flatnonzero(match))
-        result = run_cg_presplit(rep, test_rep, ("size", 2, "shape", 3), LINEAR, FAST)
+        result = run_cg_presplit(rep, test_rep, ("size", 2, "shape", 3), (LINEAR,), FAST)
         assert result["audit"]["train_rows_matching_pair"] == 5
         assert not result["audit"]["clean"]
 
@@ -248,6 +249,24 @@ class TestPresplit:
         other = RepresentationSet(rep.latents, rep.labels, other_schema)
         with pytest.raises(ValidationError, match="schema"):
             run_cg_presplit(rep, other, ("size", 0, "shape", 0), LINEAR, FAST)
+
+    def test_several_kinds_give_the_suite_of_their_runs(self):
+        rep = grid_rep(copies=5)
+        held_out = (rep.labels[:, 0] == 2) & (rep.labels[:, 1] == 3)
+        sets = (rep.subset(np.flatnonzero(~held_out)), rep.subset(np.flatnonzero(held_out)))
+        pair = ("size", 2, "shape", 3)
+        both = run_cg_presplit(*sets, pair, (LINEAR, MLP), FAST)
+        runs = [run_cg_presplit(*sets, pair, (kind,), FAST) for kind in (LINEAR, MLP)]
+        assert both == {"schema_version": 1, "runs": runs,
+                        "averages": suite_averages(runs, (LINEAR, MLP))}
+
+    def test_unknown_kind_rejected_before_any_probe_trains(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cgtask, "train_probe", lambda *args, **kwargs: calls.append(args))
+        rep = grid_rep(copies=5)
+        with pytest.raises(ValidationError, match="unknown probe kind 'bogus'"):
+            run_cg_presplit(rep, rep, ("size", 0, "shape", 0), (LINEAR, "bogus"), FAST)
+        assert calls == []
 
 
 class TestSuite:
@@ -267,8 +286,17 @@ class TestSuite:
 
     def test_control_averages_omitted_without_control(self):
         rep = grid_rep(copies=10)
-        suite = run_cg_suite(rep, [("size", 0, "shape", 0)], (LINEAR,), FAST, control=False)
+        pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1)]
+        suite = run_cg_suite(rep, pairs, (LINEAR,), FAST, control=False)
         assert "control_joint_both_adjusted" not in suite["averages"]["linear"]
+
+    @pytest.mark.parametrize("kind", [LINEAR, MLP])
+    @pytest.mark.parametrize("control", [True, False])
+    def test_one_pair_and_kind_is_that_runs_payload(self, kind, control):
+        rep = grid_rep(copies=10)
+        pair = ("size", 2, "shape", 3)
+        suite = run_cg_suite(rep, [pair], (kind,), FAST, control=control)
+        assert json.dumps(suite) == json.dumps(run_cg(rep, pair, kind, FAST, control=control))
 
     def test_empty_pairs_rejected(self):
         rep = grid_rep(copies=5)
@@ -301,14 +329,15 @@ class TestSuite:
 
     def test_suite_payload_round_trip(self):
         rep = grid_rep(copies=10)
-        payload = run_cg_suite(rep, [("size", 0, "shape", 0)], (LINEAR,), FAST)
+        payload = run_cg_suite(rep, [("size", 0, "shape", 0)], (LINEAR, MLP), FAST)
         assert list(payload) == ["schema_version", "runs", "averages"]
         assert payload["schema_version"] == 1
-        assert len(payload["runs"]) == 1
+        assert len(payload["runs"]) == 2
 
     def test_suite_averages_helper_matches(self):
         rep = grid_rep(copies=10)
-        suite = run_cg_suite(rep, [("size", 0, "shape", 0)], (LINEAR,), FAST)
+        pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1)]
+        suite = run_cg_suite(rep, pairs, (LINEAR,), FAST)
         assert suite_averages(suite["runs"], (LINEAR,)) == suite["averages"]
         assert suite_averages(suite["runs"], ("mlp",)) == {}
 
@@ -452,7 +481,8 @@ class TestRenderTable:
 
     def test_suite_layout(self):
         rep = grid_rep(copies=10)
-        suite = run_cg_suite(rep, [("size", 0, "shape", 0)], (LINEAR,), FAST)
+        pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1)]
+        suite = run_cg_suite(rep, pairs, (LINEAR,), FAST)
         lines = render_cg_table(suite).strip().split("\n")
         assert lines[0].split() == ["setting", "factor_a", "factor_b", "both"]
         assert lines[1].startswith("cg (linear)")

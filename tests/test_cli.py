@@ -21,6 +21,7 @@ import detangle.cgtask as cgtask
 import detangle.classify as classify_module
 import detangle.metrics as metrics_module
 from detangle.cli import build_parser, cli
+from detangle.dataset import FactorSchema, RepresentationSet, write_representation_set
 from detangle.util import payload_kind
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -351,6 +352,16 @@ class TestAlign:
         assert err.startswith("error: schema file ") and err.count("\n") == 1
         assert "schema.json is not valid JSON" in err
 
+    def test_integer_past_the_digit_limit_in_schema_exits_1(self, workspace, tmp_path, capsys):
+        shutil.copy(workspace / "b" / "data.csv", tmp_path / "data.csv")
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        (tmp_path / "schema.json").write_text('{"factors": [{"name": "colour", "cardinality": '
+                                              + digits + "}]}")
+        assert cli(["align", "--data", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: schema file ") and err.count("\n") == 1
+        assert "schema.json is not valid JSON: Exceeds the limit" in err
+
     def test_byte_order_mark_is_accepted(self, workspace, tmp_path):
         edits = {"bom": lambda raw: b"\xef\xbb\xbf" + raw,
                  "crlf": lambda raw: raw.replace(b"\n", b"\r\n")}
@@ -552,6 +563,34 @@ class TestCg:
                     "--pairs", "hue:0,shape:1"]) == 1
         assert "hue" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pairs", ["a:1,b:1", "a:0,b:0;a:1,b:1"])
+    def test_degenerate_pair_is_reported_alike_alone_or_in_a_suite(self, tmp_path, monkeypatch,
+                                                                   capsys, pairs):
+        latents = np.random.default_rng(0).normal(size=(30, 2))
+        labels = np.array([[0, 0], [0, 1], [1, 0]] * 10)
+        rep = RepresentationSet(latents, labels, FactorSchema(("a", "b"), (2, 2)))
+        write_representation_set(rep, tmp_path / "data.csv", tmp_path / "schema.json")
+        calls = []
+        monkeypatch.setattr(cgtask, "train_probe", lambda *args, **kwargs: calls.append(1))
+        assert cli(["cg", "--data", str(tmp_path), "--pairs", pairs]) == 1
+        assert calls == []
+        assert capsys.readouterr().err == (
+            "error: degenerate exclusion split for pair {'factor_a': 'a', 'value_a': 1, "
+            "'factor_b': 'b', 'value_b': 1}: cg_exclusion pair (a=1, b=1) matches no rows\n")
+
+    @pytest.mark.parametrize("cardinality", [2**40, 2**63 - 1, 2**63])
+    def test_class_count_past_the_cell_cap_exits_1(self, tmp_path, capsys, cardinality):
+        latents = np.random.default_rng(0).normal(size=(120, 2))
+        labels = np.array([[0, 0], [0, 1], [1, 0], [1, 2]] * 30)
+        rep = RepresentationSet(latents, labels, FactorSchema(("a", "b"), (2, 3)))
+        write_representation_set(rep, tmp_path / "data.csv", tmp_path / "schema.json")
+        schema = read_json(tmp_path / "schema.json")
+        schema["factors"][1]["cardinality"] = cardinality
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        assert cli(["cg", "--data", str(tmp_path), "--pairs", "a:0,b:1", "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: n_classes={cardinality} exceeds the cap of 1000000 classes\n")
+
     def test_invalid_train_config_exits_1(self, workspace, capsys):
         assert cli(["cg", "--data", str(workspace / "ideal"),
                     "--pairs", "size:2,shape:1", "--epochs", "0"]) == 1
@@ -650,6 +689,19 @@ class TestCorrelate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "'mig'" in err and "'size'" in err
+
+    def test_factor_score_too_large_for_a_float_exits_1(self, workspace, tmp_path, capsys):
+        models = ("ideal", "rotated", "code")
+        bad = read_json(workspace / "rotated_metrics.json")
+        bad["mig"]["per_factor"]["size"] = 10**400
+        (tmp_path / "rotated_metrics.json").write_text(json.dumps(bad), encoding="utf-8")
+        metric_paths = [workspace / "ideal_metrics.json", tmp_path / "rotated_metrics.json",
+                        workspace / "code_metrics.json"]
+        assert cli(["correlate", "--metrics", ",".join(map(str, metric_paths)),
+                    "--cg", ",".join(str(workspace / f"{m}_cg.json") for m in models),
+                    "--subset", "size,shape", "--columns", "mig"]) == 1
+        assert capsys.readouterr().err == (
+            "error: metric payload's 'mig' score for factor 'size' is too large for a float\n")
 
     def test_metrics_payload_as_cg_exits_1(self, workspace, capsys):
         assert cli(["correlate", "--metrics", str(workspace / "ideal_metrics.json"),
@@ -758,6 +810,26 @@ class TestReport:
             assert cli(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {deep} is not valid JSON: ") and err.count("\n") == 1
+
+    def test_integer_past_the_digit_limit_exits_2(self, workspace, tmp_path, capsys):
+        long = tmp_path / "long.json"
+        long.write_text('{"snc": ' + "1" * (sys.get_int_max_str_digits() + 1) + "}")
+        for argv in (["report", "--in", str(long)],
+                     ["correlate", "--metrics", str(long),
+                      "--cg", str(workspace / "ideal_cg.json"), "--subset", "size,shape"]):
+            assert cli(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {long} is not valid JSON: ") and err.count("\n") == 1
+
+    def test_number_too_large_for_a_float_exits_1(self, workspace, tmp_path, capsys):
+        payload = read_json(workspace / "a_metrics.json")
+        payload["snc"]["per_factor"]["colour"] = 10**400
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(payload), encoding="utf-8")
+        assert cli(["report", "--in", str(huge)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {huge}: incomplete or malformed metrics payload "
+                              "(OverflowError: ") and err.count("\n") == 1
 
     def test_missing_file_exits_2(self, tmp_path):
         assert cli(["report", "--in", str(tmp_path / "gone.json")]) == 2
