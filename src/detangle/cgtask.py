@@ -13,10 +13,10 @@ resolve_pair checks it and returns its payload block {"factor_a", "value_a",
 "factor_b", "value_b"} with the factors by name.
 
 The control depends only on the held-out size and the seed, not on the
-pair. The pairs of one run_cg_suite call that hold out the same number of
-rows therefore share one control per probe kind: it is trained for the first
-such pair and rescored for the others, and every number equals what
-separate run_cg calls report.
+pair, so the pairs of one run_cg_suite call that hold out the same number of
+rows share one control per probe kind. A suite trains all probes of one kind,
+every pair's and each distinct control's, in one train_probe call, and every
+number equals what separate run_cg calls report.
 """
 
 from __future__ import annotations
@@ -83,27 +83,24 @@ def _exclusion_rows(rep: RepresentationSet, pair: dict) -> tuple[np.ndarray, np.
 
 
 def measure_probes(
-    train_rep: RepresentationSet,
-    test_latents: np.ndarray,
-    probe_kind: str,
-    config: TrainConfig,
-    seed_salt: int = 0,
-) -> list[np.ndarray]:
-    """Train one probe per factor on train_rep, as one stack; return each
-    probe's predictions on test_latents, in schema order."""
-    schema = train_rep.schema
-    seeds = [spawn_seed(config.seed, seed_salt, j) for j in range(schema.n_factors)]
+    rep: RepresentationSet, splits: Sequence[tuple], probe_kind: str, config: TrainConfig
+) -> list[list[np.ndarray]]:
+    """Train one probe per factor on each (train rows, test latents, seed
+    salt) split of rep, all in one train_probe call; return each split's
+    per-factor predictions on its test latents, in schema order. Factor j's
+    probe is seeded spawn_seed(config.seed, salt, j)."""
+    n, f = len(splits), rep.schema.n_factors
     probes = train_probe(
-        train_rep.latents, train_rep.labels, probe_kind, config, schema.cardinalities, seeds
+        rep.latents, np.tile(rep.labels, n), probe_kind, config, list(rep.schema.cardinalities) * n,
+        [spawn_seed(config.seed, salt, j) for _, _, salt in splits for j in range(f)],
+        rows=[train for train, _, _ in splits for _ in range(f)],
     )
-    return [probe.predict(test_latents) for probe in probes]
+    return [[probe.predict(test) for probe in probes[s * f : (s + 1) * f]]
+            for s, (_, test, _) in enumerate(splits)]
 
 
 def _score(
-    pair: dict,
-    schema: FactorSchema,
-    preds: Sequence[np.ndarray],
-    test_labels: np.ndarray,
+    pair: dict, schema: FactorSchema, preds: Sequence[np.ndarray], test_labels: np.ndarray,
     full_labels: np.ndarray,
 ) -> tuple[dict, dict]:
     """(per_factor, joint_both) chance-adjusted accuracies of per-factor
@@ -121,11 +118,8 @@ def _score(
     raw_both = float(np.mean(both_correct))
     paired = full_labels[:, ia] * int(schema.cardinalities[ib]) + full_labels[:, ib]
     r_both = chance_rate(paired)
-    joint_both = {
-        "raw": raw_both,
-        "adjusted": adjusted_accuracy(raw_both, r_both),
-        "chance_rate": r_both,
-    }
+    joint_both = {"raw": raw_both, "adjusted": adjusted_accuracy(raw_both, r_both),
+                  "chance_rate": r_both}
     return per_factor, joint_both
 
 
@@ -161,21 +155,14 @@ def _split_audit(
 
 
 def _held_out_run(
-    pair: dict,
-    train_rep: RepresentationSet,
-    test_rep: RepresentationSet,
-    probe_kind: str,
-    config: TrainConfig,
-    leaked: int | None,
+    pair: dict, schema: FactorSchema, preds: Sequence[np.ndarray], train_labels: np.ndarray,
+    test_labels: np.ndarray, probe_kind: str, seed: int, leaked: int | None,
 ) -> dict:
-    """Probe a held-out split: train on train_rep, score on test_rep, and
-    audit the split; returns the run payload with control None. The two
-    sets together are the full population whose label frequencies set the
-    chance rates."""
-    schema = train_rep.schema
-    preds = measure_probes(train_rep, test_rep.latents, probe_kind, config, seed_salt=1)
-    full_labels = np.vstack([train_rep.labels, test_rep.labels])
-    per_factor, joint_both = _score(pair, schema, preds, test_rep.labels, full_labels)
+    """Score and audit a held-out split whose probes predicted preds; returns
+    the run payload with control None. The two label matrices together are
+    the full population whose label frequencies set the chance rates."""
+    full_labels = np.vstack([train_labels, test_labels])
+    per_factor, joint_both = _score(pair, schema, preds, test_labels, full_labels)
     return {
         "schema_version": 1,
         "pair": pair,
@@ -183,20 +170,41 @@ def _held_out_run(
         "per_factor": per_factor,
         "joint_both": joint_both,
         "control": None,
-        "n_train": train_rep.n_rows,
-        "n_test": test_rep.n_rows,
-        "audit": _split_audit(pair, schema, train_rep.labels, test_rep.labels, leaked),
-        "seed": config.seed,
+        "n_train": len(train_labels),
+        "n_test": len(test_labels),
+        "audit": _split_audit(pair, schema, train_labels, test_labels, leaked),
+        "seed": seed,
     }
 
 
+def _splits(rep: RepresentationSet, pair: dict, seed: int, control: bool) -> list[tuple]:
+    """(train rows, test rows, seed salt) of the pair's exclusion split (salt
+    1) and, with control, of its matched-size random split (salt 2)."""
+    train, test = _exclusion_rows(rep, pair)
+    splits = [(train, test, 1)]
+    if control:
+        block = _control_split(rep.n_rows, test.size, seed)
+        splits.append((*split_indices(rep.n_rows, block["test_fraction"], block["seed"]), 2))
+    return splits
+
+
+def _train_missing(
+    rep: RepresentationSet, splits: Sequence[tuple], probe_kind: str, config: TrainConfig,
+    cache: dict,
+) -> None:
+    """Train, in one measure_probes call, the splits whose predictions cache
+    lacks. It maps (probe kind, seed salt, held-out rows), which fix the train
+    rows, to them."""
+    missing = {(probe_kind, salt, test.tobytes()): (train, rep.latents[test], salt)
+               for train, test, salt in splits}
+    missing = {key: split for key, split in missing.items() if key not in cache}
+    if missing:
+        cache.update(zip(missing, measure_probes(rep, list(missing.values()), probe_kind, config)))
+
+
 def run_cg(
-    rep: RepresentationSet,
-    pair: tuple,
-    probe_kind: str = MLP,
-    config: TrainConfig | None = None,
-    control: bool = True,
-    _controls: dict | None = None,
+    rep: RepresentationSet, pair: tuple, probe_kind: str = MLP, config: TrainConfig | None = None,
+    control: bool = True, _controls: dict | None = None,
 ) -> dict:
     """One exclusion run: hold out the pair's rows, probe, and audit the
     split. Returns the run payload that `detangle cg --out` writes.
@@ -204,50 +212,40 @@ def run_cg(
     The audit records that train and test row ids are disjoint, that no
     training row matches the excluded combination, and that every test row
     does. With control=True a matched-size random split of the same data is
-    probed identically. _controls, when given, maps (probe kind, held-out
-    size) to that control's test predictions and test labels, for one rep and
-    seed; a missing entry is trained and stored, a present one is scored
-    without training.
+    probed identically. _controls, when given, caches trained predictions
+    for one rep and seed (see _train_missing): the run trains what it lacks,
+    in one call, and scores the rest from it.
     """
     config = config or TrainConfig()
     pair = resolve_pair(rep, pair)
-    train_idx, test_idx = _exclusion_rows(rep, pair)
-    leaked = int(np.intersect1d(train_idx, test_idx).size)
+    cache = {} if _controls is None else _controls
+    splits = _splits(rep, pair, config.seed, control)
+    _train_missing(rep, splits, probe_kind, config, cache)
+    [(train, test, _), *controls] = splits
     result = _held_out_run(
-        pair, rep.subset(train_idx), rep.subset(test_idx), probe_kind, config, leaked
+        pair, rep.schema, cache[(probe_kind, 1, test.tobytes())], rep.labels[train],
+        rep.labels[test], probe_kind, config.seed, int(np.intersect1d(train, test).size),
     )
-    if not control:
-        return result
-
-    control_split = _control_split(rep.n_rows, test_idx.size, config.seed)
-    controls = {} if _controls is None else _controls
-    key = (probe_kind, test_idx.size)
-    if key not in controls:
-        ctr_train_idx, ctr_test_idx = split_indices(
-            rep.n_rows, control_split["test_fraction"], control_split["seed"]
-        )
-        ctr_test = rep.subset(ctr_test_idx)
-        controls[key] = (
-            measure_probes(
-                rep.subset(ctr_train_idx), ctr_test.latents, probe_kind, config, seed_salt=2
-            ),
-            ctr_test.labels,
-        )
-    ctr_per_factor, ctr_joint = _score(pair, rep.schema, *controls[key], rep.labels)
-    result["control"] = {
-        "split": control_split,
-        "per_factor": ctr_per_factor,
-        "joint_both": ctr_joint,
-    }
+    for ctr_train, ctr_test, salt in controls:
+        preds = cache[(probe_kind, salt, ctr_test.tobytes())]
+        per_factor, joint_both = _score(pair, rep.schema, preds, rep.labels[ctr_test], rep.labels)
+        result["control"] = {"split": _control_split(rep.n_rows, test.size, config.seed),
+                             "per_factor": per_factor, "joint_both": joint_both}
     return result
 
 
+def _check_kinds(probe_kinds: Sequence[str]) -> None:
+    if isinstance(probe_kinds, str) or not probe_kinds:
+        raise ValidationError(f"probe_kinds must be a non-empty sequence of probe kinds such as "
+                              f"('mlp',), got {probe_kinds!r}")
+    for kind in probe_kinds:
+        if kind not in PROBE_KINDS:
+            raise ValidationError(f"unknown probe kind {kind!r}")
+
+
 def run_cg_presplit(
-    train_rep: RepresentationSet,
-    test_rep: RepresentationSet,
-    pair: tuple,
-    probe_kinds: Sequence[str] = (MLP,),
-    config: TrainConfig | None = None,
+    train_rep: RepresentationSet, test_rep: RepresentationSet, pair: tuple,
+    probe_kinds: Sequence[str] = (MLP,), config: TrainConfig | None = None,
 ) -> dict:
     """One run per probe kind on an externally produced train/test pair (e.g.
     separately encoded splits): the payload `detangle cg --train-data/--test-data`
@@ -256,20 +254,20 @@ def run_cg_presplit(
     if train_rep.schema != test_rep.schema:
         raise ValidationError("train and test sets must share one schema")
     pair = resolve_pair(train_rep, pair)
-    for kind in probe_kinds:
-        if kind not in PROBE_KINDS:
-            raise ValidationError(f"unknown probe kind {kind!r}")
+    _check_kinds(probe_kinds)
     config = config or TrainConfig()
-    runs = [_held_out_run(pair, train_rep, test_rep, kind, config, None) for kind in probe_kinds]
+    split = (np.arange(train_rep.n_rows), test_rep.latents, 1)
+    runs = [
+        _held_out_run(pair, train_rep.schema, measure_probes(train_rep, [split], kind, config)[0],
+                      train_rep.labels, test_rep.labels, kind, config.seed, None)
+        for kind in probe_kinds
+    ]
     return _job_payload(runs, probe_kinds)
 
 
 def run_cg_suite(
-    rep: RepresentationSet,
-    pairs: Sequence[tuple],
-    probe_kinds: Sequence[str] = (MLP,),
-    config: TrainConfig | None = None,
-    control: bool = True,
+    rep: RepresentationSet, pairs: Sequence[tuple], probe_kinds: Sequence[str] = (MLP,),
+    config: TrainConfig | None = None, control: bool = True,
 ) -> dict:
     """Cross product of pairs x probe kinds: the payload `detangle cg --data`
     writes for them.
@@ -277,25 +275,28 @@ def run_cg_suite(
     Checks every probe kind and pair before any probe trains, and fails
     naming the first pair whose exclusion split is degenerate or holds out
     the same rows as an earlier pair (the same pair, in either term order).
-    Pairs with the same held-out size share one control per probe kind.
+    Each probe kind trains in one call: every pair's exclusion split, then
+    each distinct control.
     """
     if not pairs:
         raise ValidationError("run_cg_suite needs at least one excluded pair")
-    for kind in probe_kinds:
-        if kind not in PROBE_KINDS:
-            raise ValidationError(f"unknown probe kind {kind!r}")
-    held_out = set()
+    _check_kinds(probe_kinds)
+    config = config or TrainConfig()
+    held_out, splits = set(), []
     for pair in pairs:
         named = resolve_pair(rep, pair)
         try:
-            test_rows = _exclusion_rows(rep, named)[1].tobytes()
+            pair_splits = _splits(rep, named, config.seed, control)
         except SplitError as exc:
             raise SplitError(f"degenerate exclusion split for pair {named}: {exc}") from exc
-        if test_rows in held_out:
+        if pair_splits[0][1].tobytes() in held_out:
             raise SplitError(f"pair {named} holds out the same rows as an earlier pair")
-        held_out.add(test_rows)
-    controls: dict = {}
-    runs = [run_cg(rep, pair, kind, config, control=control, _controls=controls)
+        held_out.add(pair_splits[0][1].tobytes())
+        splits += pair_splits
+    cache: dict = {}
+    for kind in probe_kinds:  # every exclusion split, then the controls
+        _train_missing(rep, sorted(splits, key=lambda split: split[2]), kind, config, cache)
+    runs = [run_cg(rep, pair, kind, config, control=control, _controls=cache)
             for pair in pairs for kind in probe_kinds]
     return _job_payload(runs, probe_kinds)
 

@@ -108,13 +108,10 @@ class ProbeModel:
 
 
 def train_probe(
-    features: np.ndarray,
-    labels: Sequence[int] | np.ndarray,
-    kind: str = MLP,
-    config: TrainConfig | None = None,
-    n_classes: int | Sequence[int] | None = None,
-    seeds: Sequence[int] | None = None,
-    columns: Sequence[Sequence[int]] | None = None,
+    features: np.ndarray, labels: Sequence[int] | np.ndarray, kind: str = MLP,
+    config: TrainConfig | None = None, n_classes: int | Sequence[int] | None = None,
+    seeds: Sequence[int] | None = None, columns: Sequence[Sequence[int]] | None = None,
+    rows: Sequence[Sequence[int]] | None = None,
 ) -> ProbeModel | list[ProbeModel]:
     """Fit a probe of the given kind; deterministic for a fixed config.
 
@@ -122,7 +119,10 @@ def train_probe(
     them in column order, each bit-identical to its column fitted alone with
     config.with_seed(seeds[p]). With columns, probe p sees only the feature
     columns columns[p] and is bit-identical to the probe fitted alone on
-    np.ascontiguousarray(features[:, columns[p]]).
+    np.ascontiguousarray(features[:, columns[p]]). With rows, probe p trains
+    on features[rows[p]] and labels[rows[p], p], is standardized and checked
+    on those rows alone, and is bit-identical to the probe fitted alone on
+    np.ascontiguousarray(features[rows[p]]) (and then columns[p], if given).
 
     Args:
         features: N x d float matrix (finite).
@@ -134,10 +134,12 @@ def train_probe(
         seeds: one per label column; only with a label matrix.
         columns: one non-empty list of feature indices per label column;
             only with a label matrix.
+        rows: one non-empty list of row indices per label column, repeats
+            allowed; only with a label matrix.
 
     Raises:
         ValidationError: bad shapes, non-finite features, fewer than two
-            classes present in labels.
+            classes present in a probe's labels.
         TrainingDivergedError: a batch produced a non-finite loss (names the
             epoch it happened in).
     """
@@ -158,60 +160,78 @@ def train_probe(
         require_seed(config.seed, "config.seed")
     else:
         seeds = [require_seed(s, f"seeds[{p}]") for p, s in enumerate(seeds)]
-    if columns is not None:
-        columns = [np.asarray(c) for c in columns]
-        if seeds is None or len(columns) != len(seeds) or not all(c.ndim == 1 and c.size and (
-                c.dtype.kind in "iu") and 0 <= c.min() <= c.max() < X.shape[1] for c in columns):
-            raise ValidationError("columns must give one non-empty list of feature indices in "
-                                  f"[0, {X.shape[1]}) per column of an N x P label matrix")
+    columns = _index_lists(columns, X.shape[1], "columns", "feature", seeds)
+    rows = _index_lists(rows, X.shape[0], "rows", "row", seeds)
+    if columns is not None or rows is not None:
         X = np.ascontiguousarray(X)
-    as_int = Y.astype(np.int64)
+    as_int = Y.astype(np.int64, copy=False)
     if not np.array_equal(as_int, Y):
         raise ValidationError("labels must be integers")
     Y = as_int.reshape(X.shape[0], -1)
     if Y.min() < 0:
         raise ValidationError("labels must be non-negative")
-    tops = Y.max(axis=0) + 1
-    ks = tops.tolist() if n_classes is None else [
+    picks = [slice(None)] * Y.shape[1] if rows is None else rows
+    tops = [int(Y[pick, p].max()) + 1 for p, pick in enumerate(picks)]
+    ks = tops if n_classes is None else [
         require_int(k, "n_classes") for k in np.ravel(np.asarray(n_classes, dtype=object))]
     if len(ks) != len(tops):
         raise ValidationError(f"n_classes must give one size per label column, got {n_classes!r}")
-    for column, k, top in zip(Y.T, ks, tops):
+    for p, (k, top) in enumerate(zip(ks, tops)):
         if k > JOINT_CELL_CAP:  # before any array is sized by it
             raise ValidationError(f"n_classes={k} exceeds the cap of {JOINT_CELL_CAP} classes")
-        if np.unique(column).size < 2:
+        if np.unique(Y[picks[p], p]).size < 2:
             raise ValidationError("need at least two classes present in labels, got 1")
         if k < top:
             raise ValidationError(f"n_classes={k} too small for max label {top - 1}")
 
     configs = [config] if seeds is None else [config.with_seed(s) for s in seeds]
     models: list[ProbeModel] = [None] * len(configs)
-    # One stack per class count and input width. A C-ordered matrix's column
+    # One stack per row set, class count and input width; a row set is known
+    # by the first probe that trains on it. A C-ordered matrix's column
     # statistics are summed row by row, so wider selections share its
-    # standardized copy; a lone column is summed pairwise and trains alone.
-    groups: dict[tuple[int, int | None], list[int]] = {}
+    # standardization; a lone column is summed pairwise and trains alone.
+    groups: dict[tuple[int, int, int | None], list[int]] = {}
     for p, k in enumerate(ks):
         width = None if columns is None else columns[p].size
         if width == 1:
-            models[p] = train_probe(X[:, columns[p]], Y[:, p], kind, configs[p], k)
+            models[p] = train_probe(X[picks[p]][:, columns[p]], Y[picks[p], p], kind, configs[p], k)
         else:
-            groups.setdefault((k, width), []).append(p)
-    mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
+            first = 0 if rows is None else next(
+                (q for q, _, _ in groups if np.array_equal(rows[q], rows[p])), p)
+            groups.setdefault((first, k, width), []).append(p)
+    stacks = [(picks[first], group, k, [configs[p] for p in group],
+               None if width is None else np.array([columns[p] for p in group]))
+              for (first, k, width), group in groups.items()]
+    with _one_blas_thread():
+        fitted = _train_split(X, Y, kind, stacks) if stacks else []
+    for p, (mu, sigma, weights) in zip([p for group in groups.values() for p in group], fitted):
+        stats = (mu, sigma) if columns is None else (mu[columns[p]], sigma[columns[p]])
+        for array in (*stats, *weights.values()):
+            array.setflags(write=False)
+        models[p] = ProbeModel(kind, ks[p], *stats, weights, configs[p])
+    return models if seeds is not None else models[0]
+
+
+def _index_lists(lists, bound: int, name: str, noun: str, seeds) -> list[np.ndarray] | None:
+    """One non-empty int64 array of indices in [0, bound) per label column, or None."""
+    if lists is None:
+        return None
+    arrays = [np.asarray(a) for a in lists]
+    if seeds is None or len(arrays) != len(seeds) or not all(a.ndim == 1 and a.size and (
+            a.dtype.kind in "iu") and 0 <= a.min() <= a.max() < bound for a in arrays):
+        raise ValidationError(f"{name} must give one non-empty list of {noun} indices in "
+                              f"[0, {bound}) per column of an N x P label matrix")
+    return [a.astype(np.int64, copy=False) for a in arrays]
+
+
+def _standardized(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column means, standard deviations (1 where about 0) and the float32
+    standardized copy of a feature matrix."""
+    mu, sigma = X.mean(axis=0), X.std(axis=0)
     sigma = np.where(sigma < 1e-12, 1.0, sigma)
     Xs = X - mu
     Xs /= sigma
-    Xs = Xs.astype(np.float32)
-    for (k, width), group in groups.items():
-        cols = None if width is None else np.array([columns[p] for p in group])
-        with _one_blas_thread():
-            fitted = _train_split(Xs, Y[:, group], kind, k, [configs[p] for p in group], cols)
-        for p, weights in zip(group, fitted):
-            stats = (mu, sigma) if width is None else (mu[columns[p]], sigma[columns[p]])
-            for array in (*stats, *weights.values()):
-                array.setflags(write=False)
-            models[p] = ProbeModel(kind, k, *stats, weights, configs[p])
-    return models if seeds is not None else models[0]
+    return mu, sigma, Xs.astype(np.float32)
 
 
 def _worker_count(n_probes: int) -> int:
@@ -220,14 +240,31 @@ def _worker_count(n_probes: int) -> int:
     return min(n_probes, len(os.sched_getaffinity(0))) if split else 1
 
 
-def _train_split(Xs: np.ndarray, Y: np.ndarray, kind: str, k: int, configs: list[TrainConfig],
-                 cols: np.ndarray | None) -> list[dict[str, np.ndarray]]:
-    """_train_stack on one contiguous chunk per worker, chunks 1... in forked
-    children. Each probe trains as it would alone, so results never depend on
-    the split; of several divergences the earliest step's (lowest chunk's) is raised."""
-    parts = np.array_split(np.arange(len(configs)), _worker_count(len(configs)))
-    chunks = [(Xs, Y[:, p], kind, k, [configs[j] for j in p], cols if cols is None else cols[p])
-              for p in parts]
+def _train_split(X: np.ndarray, Y: np.ndarray, kind: str, stacks: list[tuple]) -> list[dict]:
+    """Every stack's probes in order, cut into one contiguous chunk per
+    worker, chunks 1... in forked children; a chunk trains its piece of each
+    stack in turn, standardized by the stack's rows just before it trains,
+    and returns (mu, sigma, weights) per probe. Each probe trains as it would
+    alone, so results never depend on the split; of several divergences, the
+    first stack's at its earliest step (the lowest chunk's) is raised, as one
+    worker would."""
+
+    def train(pieces):  # (stack index, stack, probe slice) each; ends at a divergence
+        fitted = []
+        for s, (pick, group, k, configs, cols), part in pieces:
+            mu, sigma, Xs = _standardized(X[pick])  # the rows' copy lives only in there
+            outcome = _train_stack(Xs, Y[:, group[part]][pick], kind, k, configs[part],
+                                   cols if cols is None else cols[part])
+            if isinstance(outcome, tuple):
+                return (s, *outcome)
+            fitted += [(mu, sigma, weights) for weights in outcome]
+        return fitted
+
+    starts = np.cumsum([0] + [len(stack[1]) for stack in stacks])
+    parts = np.array_split(np.arange(starts[-1]), _worker_count(int(starts[-1])))
+    chunks = [[(s, stack, slice(max(part[0], a) - a, min(part[-1] + 1, b) - a))
+               for s, (stack, a, b) in enumerate(zip(stacks, starts, starts[1:]))
+               if a <= part[-1] and part[0] < b] for part in parts]
     outcomes, children, sent, codes = [None] * len(chunks), [], {}, {}
     try:
         for i in range(1, len(chunks)):
@@ -239,11 +276,11 @@ def _train_split(Xs: np.ndarray, Y: np.ndarray, kind: str, k: int, configs: list
             except OSError:
                 os.close(read)
                 os.close(write)
-                outcomes[i] = _train_stack(*chunks[i])
+                outcomes[i] = train(chunks[i])
                 continue
             if pid == 0:  # leaves only through _exit: no inherited buffer flushes, no atexit
                 try:
-                    outcome = pickle.dumps(_train_stack(*chunks[i]))
+                    outcome = pickle.dumps(train(chunks[i]))
                     with open(write, "wb") as out:
                         out.write(outcome)
                     os._exit(0)
@@ -251,7 +288,7 @@ def _train_split(Xs: np.ndarray, Y: np.ndarray, kind: str, k: int, configs: list
                     os._exit(1)
             os.close(write)
             children.append((i, pid, read))
-        outcomes[0] = _train_stack(*chunks[0])
+        outcomes[0] = train(chunks[0])
         for i, _, read in children:
             with open(read, "rb", closefd=False) as fh:
                 sent[i] = fh.read()
@@ -265,7 +302,7 @@ def _train_split(Xs: np.ndarray, Y: np.ndarray, kind: str, k: int, configs: list
             raise ChildProcessError(f"probe worker {pid} ended with status {codes[i]}, no result")
         outcomes[i] = pickle.loads(sent[i])
     if diverged := [outcome for outcome in outcomes if isinstance(outcome, tuple)]:
-        raise min(diverged, key=lambda pair: pair[0])[1]
+        raise min(diverged, key=lambda outcome: outcome[:2])[2]
     return [weights for fitted in outcomes for weights in fitted]
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import detangle.cgtask as cgtask
+from detangle import cli
 from detangle.cgtask import (
     _control_split,
     _exclusion_rows,
@@ -21,7 +22,7 @@ from detangle.cgtask import (
     suite_averages,
 )
 from detangle.classify import LINEAR, MLP, TrainConfig
-from detangle.dataset import FactorSchema, RepresentationSet, split_indices
+from detangle.dataset import FactorSchema, RepresentationSet, split_indices, write_representation_set
 from detangle.errors import SchemaError, SplitError, ValidationError
 from detangle.synth import GeneratorSpec, generate
 
@@ -319,6 +320,24 @@ class TestSuite:
             run_cg_suite(grid_rep(copies=5), pairs, kinds, FAST)
         assert calls == []
 
+    @pytest.mark.parametrize("kinds, message", [
+        ((), r"non-empty sequence of probe kinds such as \('mlp',\), got \(\)"),
+        ([], r"non-empty sequence of probe kinds such as \('mlp',\), got \[\]"),
+        ("linear", r"non-empty sequence of probe kinds such as \('mlp',\), got 'linear'"),
+        ("", r"non-empty sequence of probe kinds such as \('mlp',\), got ''"),
+    ], ids=["empty_tuple", "empty_list", "string", "empty_string"])
+    def test_kinds_that_are_no_sequence_of_kinds_rejected_before_any_probe_trains(
+        self, monkeypatch, kinds, message
+    ):
+        calls = []
+        monkeypatch.setattr(cgtask, "train_probe", lambda *args, **kwargs: calls.append(args))
+        rep = grid_rep(copies=5)
+        with pytest.raises(ValidationError, match=message):
+            run_cg_suite(rep, [("size", 0, "shape", 0)], kinds, FAST)
+        with pytest.raises(ValidationError, match=message):
+            run_cg_presplit(rep, rep, ("size", 0, "shape", 0), kinds, FAST)
+        assert calls == []
+
     def test_degenerate_pair_named_in_error(self):
         schema = FactorSchema(("a", "b"), (2, 2))
         labels = np.array([[0, 0], [0, 1], [1, 0]] * 10)
@@ -397,31 +416,54 @@ class TestSuiteSharesControls:
 
 
 class TestProbeCallOrder:
-    """The benchmark's control_share counts every measure_probes call inside
-    a run_cg call after the first as the control's."""
+    """A job trains each probe kind's probes in one measure_probes call:
+    every exclusion split first, then each distinct control."""
 
     def record_salts(self, monkeypatch):
         calls = []
         measure_probes = cgtask.measure_probes
 
-        def recorded(train_rep, test_latents, probe_kind, config, seed_salt=0):
-            calls.append((probe_kind, seed_salt))
-            return measure_probes(train_rep, test_latents, probe_kind, config, seed_salt)
+        def recorded(rep, splits, probe_kind, config):
+            calls.append((probe_kind, [salt for _, _, salt in splits]))
+            return measure_probes(rep, splits, probe_kind, config)
 
         monkeypatch.setattr(cgtask, "measure_probes", recorded)
         return calls
 
-    def test_run_probes_the_held_out_split_before_the_control(self, monkeypatch):
+    def test_run_probes_the_held_out_split_and_the_control_in_one_call(self, monkeypatch):
         calls = self.record_salts(monkeypatch)
         run_cg(grid_rep(copies=10), ("size", 2, "shape", 3), LINEAR, FAST)
-        assert calls == [(LINEAR, 1), (LINEAR, 2)]
+        assert calls == [(LINEAR, [1, 2])]
 
-    def test_suite_with_equal_held_out_sizes_probes_one_control_per_kind(self, monkeypatch):
+    def test_suite_probes_each_kind_in_one_call(self, monkeypatch):
         calls = self.record_salts(monkeypatch)
         pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1), ("size", 1, "shape", 2)]
         run_cg_suite(grid_rep(copies=10), pairs, (LINEAR, MLP), FAST)
-        assert calls == [(LINEAR, 1), (LINEAR, 2), (MLP, 1), (MLP, 2)] + [
-            (LINEAR, 1), (MLP, 1)] * 2
+        assert calls == [(LINEAR, [1, 1, 1, 2]), (MLP, [1, 1, 1, 2])]
+
+    def test_suite_with_unequal_held_out_sizes_lists_each_control_once(self, monkeypatch):
+        full = grid_rep(copies=10)
+        cell = (full.labels[:, 0] == 2) & (full.labels[:, 1] == 2)
+        rep = full.subset(np.flatnonzero(~cell | (np.cumsum(cell) > 3)))
+        calls = self.record_salts(monkeypatch)
+        pairs = [("size", 0, "shape", 0), ("size", 2, "shape", 2), ("size", 3, "shape", 1)]
+        run_cg_suite(rep, pairs, (LINEAR,), FAST, control=False)
+        run_cg_suite(rep, pairs, (LINEAR,), FAST)
+        assert calls == [(LINEAR, [1, 1, 1]), (LINEAR, [1, 1, 1, 2, 2])]
+
+    def test_cg_job_calls_train_probe_once_per_kind(self, monkeypatch, tmp_path):
+        """A three-pair `cg --probe both` job: one train_probe call per kind."""
+        calls = []
+        train_probe = cgtask.train_probe
+        monkeypatch.setattr(cgtask, "train_probe",
+                            lambda *args, **kwargs: calls.append(args[2]) or train_probe(*args, **kwargs))
+        data = tmp_path / "data"
+        data.mkdir()
+        write_representation_set(grid_rep(copies=5), data / "data.csv", data / "schema.json")
+        argv = ["cg", "--data", str(data), "--pairs", "size:0,shape:0;size:3,shape:1;size:1,shape:2",
+                "--probe", "both", "--epochs", "1", "--out", str(tmp_path / "out.json")]
+        assert cli.cli(argv) == 0
+        assert calls == [LINEAR, MLP]
 
 
 class TestSamplePairs:

@@ -675,6 +675,91 @@ class TestSplitStack:
         assert results[1] == results[0] and results[2] == results[0]
         assert_no_child_left()
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(4, 60),
+        m=st.integers(2, 5),
+        sizes=st.lists(st.integers(2, 60), min_size=1, max_size=3),
+        probes=st.lists(st.tuples(st.integers(0, 2), st.integers(2, 4), st.booleans()),
+                        min_size=1, max_size=6),
+        knockout=st.booleans(),
+        batch=st.integers(1, 48),
+        kind=st.sampled_from([LINEAR, MLP]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Two row sets of unequal size shared by five probes, one of them a
+    # one-column probe; 40 and 23 rows in batches of 16 end with short batches.
+    @example(n=50, m=3, sizes=[40, 23], probes=[(0, 3, False), (1, 3, False), (0, 2, True),
+                                                (1, 3, False), (0, 3, False)],
+             knockout=True, batch=16, kind=MLP, seed=3)
+    def test_row_subsets_equal_their_solo_probes_for_any_worker_count(
+        self, n, m, sizes, probes, knockout, batch, kind, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, m)) * rng.uniform(0.1, 10.0, m) + rng.normal(size=m)
+        # Row sets: distinct rows in any order, then one repeated row.
+        sets = []
+        for size in sizes:
+            chosen = rng.permutation(n)[: min(size, n)]
+            sets.append(np.append(chosen, chosen[-1]))
+        rows = [sets[i % len(sets)] for i, _, _ in probes]
+        ks = [k for _, k, _ in probes]
+        Y = np.stack([rng.integers(0, k, size=n) for k in ks], axis=1)
+        for p, r in enumerate(rows):
+            Y[r[:2], p] = [0, 1]
+        columns = None
+        if knockout:
+            columns = [np.array([p % m]) if solo else np.delete(np.arange(m), p % m)
+                       for p, (_, _, solo) in enumerate(probes)]
+        config = TrainConfig(learning_rate=0.02, epochs=2, hidden_units=8, batch_size=batch)
+        seeds = rng.integers(0, 2**32, size=len(ks)).tolist()
+        expected = []
+        for p, r in enumerate(rows):
+            cols = np.arange(m) if columns is None else columns[p]
+            alone = np.ascontiguousarray(X[r][:, cols])
+            expected += model_bytes([train_probe(alone, Y[r, p], kind, config.with_seed(seeds[p]),
+                                                 ks[p])])
+        for workers in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                force_workers(monkeypatch, workers)
+                models = train_probe(X, Y, kind, config, ks, seeds, columns=columns, rows=rows)
+            assert model_bytes(models) == expected, workers
+        assert_no_child_left()
+
+    def test_class_counts_come_from_each_probes_rows(self):
+        X, y = xor_features_labels(copies=8)
+        Y = np.stack([y * 2, y], axis=1)  # column 0 holds classes 0 and 2
+        low = np.flatnonzero(y == 0)
+        rows = [np.r_[low, np.flatnonzero(y == 1)[:2]], np.arange(len(y))]
+        Y[rows[0][-2:], 0] = 1
+        models = train_probe(X, Y, LINEAR, TrainConfig(epochs=1), seeds=[1, 2], rows=rows)
+        assert [model.n_classes for model in models] == [2, 2]
+        np.testing.assert_array_equal(models[0].mu, X[rows[0]].mean(axis=0))
+
+    @pytest.mark.parametrize("rows,kwargs,match", [
+        ([[0, 16]], {}, "rows must give"),
+        ([[0, 16], [0, 16], [0, 16]], {}, "rows must give"),
+        ([[0, 16], []], {}, "rows must give"),
+        ([[0, 16], [0, 32]], {}, "rows must give"),
+        ([[0, 16], [-1, 0]], {}, "rows must give"),
+        ([[0, 16], [0.0, 16.0]], {}, "rows must give"),
+        ([[0, 16], [True, False]], {}, "rows must give"),
+        ([[0, 16], [[0, 16]]], {}, "rows must give"),
+        ([[0, 16]], {"vector": True}, "rows must give"),
+        ([[0, 16], [0, 1]], {}, "two classes"),
+        ([[0, 16], [0, 16]], {"n_classes": [2, 1]}, "n_classes=1 too small for max label 1"),
+    ], ids=["too_few", "too_many", "empty", "past_the_end", "negative", "float", "bool",
+            "nested", "one_d_labels", "one_class_in_rows", "class_count_from_rows"])
+    def test_bad_rows_rejected(self, rows, kwargs, match):
+        X, y = xor_features_labels(copies=8)  # 32 rows: 16 of class 0, then 16 of 1
+        assert list(y[[0, 1, 16]]) == [0, 0, 1]
+        if kwargs.pop("vector", False):
+            labels, kwargs = y, kwargs
+        else:
+            labels, kwargs = np.stack([y, y], axis=1), {"seeds": [1, 2], **kwargs}
+        with pytest.raises(ValidationError, match=match):
+            train_probe(X, labels, LINEAR, TrainConfig(epochs=1), rows=rows, **kwargs)
+
     @pytest.mark.parametrize("env", [
         {},
         {"OPENBLAS_NUM_THREADS": "1"},
@@ -765,6 +850,38 @@ class TestSplitStack:
         expected = divergence_message(X, Y, config, columns)
         force_workers(monkeypatch, workers)
         assert divergence_message(X, Y, config, columns) == expected
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("data_seed,learning_rate,columns,workers", [
+        (0, 1e37, [5, 0], 2),  # the first stack diverges in epoch 2, the second in epoch 1
+        (2, 1e37, [1, 2], 2),  # likewise
+        (0, 1e37, [5, 0, 7, 1], 3),  # likewise, and the second stack spans two workers
+        (2, 1e37, [1, 2, 3, 6], 2),  # both stacks diverge in epoch 1
+        (0, 7e37, [0, 1, 2, 3, 4, 5], 4),
+    ])
+    def test_split_divergence_of_several_stacks_reads_as_one_worker(
+        self, monkeypatch, data_seed, learning_rate, columns, workers
+    ):
+        # Alternate probes train on two row sets, so each row set is a stack.
+        X, Y, config = diverging_stack(data_seed, learning_rate)
+        sets = [np.arange(32), np.arange(31, -1, -1)[:29]]
+        rows = [sets[i % 2] for i in range(len(columns))]
+
+        def message():
+            try:
+                train_probe(X, Y[:, columns], LINEAR, config, [3] * len(columns), seeds=columns,
+                            rows=rows)
+            except TrainingDivergedError as exc:
+                return str(exc)
+            return None
+
+        force_workers(monkeypatch, 1)
+        expected = message()
+        for r in sets:  # each stack diverges on its own
+            stack = [p for p in range(len(columns)) if rows[p] is r]
+            assert divergence_message(X[r], Y[r], config, [columns[p] for p in stack])
+        force_workers(monkeypatch, workers)
+        assert message() == expected
         assert_no_child_left()
 
     @pytest.mark.parametrize("error", [MemoryError, KeyboardInterrupt])
