@@ -747,9 +747,8 @@ class TestSplitStack:
         ([[0, 16], [[0, 16]]], {}, "rows must give"),
         ([[0, 16]], {"vector": True}, "rows must give"),
         ([[0, 16], [0, 1]], {}, "two classes"),
-        ([[0, 16], [0, 16]], {"n_classes": [2, 1]}, "n_classes=1 too small for max label 1"),
     ], ids=["too_few", "too_many", "empty", "past_the_end", "negative", "float", "bool",
-            "nested", "one_d_labels", "one_class_in_rows", "class_count_from_rows"])
+            "nested", "one_d_labels", "one_class_in_rows"])
     def test_bad_rows_rejected(self, rows, kwargs, match):
         X, y = xor_features_labels(copies=8)  # 32 rows: 16 of class 0, then 16 of 1
         assert list(y[[0, 1, 16]]) == [0, 0, 1]
