@@ -29,6 +29,7 @@ from .util import require_int, require_seed
 LINEAR = "linear"
 MLP = "mlp"
 PROBE_KINDS = (LINEAR, MLP)
+_BLOCK_ROWS = 2048  # rows standardized at a time
 
 try:  # the thread controls of numpy's OpenBLAS, through a numpy extension linked to it
     _blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
@@ -96,7 +97,11 @@ class ProbeModel:
             raise ValidationError(
                 f"expected features with {self.mu.shape[0]} columns, got shape {features.shape}"
             )
-        return ((features - self.mu) / self.sigma).astype(np.float32)
+        with np.errstate(over="ignore"):
+            Xs = _scaled(features, np.arange(features.shape[0]), self.mu, self.sigma)
+        if not np.all(np.isfinite(Xs)):  # a NaN logit would argmax to class 0
+            raise ValidationError("features must be finite once standardized to float32")
+        return Xs
 
     def logits(self, features: np.ndarray) -> np.ndarray:
         with _one_blas_thread():
@@ -119,10 +124,10 @@ def train_probe(
     them in column order, each bit-identical to its column fitted alone with
     config.with_seed(seeds[p]). With columns, probe p sees only the feature
     columns columns[p] and is bit-identical to the probe fitted alone on
-    np.ascontiguousarray(features[:, columns[p]]). With rows, probe p trains
-    on features[rows[p]] and labels[rows[p], p], is standardized and checked
-    on those rows alone, and is bit-identical to the probe fitted alone on
-    np.ascontiguousarray(features[rows[p]]) (and then columns[p], if given).
+    features[:, columns[p]]. With rows, probe p trains on features[rows[p]]
+    and labels[rows[p], p], is standardized and checked on those rows alone
+    (with no float64 copy of them), and is bit-identical to the probe fitted
+    alone on features[rows[p]] (and then columns[p], if given).
 
     Args:
         features: N x d float matrix (finite).
@@ -162,15 +167,13 @@ def train_probe(
         seeds = [require_seed(s, f"seeds[{p}]") for p, s in enumerate(seeds)]
     columns = _index_lists(columns, X.shape[1], "columns", "feature", seeds)
     rows = _index_lists(rows, X.shape[0], "rows", "row", seeds)
-    if columns is not None or rows is not None:
-        X = np.ascontiguousarray(X)
     as_int = Y.astype(np.int64, copy=False)
     if not np.array_equal(as_int, Y):
         raise ValidationError("labels must be integers")
     Y = as_int.reshape(X.shape[0], -1)
     if Y.min() < 0:
         raise ValidationError("labels must be non-negative")
-    picks = [slice(None)] * Y.shape[1] if rows is None else rows
+    picks = [np.arange(X.shape[0])] * Y.shape[1] if rows is None else rows
     tops = [int(Y[pick, p].max()) + 1 for p, pick in enumerate(picks)]
     ks = tops if n_classes is None else [
         require_int(k, "n_classes") for k in np.ravel(np.asarray(n_classes, dtype=object))]
@@ -187,17 +190,17 @@ def train_probe(
     configs = [config] if seeds is None else [config.with_seed(s) for s in seeds]
     models: list[ProbeModel] = [None] * len(configs)
     # One stack per row set, class count and input width; a row set is known
-    # by the first probe that trains on it. A C-ordered matrix's column
-    # statistics are summed row by row, so wider selections share its
-    # standardization; a lone column is summed pairwise and trains alone.
+    # by the first probe that trains on it. Statistics of two or more columns
+    # are summed row by row (_standardized), so wider selections share the
+    # stack's standardization; a lone column is summed pairwise and trains alone.
     groups: dict[tuple[int, int, int | None], list[int]] = {}
     for p, k in enumerate(ks):
         width = None if columns is None else columns[p].size
         if width == 1:
-            models[p] = train_probe(X[picks[p]][:, columns[p]], Y[picks[p], p], kind, configs[p], k)
+            models[p] = train_probe(X[np.ix_(picks[p], columns[p])], Y[picks[p], p], kind,
+                                    configs[p], k)
         else:
-            first = 0 if rows is None else next(
-                (q for q, _, _ in groups if np.array_equal(rows[q], rows[p])), p)
+            first = next((q for q, _, _ in groups if np.array_equal(picks[q], picks[p])), p)
             groups.setdefault((first, k, width), []).append(p)
     stacks = [(picks[first], group, k, [configs[p] for p in group],
                None if width is None else np.array([columns[p] for p in group]))
@@ -224,14 +227,31 @@ def _index_lists(lists, bound: int, name: str, noun: str, seeds) -> list[np.ndar
     return [a.astype(np.int64, copy=False) for a in arrays]
 
 
-def _standardized(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standardized(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column means, standard deviations (1 where about 0) and the float32
-    standardized copy of a feature matrix."""
-    mu, sigma = X.mean(axis=0), X.std(axis=0)
+    standardized copy of X[rows], byte-equal to numpy's on the copy X[rows]
+    but read a block of rows at a time. numpy sums two or more columns row by
+    row from zero, so each block's sum starts from the running one."""
+    if X.shape[1] == 1:  # numpy sums a lone column pairwise
+        mu, sigma = X[rows].mean(axis=0), X[rows].std(axis=0)
+    else:
+        def mean_of(f):
+            total = np.zeros(X.shape[1])
+            for start in range(0, rows.size, _BLOCK_ROWS):
+                total = np.add.reduce(np.vstack([total, f(X[rows[start : start + _BLOCK_ROWS]])]))
+            return total / rows.size
+        mu = mean_of(lambda x: x)
+        sigma = np.sqrt(mean_of(lambda x: np.square(x - mu)))  # as np.std takes it
     sigma = np.where(sigma < 1e-12, 1.0, sigma)
-    Xs = X - mu
-    Xs /= sigma
-    return mu, sigma, Xs.astype(np.float32)
+    return mu, sigma, _scaled(X, rows, mu, sigma)
+
+
+def _scaled(X: np.ndarray, rows: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """float32 (X[rows] - mu) / sigma, a block of rows at a time, for training and prediction."""
+    Xs = np.empty((rows.size, X.shape[1]), np.float32)
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        Xs[start : start + _BLOCK_ROWS] = (X[rows[start : start + _BLOCK_ROWS]] - mu) / sigma
+    return Xs
 
 
 def _worker_count(n_probes: int) -> int:
@@ -252,9 +272,10 @@ def _train_split(X: np.ndarray, Y: np.ndarray, kind: str, stacks: list[tuple]) -
     def train(pieces):  # (stack index, stack, probe slice) each; ends at a divergence
         fitted = []
         for s, (pick, group, k, configs, cols), part in pieces:
-            mu, sigma, Xs = _standardized(X[pick])  # the rows' copy lives only in there
-            outcome = _train_stack(Xs, Y[:, group[part]][pick], kind, k, configs[part],
+            mu, sigma, Xs = _standardized(X, pick)
+            outcome = _train_stack(Xs, Y[np.ix_(pick, group[part])], kind, k, configs[part],
                                    cols if cols is None else cols[part])
+            del Xs  # freed before the next stack's copy is made
             if isinstance(outcome, tuple):
                 return (s, *outcome)
             fitted += [(mu, sigma, weights) for weights in outcome]

@@ -129,8 +129,8 @@ def _held_out_accuracies(rep: RepresentationSet, rows: tuple, kind: str, config:
     all) and has the seed spawn_seed(seed, j, branch)."""
     train_idx, test_idx = rows
     seeds = [spawn_seed(config.seed, j, branch) for j in range(rep.n_factors)]
-    probes = train_probe(rep.latents[train_idx], rep.labels[train_idx], kind, config,
-                         rep.schema.cardinalities, seeds, columns=neurons)
+    probes = train_probe(rep.latents, rep.labels, kind, config, rep.schema.cardinalities, seeds,
+                         columns=neurons, rows=[train_idx] * rep.n_factors)
     x_test = rep.latents[test_idx]
     return [accuracy(probe, x_test if neurons is None else rep.latents[np.ix_(test_idx, neurons[j])],
                      rep.labels[test_idx, j]) for j, probe in enumerate(probes)]

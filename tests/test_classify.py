@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from pathlib import Path
@@ -23,6 +24,7 @@ from detangle.classify import (
     ProbeModel,
     TrainConfig,
     _init_weights,
+    _standardized,
     accuracy,
     adjusted_accuracy,
     chance_rate,
@@ -425,6 +427,16 @@ class TestReferenceEngine:
             hidden_units=hidden, batch_size=batch, seed=seed,
         )
         assert_matches_reference(X, y, kind, config, k)
+
+    @pytest.mark.parametrize("kind", [LINEAR, MLP])
+    def test_weights_bit_identical_past_one_block(self, kind):
+        # The hypothesis draws stay below one block of standardized rows.
+        n = 2 * classify_module._BLOCK_ROWS + 301
+        rng = np.random.default_rng(29)
+        X = rng.normal(loc=50.0, scale=3.0, size=(n, 3))
+        y = rng.integers(0, 3, size=n)
+        config = TrainConfig(learning_rate=0.01, epochs=1, hidden_units=8, batch_size=512, seed=2)
+        assert_matches_reference(X, y, kind, config, 3)
 
     def test_dead_unit_with_negative_gradient(self):
         # Batch size 1 on one feature: a unit whose weight has the opposite
@@ -952,6 +964,64 @@ print("after", len(forks))
         assert proc.stdout == "before\nafter 2\n"
 
 
+class TestBlockStandardization:
+    """Training rows are standardized a block at a time from the caller's
+    matrix; every byte must equal numpy's result on the whole row copy."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 6),
+        n=st.one_of(st.integers(1, 40), st.integers(-8, 8).map(
+            lambda delta: classify_module._BLOCK_ROWS + delta), st.integers(4090, 6200)),
+        constant=st.lists(st.booleans(), min_size=6, max_size=6),
+        log_scales=st.lists(st.integers(-6, 6), min_size=6, max_size=6),
+        log_offsets=st.lists(st.integers(-3, 12), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=1, n=5000, constant=[False] * 6, log_scales=[0] * 6, log_offsets=[3] * 6, seed=0)
+    def test_moments_and_copy_equal_numpy_on_the_rows(self, d, n, constant, log_scales,
+                                                      log_offsets, seed):
+        rng = np.random.default_rng(seed)
+        N = max(2, n // 2)
+        X = rng.normal(size=(N, d)) * 10.0 ** np.array(log_scales[:d])
+        X += 10.0 ** np.array(log_offsets[:d]) * rng.choice([-1.0, 1.0], d)
+        X[:, np.array(constant[:d])] = -0.0 if seed % 2 else 7.25
+        rows = rng.integers(0, N, size=n)  # unsorted, with repeats
+        copy = X[rows]
+        mu, sigma = copy.mean(axis=0), copy.std(axis=0)
+        sigma = np.where(sigma < 1e-12, 1.0, sigma)
+        expected = (mu, sigma, ((copy - mu) / sigma).astype(np.float32))
+        got = _standardized(X, rows)
+        assert [a.dtype for a in got] == [np.float64, np.float64, np.float32]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+
+    def test_memory_layout_does_not_change_a_probe(self):
+        # numpy sums a column of an F-ordered matrix pairwise; the rows are
+        # read a block at a time, so both layouts give one standardization.
+        rng = np.random.default_rng(3)
+        X = rng.normal(loc=1e4, scale=100.0, size=(3000, 4))
+        y = (X[:, 0] > 1e4).astype(np.int64)
+        config = TrainConfig(epochs=1, batch_size=256)
+        assert model_bytes([train_probe(np.asfortranarray(X), y, LINEAR, config)]) == \
+            model_bytes([train_probe(X, y, LINEAR, config)])
+
+    def test_training_from_rows_makes_no_float64_copy_of_them(self, monkeypatch):
+        force_workers(monkeypatch, 1)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(50_000, 32))
+        # Two class counts make two stacks, standardized one after the other.
+        Y = np.stack([rng.integers(0, 3, 50_000), rng.integers(0, 4, 50_000)], axis=1)
+        rows = rng.permutation(50_000)[:40_000]
+        config = TrainConfig(epochs=1, batch_size=4096)
+        tracemalloc.start()
+        try:
+            train_probe(X, Y, LINEAR, config, seeds=[1, 2], rows=[rows, rows])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.size * X[0].nbytes, peak  # one float64 copy of the rows
+
+
 class TestProbeModel:
     def test_predict_tie_takes_lowest_class(self):
         # Zero weights give identical logits for every class.
@@ -970,6 +1040,18 @@ class TestProbeModel:
         model = train_probe(*xor_features_labels(copies=2), LINEAR, TrainConfig(epochs=1))
         with pytest.raises(ValidationError, match=r"with 2 columns, got shape \(4, 3\)"):
             model.predict(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e308])
+    def test_predict_rejects_rows_not_finite_once_standardized(self, value):
+        X, y = xor_features_labels(copies=4)
+        model = train_probe(X, y, LINEAR, TrainConfig(epochs=1))
+        features = np.zeros((3, 2))
+        features[1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite once standardized to float32"):
+                model.predict(features)
+        assert model.predict(np.zeros((3, 2))).shape == (3,)
 
     def test_standardization_uses_training_moments(self):
         rng = np.random.default_rng(13)

@@ -488,6 +488,25 @@ class TestCg:
         assert pre["audit"]["leaked_rows"] is None
         assert pre["audit"]["clean"] is True
 
+    def test_presplit_test_rows_past_float32_exit_1(self, workspace, tmp_path, capsys):
+        # Standardized by the train moments, these rows overflow float32; their
+        # logits would be NaN and every prediction class 0.
+        from detangle.dataset import load_representation_set
+
+        rep = load_representation_set(workspace / "ideal" / "data.csv",
+                                      workspace / "ideal" / "schema.json")
+        test = tmp_path / "test"
+        test.mkdir()
+        huge = RepresentationSet(np.full_like(rep.latents, 1e308), rep.labels, rep.schema)
+        write_representation_set(huge, test / "data.csv", test / "schema.json")
+        out = tmp_path / "cg.json"
+        assert cli(["cg", "--train-data", str(workspace / "ideal"), "--test-data", str(test),
+                    "--pairs", "size:2,shape:1", "--probe", "linear", "--epochs", "1",
+                    "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "error: features must be finite once standardized to float32\n"
+
     @pytest.mark.parametrize("argv, fragment", [
         (["--train-data", "x", "--pairs", "a:0,b:0"],
          "both --train-data and --test-data"),

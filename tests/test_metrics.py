@@ -455,12 +455,13 @@ class TestMetricReport:
 
     def test_report_trains_three_probe_stacks(self, monkeypatch):
         # The NK all-neuron MLPs, the NK knockouts and the linear heads: one
-        # train_probe call each, however many factors there are.
+        # train_probe call each, however many factors there are, each given
+        # the shared latents and the train rows rather than a copy of them.
         calls = []
         original = metrics_module.train_probe
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            calls.append((args[0], args[1], args[2], kwargs["rows"]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(metrics_module, "train_probe", counting)
@@ -468,7 +469,11 @@ class TestMetricReport:
         rep = generate(GeneratorSpec(kind="ideal", schema=schema, samples_per_cell=2,
                                      noise_sigma=0.1, seed=1))
         compute_metric_report(rep, config=TrainConfig(seed=7, epochs=1))
-        assert calls == ["mlp", "mlp", "linear"]
+        assert [kind for _, _, kind, _ in calls] == ["mlp", "mlp", "linear"]
+        train_rows = metrics_module._report_split(rep, 7)[1][0]
+        for features, labels, _, rows in calls:
+            assert features is rep.latents and labels is rep.labels
+            assert len(rows) == 4 and all(np.array_equal(r, train_rows) for r in rows)
 
     def test_numpy_integer_bins_recorded_as_int(self, variant_b_rep):
         report = compute_metric_report(variant_b_rep, n_bins=np.int64(8),
