@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import PER_FACTOR_METRICS, aggregate
+from .metrics import AGGREGATE_MODES, PER_FACTOR_METRICS, aggregate
 from .util import payload_kind, require_distinct
 
 _BETA_EPS = 3e-14
@@ -223,6 +223,9 @@ def correlate_metrics_with_cg(
     if not subset:
         raise ValidationError("correlate needs a nonempty factor subset")
     require_distinct(subset, "factor in subset")
+    if aggregate_mode not in AGGREGATE_MODES:  # aggregate's own message
+        raise ValidationError(f"unknown aggregate mode {aggregate_mode!r}, "
+                              f"expected one of {AGGREGATE_MODES}")
     if baseline_aggregate not in BASELINE_AGGREGATES:
         raise ValidationError(
             f"baseline_aggregate must be one of {BASELINE_AGGREGATES}, "

@@ -15,8 +15,9 @@ resolve_pair checks it and returns its payload block {"factor_a", "value_a",
 The control depends only on the held-out size and the seed, not on the
 pair, so the pairs of one run_cg_suite call that hold out the same number of
 rows share one control per probe kind. A suite trains all probes of one kind,
-every pair's and each distinct control's, in one train_probe call, and every
-number equals what separate run_cg calls report.
+every pair's and each distinct control's, in one train_probe call, and hands
+each run the predictions of its own splits, so every number equals what
+separate run_cg calls report.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .classify import (
 )
 from .dataset import FactorSchema, RepresentationSet, split_indices
 from .errors import SplitError, ValidationError
-from .util import payload_kind, require_int, require_seed, spawn_seed
+from .util import payload_kind, require_distinct, require_int, require_seed, spawn_seed
 
 
 def resolve_pair(rep: RepresentationSet, pair: tuple) -> dict:
@@ -188,23 +189,9 @@ def _splits(rep: RepresentationSet, pair: dict, seed: int, control: bool) -> lis
     return splits
 
 
-def _train_missing(
-    rep: RepresentationSet, splits: Sequence[tuple], probe_kind: str, config: TrainConfig,
-    cache: dict,
-) -> None:
-    """Train, in one measure_probes call, the splits whose predictions cache
-    lacks. It maps (probe kind, seed salt, held-out rows), which fix the train
-    rows, to them."""
-    missing = {(probe_kind, salt, test.tobytes()): (train, rep.latents[test], salt)
-               for train, test, salt in splits}
-    missing = {key: split for key, split in missing.items() if key not in cache}
-    if missing:
-        cache.update(zip(missing, measure_probes(rep, list(missing.values()), probe_kind, config)))
-
-
 def run_cg(
     rep: RepresentationSet, pair: tuple, probe_kind: str = MLP, config: TrainConfig | None = None,
-    control: bool = True, _controls: dict | None = None,
+    control: bool = True, _predictions: Sequence[list] | None = None,
 ) -> dict:
     """One exclusion run: hold out the pair's rows, probe, and audit the
     split. Returns the run payload that `detangle cg --out` writes.
@@ -212,22 +199,22 @@ def run_cg(
     The audit records that train and test row ids are disjoint, that no
     training row matches the excluded combination, and that every test row
     does. With control=True a matched-size random split of the same data is
-    probed identically. _controls, when given, caches trained predictions
-    for one rep and seed (see _train_missing): the run trains what it lacks,
-    in one call, and scores the rest from it.
+    probed identically. _predictions, when given, holds the per-factor
+    predictions of the run's splits in _splits order, trained by the caller;
+    without it the run trains them in one call.
     """
     config = config or TrainConfig()
     pair = resolve_pair(rep, pair)
-    cache = {} if _controls is None else _controls
     splits = _splits(rep, pair, config.seed, control)
-    _train_missing(rep, splits, probe_kind, config, cache)
+    if _predictions is None:
+        _predictions = measure_probes(rep, [(train, rep.latents[test], salt)
+                                            for train, test, salt in splits], probe_kind, config)
     [(train, test, _), *controls] = splits
     result = _held_out_run(
-        pair, rep.schema, cache[(probe_kind, 1, test.tobytes())], rep.labels[train],
-        rep.labels[test], probe_kind, config.seed, int(np.intersect1d(train, test).size),
+        pair, rep.schema, _predictions[0], rep.labels[train], rep.labels[test], probe_kind,
+        config.seed, int(np.intersect1d(train, test).size),
     )
-    for ctr_train, ctr_test, salt in controls:
-        preds = cache[(probe_kind, salt, ctr_test.tobytes())]
+    for (_, ctr_test, _), preds in zip(controls, _predictions[1:]):
         per_factor, joint_both = _score(pair, rep.schema, preds, rep.labels[ctr_test], rep.labels)
         result["control"] = {"split": _control_split(rep.n_rows, test.size, config.seed),
                              "per_factor": per_factor, "joint_both": joint_both}
@@ -241,6 +228,7 @@ def _check_kinds(probe_kinds: Sequence[str]) -> None:
     for kind in probe_kinds:
         if kind not in PROBE_KINDS:
             raise ValidationError(f"unknown probe kind {kind!r}")
+    require_distinct(probe_kinds, "probe kind")
 
 
 def run_cg_presplit(
@@ -282,22 +270,27 @@ def run_cg_suite(
         raise ValidationError("run_cg_suite needs at least one excluded pair")
     _check_kinds(probe_kinds)
     config = config or TrainConfig()
-    held_out, splits = set(), []
+    held_out, splits, controls = set(), [], {}
     for pair in pairs:
         named = resolve_pair(rep, pair)
         try:
-            pair_splits = _splits(rep, named, config.seed, control)
+            (train, test, salt), *ctr = _splits(rep, named, config.seed, control)
         except SplitError as exc:
             raise SplitError(f"degenerate exclusion split for pair {named}: {exc}") from exc
-        if pair_splits[0][1].tobytes() in held_out:
+        if test.tobytes() in held_out:
             raise SplitError(f"pair {named} holds out the same rows as an earlier pair")
-        held_out.add(pair_splits[0][1].tobytes())
-        splits += pair_splits
-    cache: dict = {}
-    for kind in probe_kinds:  # every exclusion split, then the controls
-        _train_missing(rep, sorted(splits, key=lambda split: split[2]), kind, config, cache)
-    runs = [run_cg(rep, pair, kind, config, control=control, _controls=cache)
-            for pair in pairs for kind in probe_kinds]
+        held_out.add(test.tobytes())
+        splits.append((train, test, salt))
+        for split in ctr:  # _control_split reads only the held-out size and the seed
+            controls.setdefault(test.size, split)
+    preds = {kind: measure_probes(rep, [(train, rep.latents[test], salt) for train, test, salt
+                                        in [*splits, *controls.values()]], kind, config)
+             for kind in probe_kinds}  # every exclusion split, then each control
+    sizes = list(controls)  # the controls follow every exclusion split
+    own = [[p, len(pairs) + sizes.index(test.size)] if control else [p]
+           for p, (_, test, _) in enumerate(splits)]
+    runs = [run_cg(rep, pair, kind, config, control, [preds[kind][s] for s in slots])
+            for pair, slots in zip(pairs, own) for kind in probe_kinds]
     return _job_payload(runs, probe_kinds)
 
 

@@ -190,23 +190,17 @@ def train_probe(
     configs = [config] if seeds is None else [config.with_seed(s) for s in seeds]
     models: list[ProbeModel] = [None] * len(configs)
     # One stack per row set, class count and input width; a row set is known
-    # by the first probe that trains on it. Statistics of two or more columns
-    # are summed row by row (_standardized), so wider selections share the
-    # stack's standardization; a lone column is summed pairwise and trains alone.
+    # by the first probe that trains on it. Its probes share its statistics,
+    # summed as numpy sums one probe's columns alone (_standardized).
     groups: dict[tuple[int, int, int | None], list[int]] = {}
     for p, k in enumerate(ks):
-        width = None if columns is None else columns[p].size
-        if width == 1:
-            models[p] = train_probe(X[np.ix_(picks[p], columns[p])], Y[picks[p], p], kind,
-                                    configs[p], k)
-        else:
-            first = next((q for q, _, _ in groups if np.array_equal(picks[q], picks[p])), p)
-            groups.setdefault((first, k, width), []).append(p)
+        first = next((q for q, _, _ in groups if np.array_equal(picks[q], picks[p])), p)
+        groups.setdefault((first, k, None if columns is None else columns[p].size), []).append(p)
     stacks = [(picks[first], group, k, [configs[p] for p in group],
                None if width is None else np.array([columns[p] for p in group]))
               for (first, k, width), group in groups.items()]
     with _one_blas_thread():
-        fitted = _train_split(X, Y, kind, stacks) if stacks else []
+        fitted = _train_split(X, Y, kind, stacks)
     for p, (mu, sigma, weights) in zip([p for group in groups.values() for p in group], fitted):
         stats = (mu, sigma) if columns is None else (mu[columns[p]], sigma[columns[p]])
         for array in (*stats, *weights.values()):
@@ -227,13 +221,16 @@ def _index_lists(lists, bound: int, name: str, noun: str, seeds) -> list[np.ndar
     return [a.astype(np.int64, copy=False) for a in arrays]
 
 
-def _standardized(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _standardized(
+    X: np.ndarray, rows: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column means, standard deviations (1 where about 0) and the float32
-    standardized copy of X[rows], byte-equal to numpy's on the copy X[rows]
-    but read a block of rows at a time. numpy sums two or more columns row by
-    row from zero, so each block's sum starts from the running one."""
-    if X.shape[1] == 1:  # numpy sums a lone column pairwise
-        mu, sigma = X[rows].mean(axis=0), X[rows].std(axis=0)
+    standardized copy of X[rows], byte-equal to numpy's on the copy of a
+    width-column probe's rows, but read a block of rows at a time. numpy sums
+    two or more columns row by row from zero, so each block starts from the running sum."""
+    if width == 1:  # numpy sums a lone column pairwise, as it sums its 1-D gather
+        mu = np.array([X[rows, c].mean() for c in range(X.shape[1])])
+        sigma = np.array([X[rows, c].std() for c in range(X.shape[1])])
     else:
         def mean_of(f):
             total = np.zeros(X.shape[1])
@@ -272,8 +269,8 @@ def _train_split(X: np.ndarray, Y: np.ndarray, kind: str, stacks: list[tuple]) -
     def train(pieces):  # (stack index, stack, probe slice) each; ends at a divergence
         fitted = []
         for s, (pick, group, k, configs, cols), part in pieces:
-            mu, sigma, Xs = _standardized(X, pick)
-            outcome = _train_stack(Xs, Y[np.ix_(pick, group[part])], kind, k, configs[part],
+            mu, sigma, Xs = _standardized(X, pick, X.shape[1] if cols is None else cols.shape[1])
+            outcome = _train_stack(Xs, Y.T[np.ix_(group[part], pick)], kind, k, configs[part],
                                    cols if cols is None else cols[part])
             del Xs  # freed before the next stack's copy is made
             if isinstance(outcome, tuple):
@@ -331,8 +328,8 @@ def _train_stack(
     Xs: np.ndarray, Y: np.ndarray, kind: str, k: int, configs: list[TrainConfig],
     cols: np.ndarray | None = None,
 ) -> list[dict[str, np.ndarray]] | tuple[int, TrainingDivergedError]:
-    """Adam on one probe per column of Y at once; configs differ only in seed.
-    Probe p reads the columns cols[p] of Xs, or every column when cols is None.
+    """Adam on one probe per row of the P x n labels Y at once; configs differ
+    only in seed. Probe p reads the columns cols[p] of Xs, or all when cols is None.
     A non-finite loss ends training with (its step, the error to raise)."""
     config, P, n = configs[0], len(configs), Xs.shape[0]
     d = Xs.shape[1] if cols is None else cols.shape[1]
@@ -356,7 +353,7 @@ def _train_stack(
     scratch = (np.empty(shape, np.float32), np.empty(shape, bool)) if kind == MLP else None
     # Probe p's labels start at p * n in the flat labels; picks[b] holds flat
     # indices of probe p's columns in a P x b x width batch of rows.
-    labels, label_starts = np.ascontiguousarray(Y.T), np.arange(P)[:, None] * n
+    label_starts = np.arange(P)[:, None] * n
     picks = cols is not None and {b: np.arange(P * b).reshape(P, b, 1) * Xs.shape[1]
                                   + cols[:, None, :] for b in {batch, n % batch or batch}}
     orders = np.empty((P, n), np.int64)
@@ -370,7 +367,7 @@ def _train_stack(
                 x = np.take(Xs, rows, axis=0)
                 if picks:
                     x = x.reshape(-1).take(picks[rows.shape[1]])
-                y = labels.take(rows + label_starts)
+                y = Y.take(rows + label_starts)
                 views = scratch and tuple(a[:, : rows.shape[1]] for a in scratch)
                 loss, _ = probe_loss_and_gradients(weights, kind, x, y, grads, views)
                 if not np.all(np.isfinite(loss)):

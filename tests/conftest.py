@@ -8,6 +8,7 @@ computation.
 import math
 
 import pytest
+from hypothesis import settings
 
 from detangle.analysis import correlate_metrics_with_cg
 from detangle.cgtask import run_cg
@@ -23,6 +24,11 @@ from detangle.synth import (
     TABLE1_B,
     generate,
 )
+
+# A failing hypothesis test prints the @reproduce_failure line that replays
+# it, so a failure seen once, in CI or locally, can be run again.
+settings.register_profile("print_blob", print_blob=True)
+settings.load_profile("print_blob")
 
 CELL_COPIES_A = 400
 CELL_COPIES_B = 40

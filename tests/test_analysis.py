@@ -365,6 +365,13 @@ class TestCorrelateMetrics:
                 metric_payloads, cg_payloads, subset=("a",), baseline_aggregate="median_all"
             )
 
+    @pytest.mark.parametrize("metrics", [("mig",), ("sap", "mig"), ("snc",)])
+    def test_invalid_aggregate_mode_rejected_for_any_metrics(self, metrics):
+        metric_payloads, cg_payloads = synthetic_study(n_models=3)
+        with pytest.raises(ValidationError, match="unknown aggregate mode 'bogus'"):
+            correlate_metrics_with_cg(metric_payloads, cg_payloads, subset=("a",),
+                                      metrics=metrics, aggregate_mode="bogus")
+
     def test_bad_target_payload_rejected(self):
         metric_payloads, _ = synthetic_study(n_models=3)
         with pytest.raises(ValidationError, match="generalization payload"):

@@ -338,6 +338,17 @@ class TestSuite:
             run_cg_presplit(rep, rep, ("size", 0, "shape", 0), kinds, FAST)
         assert calls == []
 
+    def test_repeated_kind_rejected_before_any_probe_trains(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cgtask, "train_probe", lambda *args, **kwargs: calls.append(args))
+        rep = grid_rep(copies=5)
+        for kinds in ((LINEAR, LINEAR), [MLP, LINEAR, MLP]):
+            with pytest.raises(ValidationError, match="repeated probe kind"):
+                run_cg_suite(rep, [("size", 0, "shape", 0)], kinds, FAST)
+            with pytest.raises(ValidationError, match="repeated probe kind"):
+                run_cg_presplit(rep, rep, ("size", 0, "shape", 0), kinds, FAST)
+        assert calls == []
+
     def test_degenerate_pair_named_in_error(self):
         schema = FactorSchema(("a", "b"), (2, 2))
         labels = np.array([[0, 0], [0, 1], [1, 0]] * 10)

@@ -738,6 +738,25 @@ class TestSplitStack:
             assert model_bytes(models) == expected, workers
         assert_no_child_left()
 
+    @pytest.mark.parametrize("kind", [LINEAR, MLP])
+    def test_one_column_probes_of_one_row_set_train_in_one_stack(self, monkeypatch, kind):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(60, 3)) * [0.5, 3.0, 40.0] + [1.0, -2.0, 1e3]
+        Y = np.stack([rng.integers(0, 3, 60) for _ in range(3)], axis=1)
+        rows = np.append(rng.permutation(60)[:45], 7)
+        columns, seeds = [[2], [0], [1]], [11, 12, 13]
+        config = TrainConfig(learning_rate=0.02, epochs=2, hidden_units=8, batch_size=16)
+        expected = model_bytes([train_probe(np.ascontiguousarray(X[rows][:, c]), Y[rows, p], kind,
+                                            config.with_seed(seeds[p]), 3)
+                                for p, c in enumerate(columns)])
+        sizes, train_stack = [], classify_module._train_stack
+        monkeypatch.setattr(classify_module, "_train_stack",
+                            lambda *args: sizes.append(len(args[4])) or train_stack(*args))
+        force_workers(monkeypatch, 1)
+        models = train_probe(X, Y, kind, config, [3] * 3, seeds, columns=columns, rows=[rows] * 3)
+        assert sizes == [3]
+        assert model_bytes(models) == expected
+
     def test_class_counts_come_from_each_probes_rows(self):
         X, y = xor_features_labels(copies=8)
         Y = np.stack([y * 2, y], axis=1)  # column 0 holds classes 0 and 2
@@ -973,27 +992,36 @@ class TestBlockStandardization:
         d=st.integers(1, 6),
         n=st.one_of(st.integers(1, 40), st.integers(-8, 8).map(
             lambda delta: classify_module._BLOCK_ROWS + delta), st.integers(4090, 6200)),
+        lone=st.booleans(),
         constant=st.lists(st.booleans(), min_size=6, max_size=6),
         log_scales=st.lists(st.integers(-6, 6), min_size=6, max_size=6),
         log_offsets=st.lists(st.integers(-3, 12), min_size=6, max_size=6),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(d=1, n=5000, constant=[False] * 6, log_scales=[0] * 6, log_offsets=[3] * 6, seed=0)
-    def test_moments_and_copy_equal_numpy_on_the_rows(self, d, n, constant, log_scales,
+    @example(d=1, n=5000, lone=False, constant=[False] * 6, log_scales=[0] * 6,
+             log_offsets=[3] * 6, seed=0)
+    @example(d=3, n=5000, lone=True, constant=[False] * 6, log_scales=[0] * 6,
+             log_offsets=[3] * 6, seed=0)
+    def test_moments_and_copy_equal_numpy_on_the_rows(self, d, n, lone, constant, log_scales,
                                                       log_offsets, seed):
+        # A stack of one-column probes (lone, or a one-column matrix) must
+        # equal numpy on each column's copy, a wider stack numpy on the rows.
         rng = np.random.default_rng(seed)
         N = max(2, n // 2)
         X = rng.normal(size=(N, d)) * 10.0 ** np.array(log_scales[:d])
         X += 10.0 ** np.array(log_offsets[:d]) * rng.choice([-1.0, 1.0], d)
         X[:, np.array(constant[:d])] = -0.0 if seed % 2 else 7.25
         rows = rng.integers(0, N, size=n)  # unsorted, with repeats
-        copy = X[rows]
-        mu, sigma = copy.mean(axis=0), copy.std(axis=0)
-        sigma = np.where(sigma < 1e-12, 1.0, sigma)
-        expected = (mu, sigma, ((copy - mu) / sigma).astype(np.float32))
-        got = _standardized(X, rows)
+        width = 1 if lone else d
+        got = _standardized(X, rows, width)
         assert [a.dtype for a in got] == [np.float64, np.float64, np.float32]
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        for cols in [[c] for c in range(d)] if width == 1 else [list(range(d))]:
+            copy = X[np.ix_(rows, cols)]
+            mu, sigma = copy.mean(axis=0), copy.std(axis=0)
+            sigma = np.where(sigma < 1e-12, 1.0, sigma)
+            expected = (mu, sigma, ((copy - mu) / sigma).astype(np.float32))
+            mine = (got[0][cols], got[1][cols], np.ascontiguousarray(got[2][:, cols]))
+            assert [a.tobytes() for a in mine] == [a.tobytes() for a in expected], cols
 
     def test_memory_layout_does_not_change_a_probe(self):
         # numpy sums a column of an F-ordered matrix pairwise; the rows are
