@@ -30,6 +30,7 @@ LINEAR = "linear"
 MLP = "mlp"
 PROBE_KINDS = (LINEAR, MLP)
 _BLOCK_ROWS = 2048  # rows standardized at a time
+_PREDICT_ROWS = 512  # rows scored at a time: an MLP's hidden layer stays 512 x hidden
 
 try:  # the thread controls of numpy's OpenBLAS, through a numpy extension linked to it
     _blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
@@ -91,25 +92,33 @@ class ProbeModel:
     weights: dict[str, np.ndarray]
     config: TrainConfig
 
-    def _standardize(self, features: np.ndarray) -> np.ndarray:
+    def _features(self, features: np.ndarray) -> np.ndarray:
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.mu.shape[0]:
             raise ValidationError(
                 f"expected features with {self.mu.shape[0]} columns, got shape {features.shape}"
             )
+        return features
+
+    def logits(self, features: np.ndarray) -> np.ndarray:
+        features = self._features(features)
         with np.errstate(over="ignore"):
             Xs = _scaled(features, np.arange(features.shape[0]), self.mu, self.sigma)
         if not np.all(np.isfinite(Xs)):  # a NaN logit would argmax to class 0
             raise ValidationError("features must be finite once standardized to float32")
-        return Xs
-
-    def logits(self, features: np.ndarray) -> np.ndarray:
         with _one_blas_thread():
-            return _forward(self.weights, self.kind, self._standardize(features))[0]
+            return _forward(self.weights, self.kind, Xs)[0]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        """Most likely class per row; argmax ties go to the lowest index."""
-        return np.argmax(self.logits(features), axis=1).astype(np.int64)
+        """Most likely class per row; argmax ties go to the lowest index.
+        Rows are scored _PREDICT_ROWS at a time, so memory does not grow
+        with the row count beyond the features and the predictions."""
+        features = self._features(features)
+        preds = np.empty(features.shape[0], np.int64)
+        for start in range(0, features.shape[0], _PREDICT_ROWS):
+            block = features[start : start + _PREDICT_ROWS]
+            preds[start : start + _PREDICT_ROWS] = np.argmax(self.logits(block), axis=1)
+        return preds
 
 
 def train_probe(
@@ -270,9 +279,10 @@ def _train_split(X: np.ndarray, Y: np.ndarray, kind: str, stacks: list[tuple]) -
         fitted = []
         for s, (pick, group, k, configs, cols), part in pieces:
             mu, sigma, Xs = _standardized(X, pick, X.shape[1] if cols is None else cols.shape[1])
-            outcome = _train_stack(Xs, Y.T[np.ix_(group[part], pick)], kind, k, configs[part],
+            labels = Y.T[np.ix_(group[part], pick)].astype(np.min_scalar_type(k - 1))
+            outcome = _train_stack(Xs, labels, kind, k, configs[part],
                                    cols if cols is None else cols[part])
-            del Xs  # freed before the next stack's copy is made
+            del Xs, labels  # freed before the next stack's copies are made
             if isinstance(outcome, tuple):
                 return (s, *outcome)
             fitted += [(mu, sigma, weights) for weights in outcome]
@@ -334,17 +344,22 @@ def _train_stack(
     config, P, n = configs[0], len(configs), Xs.shape[0]
     d = Xs.shape[1] if cols is None else cols.shape[1]
     rngs = [np.random.default_rng(c.seed) for c in configs]
-    inits = [_init_weights(kind, d, k, config.hidden_units, rng) for rng in rngs]
     # Each probe's parameters live in one float32 row of theta, so Adam
     # updates the whole stack with one pass of ufuncs; weights and grads are
-    # (P, ...) views into it.
-    theta = np.array([np.concatenate([w.ravel() for w in i.values()]) for i in inits], np.float32)
+    # (P, ...) views into it. One probe's float64 init is alive at a time.
+    for p, rng in enumerate(rngs):
+        init = _init_weights(kind, d, k, config.hidden_units, rng)
+        flat = np.concatenate([w.ravel() for w in init.values()])
+        if p == 0:
+            theta = np.empty((P, flat.size), np.float32)
+        theta[p] = flat
     g, m, v, s = (np.zeros_like(theta) for _ in range(4))
     weights, grads, start = {}, {}, 0
-    for key, w in inits[0].items():
+    for key, w in init.items():
         shape = (P, *w.shape)
         weights[key], grads[key] = (a[:, start : start + w.size].reshape(shape) for a in (theta, g))
         start += w.size
+    del init, flat
 
     batch = min(config.batch_size, n)
     # The P x batch x hidden arrays are written into these for every step
@@ -356,7 +371,7 @@ def _train_stack(
     label_starts = np.arange(P)[:, None] * n
     picks = cols is not None and {b: np.arange(P * b).reshape(P, b, 1) * Xs.shape[1]
                                   + cols[:, None, :] for b in {batch, n % batch or batch}}
-    orders = np.empty((P, n), np.int64)
+    orders = np.empty((P, n), np.min_scalar_type(n - 1))  # each epoch's row order per probe
     step = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):

@@ -111,8 +111,13 @@ class RepresentationSet:
     """Immutable (latents, labels, schema) triple with shape/range guarantees.
 
     Invariants enforced at construction: latents is N x m float64 and finite;
-    labels is N x n integer with column j in [0, cardinality_j); m >= n; N >= 1.
+    labels is N x n int64 with column j in [0, cardinality_j); m >= n; N >= 1.
     The only check of latent finiteness and label range on loaded data.
+
+    Both arrays are read-only. An array the caller can still write (one it
+    passed, or a view of writeable memory) is copied first; one no array can
+    write is kept as it is, so a loaded set holds its rows once, as two
+    field views of the parsed file.
     """
 
     latents: np.ndarray
@@ -134,9 +139,10 @@ class RepresentationSet:
             raise ValidationError(
                 f"label columns ({labels.shape[1]}) must match schema factors ({self.schema.n_factors})"
             )
-        bad = ~np.isfinite(latents)
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
+        # A NaN or an infinity shows in the minimum or the maximum, so the
+        # N x m mask is only made to find it.
+        if latents.size and not np.isfinite([latents.min(), latents.max()]).all():
+            row, col = np.argwhere(~np.isfinite(latents))[0]
             raise NonFiniteLatentError(
                 f"non-finite latent value {float(latents[row, col])!r}",
                 column=f"z{col}",
@@ -156,18 +162,15 @@ class RepresentationSet:
                 column=f"g{j}",
                 row=int(row),
             )
-        as_int = labels.astype(np.int64)
+        as_int = labels.astype(np.int64, copy=False)
         if not np.array_equal(as_int, labels):
             raise ValidationError("labels must be integers")
         if latents.shape[1] < labels.shape[1]:
             raise ValidationError(
                 f"need at least as many neurons as factors: m={latents.shape[1]} < n={labels.shape[1]}"
             )
-        latents = latents.copy()
-        latents.setflags(write=False)
-        as_int.setflags(write=False)
-        object.__setattr__(self, "latents", latents)
-        object.__setattr__(self, "labels", as_int)
+        object.__setattr__(self, "latents", _read_only(latents, self.latents))
+        object.__setattr__(self, "labels", _read_only(as_int, self.labels))
 
     @property
     def n_rows(self) -> int:
@@ -182,11 +185,33 @@ class RepresentationSet:
         return self.schema.n_factors
 
     def subset(self, indices: np.ndarray) -> "RepresentationSet":
-        """Row subset as a new set (indices kept in the given order)."""
-        indices = np.asarray(indices, dtype=np.int64)
+        """Row subset as a new set (indices kept in the given order, repeats
+        allowed); indices is a 1-D array of integers in [0, n_rows)."""
+        indices = np.asarray(indices)
         if indices.size == 0:
             raise ValidationError("cannot build an empty representation subset")
+        if indices.ndim != 1 or indices.dtype.kind not in "iu":
+            raise ValidationError(f"subset indices must be a 1-D array of integers, "
+                                  f"got {indices.ndim}-D {indices.dtype}")
+        if indices.min() < 0 or indices.max() >= self.n_rows:
+            raise ValidationError(f"subset indices must lie in [0, {self.n_rows}), got "
+                                  f"{indices.min()}..{indices.max()}")
         return RepresentationSet(self.latents[indices], self.labels[indices], self.schema)
+
+
+def _read_only(array: np.ndarray, given: object) -> np.ndarray:
+    """array, made here from the caller's given, as a read-only array. It is
+    copied first when given or a view, unless it and each array it views are
+    read-only down to the array that owns the memory: nothing else can
+    write that memory then."""
+    if array is given or array.base is not None:
+        view = array
+        while isinstance(view, np.ndarray) and not view.flags.writeable and view.base is not None:
+            view = view.base
+        if not isinstance(view, np.ndarray) or view.flags.writeable:
+            array = array.copy()
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -274,6 +299,7 @@ def load_representation_set(data_path: str | Path, schema_path: str | Path) -> R
                 n_z = _parse_header(next(csv.reader(fh)), schema.n_factors, data_path)
                 dtype = [("z", "f8", (n_z,)), ("g", "i8", (schema.n_factors,))]
                 rows = np.loadtxt(fh, dtype, delimiter=",", comments=None, ndmin=1)
+        rows.setflags(write=False)  # the set keeps its fields as they are, not copies
         return RepresentationSet(rows["z"], rows["g"], schema)
     except Exception:  # the row parser reproduces every failure, with its location
         return _load_rows(data_path, schema_path)

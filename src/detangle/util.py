@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import numbers
 import os
-import secrets
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence, TextIO
@@ -22,7 +21,7 @@ def atomic_open(path: str | Path) -> Iterator[TextIO]:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # 0o666 leaves the mode to the umask, as open() does (mkstemp forces 0o600).
-    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:

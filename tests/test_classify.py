@@ -1064,6 +1064,43 @@ class TestProbeModel:
         preds = model.predict(np.ones((5, 2)))
         assert np.array_equal(preds, np.zeros(5, dtype=np.int64))
 
+    @pytest.mark.parametrize("kind", [LINEAR, MLP])
+    def test_predict_is_the_argmax_of_each_blocks_logits(self, kind):
+        # Logits of a block need not be byte-equal to those of the whole
+        # matrix, so predict is checked against the blocks it scores.
+        block = classify_module._PREDICT_ROWS
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(300, 4))
+        model = train_probe(X, rng.integers(0, 4, 300), kind, TrainConfig(epochs=2), n_classes=4)
+        if kind == LINEAR:  # class 2 copies class 1, so they tie wherever 1 leads
+            weights = {key: w.copy() for key, w in model.weights.items()}
+            for w in weights.values():
+                w[..., 2] = w[..., 1]
+            model = ProbeModel(LINEAR, 4, model.mu, model.sigma, weights, model.config)
+        features = rng.normal(size=(3 * block + 77, 4))
+        expected = np.concatenate([np.argmax(model.logits(features[start : start + block]), axis=1)
+                                   for start in range(0, len(features), block)])
+        preds = model.predict(features)
+        assert preds.dtype == np.int64 and np.array_equal(preds, expected)
+        assert len(set(preds.tolist())) > 1
+        if kind == LINEAR:
+            assert 1 in preds and 2 not in preds
+        assert model.predict(features[:0]).shape == (0,)
+
+    def test_accuracy_memory_does_not_grow_with_the_rows(self):
+        # The whole split's hidden layer would be 20 000 x 256 float32 (20 MB).
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(300, 32)), rng.integers(0, 6, 300)
+        model = train_probe(X, y, MLP, TrainConfig(epochs=1), n_classes=6)
+        features, labels = rng.normal(size=(20_000, 32)), rng.integers(0, 6, 20_000)
+        tracemalloc.start()
+        try:
+            accuracy(model, features, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
     def test_predict_rejects_the_wrong_width(self):
         model = train_probe(*xor_features_labels(copies=2), LINEAR, TrainConfig(epochs=1))
         with pytest.raises(ValidationError, match=r"with 2 columns, got shape \(4, 3\)"):

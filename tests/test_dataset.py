@@ -225,6 +225,44 @@ class TestRepresentationSet:
         with pytest.raises(ValidationError):
             rep.subset(np.array([], dtype=int))
 
+    @pytest.mark.parametrize("indices, match", [
+        ([True, False, True, False], "integers, got 1-D bool"),  # not a mask
+        ([0.7, 2.9], "integers, got 1-D float64"),
+        (np.array([[0, 1]]), "integers, got 2-D int64"),
+        ([10, 0], r"in \[0, 4\), got 0\.\.10"),
+        ([-1, 2], r"in \[0, 4\), got -1\.\.2"),
+    ])
+    def test_subset_rejects_masks_non_integers_and_out_of_range(self, indices, match):
+        rep = small_rep(n=4)
+        with pytest.raises(ValidationError, match=match):
+            rep.subset(indices)
+
+    def test_subset_accepts_any_integer_dtype_and_repeats(self):
+        rep = small_rep(n=4)
+        sub = rep.subset(np.array([3, 3, 0], dtype=np.uint8))
+        assert sub.latents.tobytes() == rep.latents[[3, 3, 0]].tobytes()
+        assert not sub.latents.flags.writeable and not sub.labels.flags.writeable
+
+    @pytest.mark.parametrize("through_read_only_views", [False, True])
+    def test_caller_writes_do_not_reach_the_set(self, through_read_only_views):
+        latents, labels = small_rep().latents.copy(), small_rep().labels.copy()
+        given = (latents, labels)
+        if through_read_only_views:  # the memory under them can still change
+            given = tuple(array.view() for array in given)
+            for array in given:
+                array.setflags(write=False)
+        rep = RepresentationSet(*given, SCHEMA)
+        before = rep.latents.tobytes(), rep.labels.tobytes()
+        latents += 1.0
+        labels[:] = 0
+        assert (rep.latents.tobytes(), rep.labels.tobytes()) == before
+        assert not rep.latents.flags.writeable and not rep.labels.flags.writeable
+
+    def test_read_only_arrays_are_shared_not_copied(self):
+        rep = small_rep()
+        again = RepresentationSet(rep.latents, rep.labels, SCHEMA)
+        assert again.latents is rep.latents and again.labels is rep.labels
+
 
 class TestCsvIO:
     @settings(max_examples=60, deadline=None,
@@ -328,23 +366,38 @@ class TestCsvIO:
         peak, size = self.peak_load_memory(tmp_path)
         assert peak < 4 * size
 
+    def test_load_holds_the_parsed_rows_once(self, tmp_path):
+        # The set keeps read-only views of np.loadtxt's array rather than
+        # copies of both fields, which took the peak to about twice the rows.
+        peak, _ = self.peak_load_memory(tmp_path, rows=10_000)
+        back = load_representation_set(tmp_path / "data.csv", tmp_path / "schema.json")
+        arrays = back.latents.nbytes + back.labels.nbytes
+        assert peak < 1.25 * arrays, (peak, arrays)
+        assert not back.latents.flags.writeable and not back.labels.flags.writeable
+        assert back.latents.base is back.labels.base  # two fields of one parsed array
+
     def test_row_parser_does_not_copy_the_whole_file(self, tmp_path):
         # A tab before each line end sends the file to the row parser.
         peak, size = self.peak_load_memory(tmp_path, lambda text: text.replace("\n", "\t\n"))
         assert peak < 4 * size
 
-    def peak_load_memory(self, tmp_path, edit=None):
-        """Peak traced memory while loading a 3 000 x 40 set, and the file size."""
+    def write_set(self, tmp_path, rows=3000):
+        """A rows x 40 set (32 neurons, 8 factors) written to tmp_path: the
+        set, then the data and schema paths."""
         rng = np.random.default_rng(0)
         schema = FactorSchema(tuple(f"f{j}" for j in range(8)), (6,) * 8)
-        rep = RepresentationSet(rng.normal(size=(3000, 32)), rng.integers(0, 6, (3000, 8)), schema)
-        data = tmp_path / "data.csv"
-        write_representation_set(rep, data, tmp_path / "schema.json")
+        rep = RepresentationSet(rng.normal(size=(rows, 32)), rng.integers(0, 6, (rows, 8)), schema)
+        write_representation_set(rep, tmp_path / "data.csv", tmp_path / "schema.json")
+        return rep, tmp_path / "data.csv", tmp_path / "schema.json"
+
+    def peak_load_memory(self, tmp_path, edit=None, rows=3000):
+        """Peak traced memory while loading a rows x 40 set, and the file size."""
+        rep, data, schema = self.write_set(tmp_path, rows)
         if edit:
             data.write_text(edit(data.read_text()))
         tracemalloc.start()
         try:
-            back = load_representation_set(data, tmp_path / "schema.json")
+            back = load_representation_set(data, schema)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -90,6 +90,24 @@ def test_atomic_write_text_mode_follows_umask(tmp_path):
     assert (tmp_path / "private.txt").stat().st_mode & 0o777 == 0o600
 
 
+def test_atomic_open_temp_name_has_16_hex_digits(tmp_path):
+    target = tmp_path / "out.txt"
+    with atomic_open(target) as fh:
+        [temp] = [p.name for p in tmp_path.iterdir()]
+        fh.write("x")
+    prefix, digits, suffix = temp.rsplit(".", 2)
+    assert (prefix, suffix) == (".out.txt", "tmp")
+    assert len(digits) == 16 and set(digits) <= set("0123456789abcdef"), temp
+
+
+def test_import_leaves_out_the_secrets_modules():
+    # secrets pulls in hmac, hashlib and base64 (about 3 ms of import time);
+    # a temp file name needs only os.urandom.
+    loaded = run_python({}, "-c", "import sys, detangle; print(*sys.modules)").split()
+    assert "detangle.util" in loaded
+    assert not {"secrets", "hmac", "hashlib", "base64"} & set(loaded)
+
+
 def run_python(env_overrides, *args):
     """Run `python *args` in a fresh interpreter on this checkout; return stdout.
     An override of None removes the variable."""
