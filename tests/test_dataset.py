@@ -381,23 +381,18 @@ class TestCsvIO:
         peak, size = self.peak_load_memory(tmp_path, lambda text: text.replace("\n", "\t\n"))
         assert peak < 4 * size
 
-    def write_set(self, tmp_path, rows=3000):
-        """A rows x 40 set (32 neurons, 8 factors) written to tmp_path: the
-        set, then the data and schema paths."""
+    def peak_load_memory(self, tmp_path, edit=None, rows=3000):
+        """Peak traced memory while loading a rows x 40 set, and the file size."""
         rng = np.random.default_rng(0)
         schema = FactorSchema(tuple(f"f{j}" for j in range(8)), (6,) * 8)
         rep = RepresentationSet(rng.normal(size=(rows, 32)), rng.integers(0, 6, (rows, 8)), schema)
-        write_representation_set(rep, tmp_path / "data.csv", tmp_path / "schema.json")
-        return rep, tmp_path / "data.csv", tmp_path / "schema.json"
-
-    def peak_load_memory(self, tmp_path, edit=None, rows=3000):
-        """Peak traced memory while loading a rows x 40 set, and the file size."""
-        rep, data, schema = self.write_set(tmp_path, rows)
+        data = tmp_path / "data.csv"
+        write_representation_set(rep, data, tmp_path / "schema.json")
         if edit:
             data.write_text(edit(data.read_text()))
         tracemalloc.start()
         try:
-            back = load_representation_set(data, schema)
+            back = load_representation_set(data, tmp_path / "schema.json")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
