@@ -110,35 +110,27 @@ def max_weight_assignment(
     if n > m:
         raise ValidationError(f"need at least as many columns as rows: n={n} > m={m}")
 
-    base = _solve_max(values)
-    best_objective = assignment_objective(values, base)
+    held = _solve_max(values)
+    held_objective = assignment_objective(values, held)
     if not lexicographic:
-        return tuple(base), best_objective
+        return tuple(held), held_objective
 
-    prefix: list[int] = []
-    available = list(range(m))
+    # Rows are fixed in index order. The held assignment is optimal, so it is
+    # an optimal completion of its own prefix: a row tries only the free
+    # columns below its held one, and otherwise keeps it with no solve.
     for row in range(n):
-        chosen = None
-        chosen_obj = -np.inf
-        for col in available:
-            rest_cols = [c for c in available if c != col]
-            if row + 1 < n:
-                sub = values[np.ix_(range(row + 1, n), rest_cols)]
-                sub_assign = _solve_max(sub)
-                completion = [rest_cols[c] for c in sub_assign]
-            else:
-                completion = []
-            candidate = prefix + [col] + completion
-            obj = assignment_objective(values, candidate)
-            if obj >= best_objective:
-                chosen, chosen_obj = col, obj
+        taken = set(held[:row])
+        for col in range(held[row]):
+            if col in taken:
+                continue
+            rest = [c for c in range(m) if c != col and c not in taken]
+            completion = _solve_max(values[row + 1 :, rest])
+            candidate = held[:row] + [col] + [rest[c] for c in completion]
+            objective = assignment_objective(values, candidate)
+            if objective >= held_objective:
+                held, held_objective = candidate, objective
                 break
-            if obj > chosen_obj:
-                chosen, chosen_obj = col, obj
-        prefix.append(chosen)
-        available.remove(chosen)
-        best_objective = max(best_objective, chosen_obj)
-    return tuple(prefix), assignment_objective(values, prefix)
+    return tuple(held), held_objective
 
 
 def _solve_max(values: np.ndarray) -> list[int]:

@@ -241,6 +241,9 @@ def run_cg_presplit(
     computed; the audit verifies the exclusion structure of the given sets."""
     if train_rep.schema != test_rep.schema:
         raise ValidationError("train and test sets must share one schema")
+    if train_rep.n_neurons != test_rep.n_neurons:
+        raise ValidationError(f"train set has {train_rep.n_neurons} neurons but test set has "
+                              f"{test_rep.n_neurons}")
     pair = resolve_pair(train_rep, pair)
     _check_kinds(probe_kinds)
     config = config or TrainConfig()

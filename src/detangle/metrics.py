@@ -342,8 +342,7 @@ def compute_metric_report(
     # Reject a bad align mode, subset or aggregate mode before any work starts.
     if align_mode not in ALIGN_MODES:
         raise ValidationError(f"unknown align mode {align_mode!r}, expected one of {ALIGN_MODES}")
-    if subset is not None:
-        aggregate(dict.fromkeys(rep.schema.names, 0.0), aggregate_mode, subset)
+    aggregate(dict.fromkeys(rep.schema.names, 0.0), aggregate_mode, subset)
     imp = importance_matrix(rep, n_bins=n_bins)
     alignment = injective_alignment(imp) if align_mode == INJECTIVE else greedy_alignment(imp)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
+from detangle import align as align_module
 from detangle.align import (
     Alignment,
     GREEDY,
@@ -43,6 +44,14 @@ def brute_force(values):
         if obj > best_obj:
             best, best_obj = perm, obj
     return best, best_obj
+
+
+def optima(values):
+    """Every permutation that reaches the exhaustive maximum exactly."""
+    n, m = values.shape
+    perms = list(itertools.permutations(range(m), n))
+    objs = [assignment_objective(values, perm) for perm in perms]
+    return [perm for perm, obj in zip(perms, objs) if obj == max(objs)]
 
 
 class TestMaxWeightAssignment:
@@ -123,6 +132,58 @@ class TestMaxWeightAssignment:
             max_weight_assignment(np.array([[np.nan, 1.0]]))
         with pytest.raises(ValidationError):
             max_weight_assignment(np.empty((0, 0)))
+
+    def test_solver_of_no_rows_assigns_nothing(self):
+        assert align_module._solve_max(np.empty((0, 4))) == []
+
+    def test_diagonal_optimum_needs_only_the_base_solve(self, monkeypatch):
+        # Each row's held column is its smallest free one, so no row has a
+        # column to try. Re-solving each row's held column took n solves.
+        shapes, solve = [], align_module._solve_max
+        monkeypatch.setattr(align_module, "_solve_max",
+                            lambda values: shapes.append(values.shape) or solve(values))
+        values = np.eye(6) + 0.25
+        assert max_weight_assignment(values) == (tuple(range(6)), 7.5)
+        assert shapes == [(6, 6)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_permuting_columns_permutes_a_single_optimum(self, data):
+        # The neuron-order relation: between tied optima the tie-break reads
+        # column order, so only a single optimum must move with its columns.
+        # Dyadic sums are exact, so the objective keeps its bytes regardless.
+        n = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(n, 7))
+        levels = data.draw(st.sampled_from([1, 2, 16]))
+        values = data.draw(arrays(np.int64, (n, m), elements=st.integers(0, levels))) / 16.0
+        perm = data.draw(st.permutations(range(m)))
+        got, obj = max_weight_assignment(values)
+        moved, moved_obj = max_weight_assignment(values[:, perm])
+        assert np.float64(moved_obj).tobytes() == np.float64(obj).tobytes()
+        if len(optima(values)) == 1:
+            assert moved == tuple(perm.index(c) for c in got)
+
+    def test_permuting_columns_permutes_a_continuous_optimum(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(n, 8))
+            values, perm = rng.random(size=(n, m)), rng.permutation(m)
+            got, obj = max_weight_assignment(values)
+            assert len(optima(values)) == 1
+            assert max_weight_assignment(values[:, perm]) == (
+                tuple(int(np.flatnonzero(perm == c)[0]) for c in got), obj)
+
+    @pytest.mark.parametrize("values, expected, objective", [
+        (np.random.default_rng(12).random((12, 96)),
+         (73, 49, 18, 27, 19, 95, 78, 12, 9, 10, 31, 54), "a17573244aba2740"),
+        (np.random.default_rng(12).integers(0, 4, (12, 96)) / 4.0,
+         (2, 5, 3, 6, 1, 4, 14, 0, 8, 13, 15, 7), "0000000000002240"),
+    ], ids=["continuous", "tied"])
+    def test_seeded_wide_matrix_pin(self, values, expected, objective):
+        # Pinned from the pass that re-solved every row's held column.
+        got, obj = max_weight_assignment(values)
+        assert got == expected and np.float64(obj).tobytes().hex() == objective
 
 
 class TestAlignmentModes:

@@ -251,6 +251,16 @@ class TestPresplit:
         with pytest.raises(ValidationError, match="schema"):
             run_cg_presplit(rep, other, ("size", 0, "shape", 0), LINEAR, FAST)
 
+    def test_neuron_count_mismatch_rejected_before_any_probe_trains(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cgtask, "train_probe", lambda *args, **kwargs: calls.append(args))
+        rep = grid_rep(copies=5)
+        wider = RepresentationSet(np.hstack([rep.latents, rep.latents[:, :1]]), rep.labels,
+                                  rep.schema)
+        with pytest.raises(ValidationError, match="train set has 2 neurons but test set has 3"):
+            run_cg_presplit(rep, wider, ("size", 0, "shape", 0), (LINEAR,), FAST)
+        assert calls == []
+
     def test_several_kinds_give_the_suite_of_their_runs(self):
         rep = grid_rep(copies=5)
         held_out = (rep.labels[:, 0] == 2) & (rep.labels[:, 1] == 3)

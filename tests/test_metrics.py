@@ -453,6 +453,16 @@ class TestMetricReport:
             compute_metric_report(variant_b_rep, subset=subset, aggregate_mode=mode)
         assert calls == []
 
+    @pytest.mark.parametrize("subset", [None, ("colour",)])
+    def test_unknown_aggregate_mode_rejected_before_any_probe(self, variant_b_rep, monkeypatch,
+                                                             subset):
+        calls = []
+        monkeypatch.setattr(metrics_module, "train_probe",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValidationError, match="unknown aggregate mode 'nope'"):
+            compute_metric_report(variant_b_rep, subset=subset, aggregate_mode="nope")
+        assert calls == []
+
     def test_report_trains_three_probe_stacks(self, monkeypatch):
         # The NK all-neuron MLPs, the NK knockouts and the linear heads: one
         # train_probe call each, however many factors there are, each given
