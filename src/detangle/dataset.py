@@ -287,15 +287,12 @@ def load_representation_set(data_path: str | Path, schema_path: str | Path) -> R
                 raw.seek(0)
             # A field past csv's size limit fills one of these windows, free of commas.
             w = max(1, (csv.field_size_limit() + 1) // 2)
-            # One buffer, refilled in place; translate copies it, so keep it small.
-            chunk = bytearray(w * -(-(1 << 16) // w))
-            while size := raw.readinto(chunk):
-                del chunk[size:]  # only the read at the end of the file falls short
+            # Small chunks: the next read, or translate's copy, holds a second one.
+            while chunk := raw.read(w * -(-(1 << 16) // w)):
                 if chunk.translate(None, _PLAIN_BYTES):
                     raise ValueError("data file holds more than printable ASCII")
                 if any(chunk.find(b",", a, a + w) < 0 for a in range(0, len(chunk) - w + 1, w)):
                     raise ValueError("a field may be longer than csv's field limit")
-            del chunk
             raw.seek(0)
             with warnings.catch_warnings(), io.TextIOWrapper(raw, "utf-8-sig", newline="") as fh:
                 warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"

@@ -377,9 +377,8 @@ class TestCsvIO:
         assert back.latents.base is back.labels.base  # two fields of one parsed array
 
     def test_pre_scan_refills_one_small_buffer(self, tmp_path, monkeypatch):
-        # A 1 MiB chunk read while the last was still held, and translate's
-        # copy of it, took a 3000-row load to 2.2 times its parsed rows
-        # before np.loadtxt had started.
+        # Two 1 MiB chunks (the next read, or translate's copy) took a
+        # 3000-row load to 2.2 times its parsed rows before np.loadtxt ran.
         loadtxt, at_parse = np.loadtxt, []
 
         def traced(*args, **kwargs):
