@@ -376,7 +376,7 @@ class TestCsvIO:
         assert not back.latents.flags.writeable and not back.labels.flags.writeable
         assert back.latents.base is back.labels.base  # two fields of one parsed array
 
-    def test_pre_scan_refills_one_small_buffer(self, tmp_path, monkeypatch):
+    def test_pre_scan_holds_small_chunks(self, tmp_path, monkeypatch):
         # Two 1 MiB chunks (the next read, or translate's copy) took a
         # 3000-row load to 2.2 times its parsed rows before np.loadtxt ran.
         loadtxt, at_parse = np.loadtxt, []
