@@ -12,12 +12,14 @@ A pair is given as an (a, va, b, vb) tuple, each factor by name or index;
 resolve_pair checks it and returns its payload block {"factor_a", "value_a",
 "factor_b", "value_b"} with the factors by name.
 
-The control depends only on the held-out size and the seed, not on the
-pair, so the pairs of one run_cg_suite call that hold out the same number of
-rows share one control per probe kind. A suite trains all probes of one kind,
-every pair's and each distinct control's, in one train_probe call, and hands
-each run the predictions of its own splits, so every number equals what
-separate run_cg calls report.
+run_cg_suite is the only code that derives splits and trains probes;
+run_cg(rep, pair, kind) is the one run of the suite of that pair and kind.
+A suite derives each pair's exclusion split once, and one control per
+distinct held-out size, since the control depends only on that size and the
+seed. It trains all probes of one kind, every pair's and each control's, in
+one train_probe call, then hands each run_cg call its run's rows and
+predictions to score and audit. So a run's numbers do not depend on the
+pairs batched beside it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .classify import (
 )
 from .dataset import FactorSchema, RepresentationSet, split_indices
 from .errors import SplitError, ValidationError
-from .util import payload_kind, require_distinct, require_int, require_seed, spawn_seed
+from .util import payload_kind, require_distinct, spawn_seed
 
 
 def resolve_pair(rep: RepresentationSet, pair: tuple) -> dict:
@@ -178,46 +180,33 @@ def _held_out_run(
     }
 
 
-def _splits(rep: RepresentationSet, pair: dict, seed: int, control: bool) -> list[tuple]:
-    """(train rows, test rows, seed salt) of the pair's exclusion split (salt
-    1) and, with control, of its matched-size random split (salt 2)."""
-    train, test = _exclusion_rows(rep, pair)
-    splits = [(train, test, 1)]
-    if control:
-        block = _control_split(rep.n_rows, test.size, seed)
-        splits.append((*split_indices(rep.n_rows, block["test_fraction"], block["seed"]), 2))
-    return splits
-
-
 def run_cg(
     rep: RepresentationSet, pair: tuple, probe_kind: str = MLP, config: TrainConfig | None = None,
-    control: bool = True, _predictions: Sequence[list] | None = None,
+    control: bool = True, _run: Sequence | None = None,
 ) -> dict:
     """One exclusion run: hold out the pair's rows, probe, and audit the
-    split. Returns the run payload that `detangle cg --out` writes.
+    split. Returns the run payload that `detangle cg --out` writes, the one
+    run of run_cg_suite(rep, [pair], (probe_kind,), config, control).
 
     The audit records that train and test row ids are disjoint, that no
     training row matches the excluded combination, and that every test row
     does. With control=True a matched-size random split of the same data is
-    probed identically. _predictions, when given, holds the per-factor
-    predictions of the run's splits in _splits order, trained by the caller;
-    without it the run trains them in one call.
+    probed identically. run_cg_suite derives each split once and trains its
+    probes, then passes _run: the resolved pair, the exclusion split's (train
+    rows, test rows, predictions) and, with control, the control's (split
+    block, test rows, predictions). Given _run, a run only scores and audits.
     """
-    config = config or TrainConfig()
-    pair = resolve_pair(rep, pair)
-    splits = _splits(rep, pair, config.seed, control)
-    if _predictions is None:
-        _predictions = measure_probes(rep, [(train, rep.latents[test], salt)
-                                            for train, test, salt in splits], probe_kind, config)
-    [(train, test, _), *controls] = splits
+    if _run is None:
+        return run_cg_suite(rep, [pair], (probe_kind,), config, control)
+    named, (train, test, preds), *controls = _run
     result = _held_out_run(
-        pair, rep.schema, _predictions[0], rep.labels[train], rep.labels[test], probe_kind,
-        config.seed, int(np.intersect1d(train, test).size),
+        named, rep.schema, preds, rep.labels[train], rep.labels[test], probe_kind, config.seed,
+        int(np.intersect1d(train, test).size),
     )
-    for (_, ctr_test, _), preds in zip(controls, _predictions[1:]):
-        per_factor, joint_both = _score(pair, rep.schema, preds, rep.labels[ctr_test], rep.labels)
-        result["control"] = {"split": _control_split(rep.n_rows, test.size, config.seed),
-                             "per_factor": per_factor, "joint_both": joint_both}
+    for block, ctr_test, ctr_preds in controls:
+        per_factor, joint_both = _score(named, rep.schema, ctr_preds, rep.labels[ctr_test],
+                                        rep.labels)
+        result["control"] = {"split": block, "per_factor": per_factor, "joint_both": joint_both}
     return result
 
 
@@ -266,34 +255,43 @@ def run_cg_suite(
     Checks every probe kind and pair before any probe trains, and fails
     naming the first pair whose exclusion split is degenerate or holds out
     the same rows as an earlier pair (the same pair, in either term order).
-    Each probe kind trains in one call: every pair's exclusion split, then
-    each distinct control.
+    Derives each exclusion split and each distinct control once, and trains
+    each probe kind in one call: every pair's exclusion split, then each
+    distinct control.
     """
     if not pairs:
         raise ValidationError("run_cg_suite needs at least one excluded pair")
     _check_kinds(probe_kinds)
     config = config or TrainConfig()
-    held_out, splits, controls = set(), [], {}
+    held_out, derived, controls = set(), [], {}
     for pair in pairs:
         named = resolve_pair(rep, pair)
         try:
-            (train, test, salt), *ctr = _splits(rep, named, config.seed, control)
+            train, test = _exclusion_rows(rep, named)
         except SplitError as exc:
             raise SplitError(f"degenerate exclusion split for pair {named}: {exc}") from exc
         if test.tobytes() in held_out:
             raise SplitError(f"pair {named} holds out the same rows as an earlier pair")
         held_out.add(test.tobytes())
-        splits.append((train, test, salt))
-        for split in ctr:  # _control_split reads only the held-out size and the seed
-            controls.setdefault(test.size, split)
-    preds = {kind: measure_probes(rep, [(train, rep.latents[test], salt) for train, test, salt
-                                        in [*splits, *controls.values()]], kind, config)
+        derived.append((pair, named, train, test))
+        if control and test.size not in controls:  # a control reads only the size and the seed
+            block = _control_split(rep.n_rows, test.size, config.seed)
+            controls[test.size] = (block, *split_indices(rep.n_rows, block["test_fraction"],
+                                                         block["seed"]))
+    splits = [(train, test, 1) for *_, train, test in derived]
+    splits += [(train, test, 2) for _, train, test in controls.values()]
+    preds = {kind: measure_probes(rep, [(train, rep.latents[test], salt)
+                                        for train, test, salt in splits], kind, config)
              for kind in probe_kinds}  # every exclusion split, then each control
     sizes = list(controls)  # the controls follow every exclusion split
-    own = [[p, len(pairs) + sizes.index(test.size)] if control else [p]
-           for p, (_, test, _) in enumerate(splits)]
-    runs = [run_cg(rep, pair, kind, config, control, [preds[kind][s] for s in slots])
-            for pair, slots in zip(pairs, own) for kind in probe_kinds]
+    runs = []
+    for p, (pair, named, train, test) in enumerate(derived):
+        for kind in probe_kinds:
+            run = [named, (train, test, preds[kind][p])]
+            if control:
+                block, _, ctr_test = controls[test.size]
+                run.append((block, ctr_test, preds[kind][len(pairs) + sizes.index(test.size)]))
+            runs.append(run_cg(rep, pair, kind, config, control, run))
     return _job_payload(runs, probe_kinds)
 
 
@@ -336,33 +334,6 @@ def suite_averages(runs: Sequence[dict], probe_kinds: Sequence[str]) -> dict:
                 if all(key in row for row in rows)
             }
     return averages
-
-
-def sample_pairs(
-    rep: RepresentationSet,
-    factor_a: int | str,
-    factor_b: int | str,
-    count: int,
-    seed: int = 0,
-) -> list[tuple]:
-    """Sample distinct (value_a, value_b) combinations present in the data, as
-    (a, va, b, vb) pairs with the factors by name."""
-    ia = rep.schema.index_of(factor_a)
-    ib = rep.schema.index_of(factor_b)
-    if ia == ib:
-        raise ValidationError("sample_pairs needs two distinct factors")
-    dims = (rep.schema.cardinalities[ia], rep.schema.cardinalities[ib])
-    # Present combinations in lexicographic (value_a, value_b) order.
-    combos = np.unique(np.ravel_multi_index((rep.labels[:, ia], rep.labels[:, ib]), dims))
-    if not 1 <= require_int(count, "count") <= combos.size:
-        raise ValidationError(
-            f"count must lie in [1, {combos.size}] (distinct present combinations)"
-        )
-    rng = np.random.default_rng(require_seed(seed, "seed"))
-    chosen = rng.choice(combos.size, size=count, replace=False)
-    values_a, values_b = np.unravel_index(combos[np.sort(chosen)], dims)
-    a, b = rep.schema.names[ia], rep.schema.names[ib]
-    return [(a, int(va), b, int(vb)) for va, vb in zip(values_a, values_b)]
 
 
 # Per table column, the key of a suite average; the control's add "control_".

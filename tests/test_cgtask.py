@@ -18,7 +18,6 @@ from detangle.cgtask import (
     run_cg,
     run_cg_presplit,
     run_cg_suite,
-    sample_pairs,
     suite_averages,
 )
 from detangle.classify import LINEAR, MLP, TrainConfig
@@ -213,6 +212,20 @@ class TestRunCg:
         with pytest.raises(SplitError, match="matches no rows"):
             run_cg(rep, ("a", 1, "b", 1), LINEAR, FAST)
 
+    def test_kind_and_pair_checked_before_any_probe_trains(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cgtask, "train_probe", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValidationError, match="unknown probe kind 'bogus'"):
+            run_cg(grid_rep(copies=5), ("size", 0, "shape", 0), "bogus", FAST)
+        rep = held_out_rep(30, 0)
+        with pytest.raises(SplitError) as info:
+            run_cg(rep, ("a", 1, "b", 1), LINEAR, FAST)
+        assert str(info.value) == (
+            "degenerate exclusion split for pair {'factor_a': 'a', 'value_a': 1, 'factor_b': 'b', "
+            "'value_b': 1}: cg_exclusion pair (a=1, b=1) matches no rows"
+        )
+        assert calls == []
+
 
 class TestPresplit:
     def test_matches_internal_split(self):
@@ -383,8 +396,8 @@ class TestSuite:
 
 
 class TestSuiteSharesControls:
-    """A suite trains each control once per (probe kind, held-out size) and
-    reports exactly what separate run_cg calls report."""
+    """A suite trains each control once per (probe kind, held-out size), and
+    a run's numbers do not depend on the pairs batched beside it."""
 
     def assert_matches_standalone(self, rep, pairs, kinds):
         suite = run_cg_suite(rep, pairs, kinds, FAST)
@@ -400,7 +413,8 @@ class TestSuiteSharesControls:
     def test_unequal_and_repeated_sizes_match_standalone_runs(self):
         full = grid_rep(copies=12)
         rep = full.subset(np.sort(np.random.default_rng(1).permutation(full.n_rows)[:150]))
-        pairs = sample_pairs(rep, "size", "shape", 4, seed=2)
+        pairs = [("size", 0, "shape", 1), ("size", 0, "shape", 3), ("size", 1, "shape", 0),
+                 ("size", 2, "shape", 2)]
         suite = self.assert_matches_standalone(rep, pairs, (LINEAR,))
         sizes = [run["n_test"] for run in suite["runs"]]
         assert 1 < len(set(sizes)) < len(sizes)
@@ -423,6 +437,16 @@ class TestSuiteSharesControls:
         rep = grid_rep(copies=10)
         run_cg_suite(rep, pairs, (LINEAR,), FAST)
         assert len(calls) == 4 * rep.n_factors
+
+    def test_each_split_is_derived_once(self, monkeypatch):
+        calls = []
+        for name in ("_exclusion_rows", "split_indices"):
+            derive = getattr(cgtask, name)
+            monkeypatch.setattr(cgtask, name, lambda *args, derive=derive, name=name:
+                                calls.append(name) or derive(*args))
+        pairs = [("size", 0, "shape", 0), ("size", 3, "shape", 1), ("size", 1, "shape", 2)]
+        run_cg_suite(grid_rep(copies=10), pairs, (LINEAR, MLP), FAST)
+        assert (calls.count("_exclusion_rows"), calls.count("split_indices")) == (3, 1)
 
     def test_a_new_held_out_size_trains_one_more_control(self, monkeypatch):
         full = grid_rep(copies=10)
@@ -485,43 +509,6 @@ class TestProbeCallOrder:
                 "--probe", "both", "--epochs", "1", "--out", str(tmp_path / "out.json")]
         assert cli.cli(argv) == 0
         assert calls == [LINEAR, MLP]
-
-
-class TestSamplePairs:
-    def test_deterministic_and_present(self):
-        rep = grid_rep(copies=3)
-        p1 = sample_pairs(rep, "size", "shape", count=4, seed=9)
-        p2 = sample_pairs(rep, "size", "shape", count=4, seed=9)
-        assert p1 == p2
-        assert len(p1) == 4
-        assert {(a, b) for a, _, b, _ in p1} == {("size", "shape")}
-        assert len({(va, vb) for _, va, _, vb in p1}) == 4
-        combos = {tuple(row) for row in rep.labels}
-        for _, va, _, vb in p1:
-            assert (va, vb) in combos
-
-    def test_count_bounds(self):
-        rep = grid_rep(copies=2)
-        with pytest.raises(ValidationError, match=r"\[1, 16\]"):
-            sample_pairs(rep, "size", "shape", count=17)
-        with pytest.raises(ValidationError, match=r"\[1, 16\]"):
-            sample_pairs(rep, "size", "shape", count=0)
-
-    def test_distinct_factors_required(self):
-        rep = grid_rep(copies=2)
-        with pytest.raises(ValidationError, match="distinct"):
-            sample_pairs(rep, "size", "size", count=1)
-
-    @pytest.mark.parametrize("count", [2.5, True, "2"])
-    def test_non_integer_count_rejected(self, count):
-        with pytest.raises(ValidationError, match=f"count must be an integer, got {count!r}"):
-            sample_pairs(grid_rep(copies=2), "size", "shape", count)
-        assert sample_pairs(grid_rep(copies=2), "size", "shape", np.int64(2)) == sample_pairs(
-            grid_rep(copies=2), "size", "shape", 2)
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
-            sample_pairs(grid_rep(copies=2), "size", "shape", count=2, seed=-1)
 
 
 class TestRenderTable:
